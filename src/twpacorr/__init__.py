@@ -13,7 +13,6 @@ from .acquisition import (
     EmissionBandModel,
     ExperimentData,
     FrequencyPlan,
-    ShotRecord,
     WindowSpec,
     demodulate,
     run_experiment,
@@ -32,14 +31,11 @@ from .gaussian import (
     OMEGA,
     QUADRATURE_ORDER,
     VACUUM_VARIANCE,
-    QuadratureSet,
     TwpaParams,
-    as_quadrature_sets,
     is_physical,
     pearson_xx,
     physicality_min_eigenvalue,
     rotate_covariance,
-    rotate_quadrature,
     rotate_quadrature_array,
     sample_shots,
     squeezing_db,
@@ -68,13 +64,10 @@ __all__ = [
     "OMEGA",
     "PhaseSweepResult",
     "QUADRATURE_ORDER",
-    "QuadratureSet",
-    "ShotRecord",
     "TwpaParams",
     "VACUUM_VARIANCE",
     "WindowComparison",
     "WindowSpec",
-    "as_quadrature_sets",
     "compare_windows",
     "demodulate",
     "estimate_covariance",
@@ -88,7 +81,6 @@ __all__ = [
     "phase_sweep",
     "physicality_min_eigenvalue",
     "rotate_covariance",
-    "rotate_quadrature",
     "rotate_quadrature_array",
     "run_experiment",
     "sample_shots",

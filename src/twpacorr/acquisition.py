@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .gaussian import QuadratureSet, TwpaParams, tmsvs_covariance
+from .gaussian import TwpaParams, tmsvs_covariance
 
 #: Floor constant of the gaussian acquisition envelope. Forcing
 #: E(0) = E(tau) = 0 and E(tau/2) = 1 on
@@ -188,25 +188,11 @@ class AcquisitionConfig:
 
 
 @dataclass(frozen=True)
-class ShotRecord:
-    """One demodulated shot of one stage."""
-
-    stage: str
-    quadratures: QuadratureSet
-    shot_index: int
-
-    def __post_init__(self) -> None:
-        if self.stage not in _STAGE_CODES:
-            raise ValueError(f"stage must be 'pump_on' or 'pump_off', got {self.stage!r}")
-
-
-@dataclass(frozen=True)
 class ExperimentData:
     """Demodulated quadratures for every shot of a pump-on/off experiment.
 
     ``on`` and ``off`` are (n_shots, 4) arrays in the column order
-    (X_s, P_s, X_i, P_i); :meth:`shot_pairs` exposes the same data as
-    per-shot records.
+    (X_s, P_s, X_i, P_i); row k of each holds shot k of that stage.
     """
 
     plan: FrequencyPlan
@@ -214,13 +200,6 @@ class ExperimentData:
     on: np.ndarray
     off: np.ndarray
     stream: int = 0
-
-    def shot_pairs(self) -> Iterator[tuple[ShotRecord, ShotRecord]]:
-        for index in range(self.on.shape[0]):
-            yield (
-                ShotRecord("pump_on", QuadratureSet.from_array(self.on[index]), index),
-                ShotRecord("pump_off", QuadratureSet.from_array(self.off[index]), index),
-            )
 
 
 def shot_rng(seed: int, shot_index: int, stage: str, stream: int = 0) -> np.random.Generator:

@@ -95,10 +95,18 @@ def _write_json(path: Path, meta: dict, payload: dict) -> None:
     click.echo(f"wrote {path}")
 
 
-def _load(config_path: str, out: str | None, seed: int | None) -> ExperimentConfig:
-    config = load_config(config_path)
-    if seed is not None:
-        config = config.with_seed(seed)
+def _load(config_path: str, out: str | None, overrides: dict) -> ExperimentConfig:
+    """Validated config with the set command-line options merged in; exits 2 on error.
+
+    ``overrides`` maps dotted config paths to option values; unset options
+    (None) keep the file's value.
+    """
+    fields = {path: value for path, value in overrides.items() if value is not None}
+    try:
+        config = load_config(config_path, fields)
+    except ConfigError as err:
+        click.echo(f"config error: {err}", err=True)
+        sys.exit(EXIT_CONFIG_ERROR)
     if out is not None:
         config = replace(config, output_dir=Path(out))
     return config
@@ -108,9 +116,20 @@ def _config_options(fn):
     fn = click.option("--config", "config_path", required=True, type=click.Path(), help="Experiment config file (YAML).")(fn)
     fn = click.option("--out", default=None, type=click.Path(), help="Output directory (overrides config).")(fn)
     fn = click.option("--seed", default=None, type=int, help="Master seed (overrides config).")(fn)
+    return fn
+
+
+def _sweep_options(fn):
+    fn = _config_options(fn)
+    fn = click.option("--points", default=None, type=int, help="Detuning grid points per sweep.")(fn)
+    fn = click.option("--span", default=None, type=float, help="Total detuning span in Hz.")(fn)
     fn = click.option("--jobs", default=1, type=int, show_default=True, help="Worker threads for sweep points.")(fn)
     fn = click.option("--strict", is_flag=True, help="Exit with code 3 on any numerical failure.")(fn)
     return fn
+
+
+def _phase_grid_deg(config: ExperimentConfig) -> np.ndarray:
+    return np.linspace(0.0, 360.0, config.phase_points)
 
 
 @click.group()
@@ -122,14 +141,9 @@ def main() -> None:
 @main.command()
 @_config_options
 @click.option("--dump-traces", default=0, type=int, help="Also dump the first N pump-on baseband traces.")
-def simulate(config_path, out, seed, jobs, strict, dump_traces) -> None:
+def simulate(config_path, out, seed, dump_traces) -> None:
     """Run one pump-on/off experiment and report the inferred covariance."""
-    try:
-        config = _load(config_path, out, seed)
-    except ConfigError as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-
+    config = _load(config_path, out, {"seed": seed})
     acq = config.acquisition
     data = run_experiment(config.plan(), config.band, acq)
     on = estimate_covariance(data.on)
@@ -146,15 +160,19 @@ def simulate(config_path, out, seed, jobs, strict, dump_traces) -> None:
         ("row", *QUADRATURE_ORDER),
         rows,
     )
-    summary = {
-        "n_shots": acq.n_shots,
-        "detuning_hz": config.plan().detuning,
-        "rho_xx": pearson_xx(inferred),
-        "squeezing_db": squeezing_db(inferred),
-        "physicality_min_eigenvalue": physicality_min_eigenvalue(inferred),
-        "variance_x_signal": float(inferred[0, 0]),
-        "variance_x_idler": float(inferred[2, 2]),
-    }
+    try:
+        summary = {
+            "n_shots": acq.n_shots,
+            "detuning_hz": config.plan().detuning,
+            "rho_xx": pearson_xx(inferred),
+            "squeezing_db": squeezing_db(inferred),
+            "physicality_min_eigenvalue": physicality_min_eigenvalue(inferred),
+            "variance_x_signal": float(inferred[0, 0]),
+            "variance_x_idler": float(inferred[2, 2]),
+        }
+    except ValueError as err:
+        click.echo(f"numerical failure: {err}", err=True)
+        sys.exit(EXIT_NUMERICAL_FAILURE)
     _write_json(config.output_dir / "summary.json", meta, summary)
 
     if dump_traces > 0:
@@ -183,26 +201,29 @@ def simulate(config_path, out, seed, jobs, strict, dump_traces) -> None:
         )
 
 
+def _parse_angle_list(ctx, param, raw: str | None) -> list[float]:
+    if raw is None or raw.strip() == "":
+        return []
+    try:
+        return [float(part) for part in raw.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"invalid angle list {raw!r}") from None
+
+
 @main.command("phase-sweep")
 @_config_options
 @click.option("--points", default=None, type=int, help="Phase grid points over [0, 360] degrees.")
 @click.option(
     "--dump-shots",
     default=None,
+    callback=_parse_angle_list,
     help="Comma-separated angles (deg) whose rotated (X_s, X_i) shots are dumped for histograms.",
 )
-def cmd_phase_sweep(config_path, out, seed, jobs, strict, points, dump_shots) -> None:
+def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
     """Sweep the relative LO phase and locate the correlation maximum."""
-    try:
-        config = _load(config_path, out, seed)
-        dump_angles = _parse_angle_list(dump_shots)
-    except ConfigError as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-
+    config = _load(config_path, out, {"seed": seed, "phase_sweep.points": points})
     acq = config.acquisition
-    n_points = points if points is not None else config.phase_points
-    alphas_deg = np.linspace(0.0, 360.0, n_points)
+    alphas_deg = _phase_grid_deg(config)
     data = run_experiment(config.plan(), config.band, acq)
     result = phase_sweep(
         data.on,
@@ -221,11 +242,11 @@ def cmd_phase_sweep(config_path, out, seed, jobs, strict, points, dump_shots) ->
             "alpha_star_deg": math.degrees(result.alpha_star),
             "rho_max": result.rho_max,
             "refined": result.refined,
-            "n_points": int(n_points),
+            "n_points": config.phase_points,
         },
     )
 
-    for angle_deg in dump_angles:
+    for angle_deg in dump_shots:
         rotated = rotate_quadrature_array(data.on, "idler", math.radians(angle_deg))
         x_signal = rotated[:, 0] / math.sqrt(acq.chain_gain_signal)
         x_idler = rotated[:, 2] / math.sqrt(acq.chain_gain_idler)
@@ -238,24 +259,15 @@ def cmd_phase_sweep(config_path, out, seed, jobs, strict, points, dump_shots) ->
         )
 
 
-def _parse_angle_list(raw: str | None) -> list[float]:
-    if raw is None or raw.strip() == "":
-        return []
-    try:
-        return [float(part) for part in raw.split(",")]
-    except ValueError as err:
-        raise ConfigError(f"invalid --dump-shots angle list {raw!r}") from err
-
-
 def _case_label(window) -> str:
     return f"{window.shape}_{window.tau * 1e6:g}us"
 
 
-def _run_linewidth_cases(config: ExperimentConfig, points, span, jobs, strict):
-    """Run every configured (window, tau) case; returns (rows, fits, sweeps)."""
-    n_points = points if points is not None else config.linewidth_points
-    full_span = span if span is not None else config.linewidth_span
-    detunings = np.linspace(-full_span / 2.0, full_span / 2.0, n_points)
+def _run_linewidth_cases(config: ExperimentConfig, jobs, strict):
+    """Run every configured (window, tau) case; returns (fits, sweeps)."""
+    span = config.linewidth_span
+    detunings = np.linspace(-span / 2.0, span / 2.0, config.linewidth_points)
+    alpha_grid = np.radians(_phase_grid_deg(config))
     plan = FrequencyPlan.for_detuning(config.f_pump, config.f_idler_demod, 0.0)
     meta = _metadata(config)
 
@@ -266,7 +278,9 @@ def _run_linewidth_cases(config: ExperimentConfig, points, span, jobs, strict):
         label = _case_label(window)
         acq = config.acquisition_for(window)
         try:
-            sweep = sweep_detuning(plan, config.band, acq, detunings, jobs=jobs)
+            sweep = sweep_detuning(
+                plan, config.band, acq, detunings, alpha_grid=alpha_grid, jobs=jobs
+            )
             fit = fit_model(sweep, default_model_for(window))
         except ValueError as err:
             click.echo(f"case {label}: numerical failure: {err}", err=True)
@@ -309,31 +323,19 @@ def _run_linewidth_cases(config: ExperimentConfig, points, span, jobs, strict):
 
 
 @main.command()
-@_config_options
-@click.option("--points", default=None, type=int, help="Detuning grid points per sweep.")
-@click.option("--span", default=None, type=float, help="Total detuning span in Hz.")
-def linewidth(config_path, out, seed, jobs, strict, points, span) -> None:
+@_sweep_options
+def linewidth(config_path, out, seed, points, span, jobs, strict) -> None:
     """Sweep detuning for every configured (window, tau) case and fit linewidths."""
-    try:
-        config = _load(config_path, out, seed)
-    except ConfigError as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    _run_linewidth_cases(config, points, span, jobs, strict)
+    config = _load(config_path, out, {"seed": seed, "linewidth.points": points, "linewidth.span": span})
+    _run_linewidth_cases(config, jobs, strict)
 
 
 @main.command("compare-windows")
-@_config_options
-@click.option("--points", default=None, type=int, help="Detuning grid points per sweep.")
-@click.option("--span", default=None, type=float, help="Total detuning span in Hz.")
-def cmd_compare_windows(config_path, out, seed, jobs, strict, points, span) -> None:
+@_sweep_options
+def cmd_compare_windows(config_path, out, seed, points, span, jobs, strict) -> None:
     """Run the linewidth cases and emit the cross-window comparison table."""
-    try:
-        config = _load(config_path, out, seed)
-    except ConfigError as err:
-        click.echo(f"config error: {err}", err=True)
-        sys.exit(EXIT_CONFIG_ERROR)
-    fits, sweeps = _run_linewidth_cases(config, points, span, jobs, strict)
+    config = _load(config_path, out, {"seed": seed, "linewidth.points": points, "linewidth.span": span})
+    fits, sweeps = _run_linewidth_cases(config, jobs, strict)
     rows = [
         (
             row.window,

@@ -22,12 +22,16 @@ from .acquisition import (
     FrequencyPlan,
     WindowSpec,
 )
+from .estimators import DEFAULT_PHASE_POINTS
 from .gaussian import TwpaParams
 
-DEFAULT_PHASE_POINTS = 73
 DEFAULT_LINEWIDTH_POINTS = 201
 DEFAULT_LINEWIDTH_SPAN = 2e6
 DEFAULT_CASE_TAUS = (3e-6, 4e-6, 5e-6, 6e-6)
+
+
+#: Seeds key a Philox generator, whose key is 128 bits wide.
+MAX_SEED = 2**128
 
 
 class ConfigError(Exception):
@@ -59,18 +63,24 @@ def _get_number(
             raise ConfigError(f"missing required field '{path}'")
         return default
     value = data[key]
-    if isinstance(value, str):
-        # YAML 1.1 reads exponents without a sign ("6.331e9") as strings.
-        try:
-            return float(value)
-        except ValueError:
-            raise ConfigError(f"field '{path}' must be a number, got {value!r}") from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"field '{path}' must be a number, got {value!r}")
-    return float(value)
+    try:
+        # YAML 1.1 reads exponents without a sign ("6.331e9") as strings.
+        number = float(value)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"field '{path}' must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"field '{path}' must be finite, got {value!r}")
+    return number
 
 
 def _get_int(data: dict, key: str, path: str, required: bool = False, default: Any = None):
+    value = data.get(key)
+    if isinstance(value, int) and not isinstance(value, bool):
+        # Taken as written: going through float would round values above
+        # 2**53, such as large seeds.
+        return value
     value = _get_number(data, key, path, required=required, default=default)
     if value is None:
         return None
@@ -113,11 +123,6 @@ class ExperimentConfig:
     def acquisition_for(self, window: WindowSpec) -> AcquisitionConfig:
         """Base acquisition rebound to another window (sample rate re-derived)."""
         return replace(self.acquisition, window=window, sample_rate=None)
-
-    def with_seed(self, seed: int) -> "ExperimentConfig":
-        return replace(
-            self, seed=seed, acquisition=replace(self.acquisition, seed=seed)
-        )
 
     def resolved(self) -> dict:
         """Canonical dict of the experiment-defining configuration.
@@ -206,6 +211,8 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
         _section(acq_section, "window", "acquisition.window"), "acquisition.window"
     )
     seed = _get_int(data, "seed", "seed", required=True)
+    if not 0 <= seed < MAX_SEED:
+        raise ConfigError(f"field 'seed' must lie in [0, 2**128), got {seed}")
     try:
         acquisition = AcquisitionConfig(
             window=window,
@@ -313,8 +320,13 @@ def _parse_cases(raw: Any, path: str) -> tuple[WindowSpec, ...]:
     return tuple(cases)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate a YAML experiment configuration."""
+def load_config(path: str | Path, overrides: Optional[dict] = None) -> ExperimentConfig:
+    """Load and validate a YAML experiment configuration.
+
+    ``overrides`` maps dotted field paths (``"linewidth.points"``) to values
+    that replace the file's before validation, so command-line settings
+    pass the same checks as the file.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -326,4 +338,14 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"malformed YAML in {path}: {err}") from err
     if data is None:
         raise ConfigError(f"empty configuration file {path}")
+    for dotted, value in (overrides or {}).items():
+        *sections, key = dotted.split(".")
+        node = data
+        for section in sections:
+            if isinstance(node, dict) and node.get(section) is None:
+                node[section] = {}
+            node = node.get(section) if isinstance(node, dict) else None
+        # A node that is not a mapping is left for parse_config to report.
+        if isinstance(node, dict):
+            node[key] = value
     return parse_config(data, base_dir=path.parent)

@@ -17,6 +17,8 @@ import numpy as np
 from .gaussian import VACUUM_VARIANCE, pearson_xx, rotate_quadrature_array
 
 DEFAULT_JACKKNIFE_BLOCKS = 50
+#: Default number of angles in a phase grid over [0, 2 pi].
+DEFAULT_PHASE_POINTS = 73
 
 
 @dataclass(frozen=True)
@@ -45,13 +47,37 @@ class PhaseSweepResult:
 
 
 def _as_shot_array(shots) -> np.ndarray:
-    if isinstance(shots, np.ndarray):
-        values = np.asarray(shots, dtype=float)
-    else:
-        values = np.array([np.asarray(getattr(s, "as_array", lambda: s)(), dtype=float) for s in shots])
+    values = np.asarray(shots, dtype=float)
     if values.ndim != 2 or values.shape[1] != 4:
         raise ValueError(f"expected shots with 4 quadratures, got shape {values.shape}")
     return values
+
+
+def _covariance_stack(values: np.ndarray, n_blocks: int) -> np.ndarray:
+    """Sample covariances (n - 1 divisor) of all shots and of each jackknife subsample.
+
+    Returns a (B + 1, 4, 4) stack: entry 0 uses every shot, entry k + 1
+    leaves out the k-th of B contiguous blocks. The shots are centered on
+    their overall mean before the per-block moment sums are taken, so a
+    large common offset cannot cancel catastrophically; centering changes
+    none of the covariances.
+    """
+    n = values.shape[0]
+    n_blocks = max(2, min(n_blocks, n))
+    # Block 0 is empty, so leaving it out keeps every shot.
+    counts = np.diff(np.linspace(0, n, n_blocks + 1, dtype=int), prepend=0)
+    # Blocks are zero-padded to a common length; padding adds nothing to the sums.
+    rows = np.arange(counts.max()) < counts[:, np.newaxis]
+    blocks = np.zeros(rows.shape + (4,))
+    blocks[rows] = values - values.mean(axis=0)
+    block_first = blocks.sum(axis=1)
+    block_second = np.swapaxes(blocks, 1, 2) @ blocks
+    first = block_first.sum(axis=0) - block_first
+    second = block_second.sum(axis=0) - block_second
+    kept = (n - counts)[:, np.newaxis, np.newaxis]
+    # With two shots each subsample keeps one, which has no covariance: NaN.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (second - first[:, :, np.newaxis] * first[:, np.newaxis, :] / kept) / (kept - 1)
 
 
 def estimate_covariance(shots) -> CovarianceEstimate:
@@ -59,31 +85,36 @@ def estimate_covariance(shots) -> CovarianceEstimate:
 
     Standard errors use the Gaussian-theory formula
     ``SE(sigma_ij) = sqrt((sigma_ii sigma_jj + sigma_ij^2) / (n - 1))``.
-    Accepts an (n, 4) array or any sequence of QuadratureSet-like items.
+    Accepts an (n, 4) array of shots.
     """
     values = _as_shot_array(shots)
     n = values.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 shots to estimate a covariance, got {n}")
-    matrix = np.cov(values, rowvar=False, ddof=1)
+    # Entry 0 uses every shot whatever the blocking.
+    matrix = _covariance_stack(values, DEFAULT_JACKKNIFE_BLOCKS)[0]
     diag = np.diag(matrix)
     standard_errors = np.sqrt((np.outer(diag, diag) + matrix**2) / (n - 1))
     return CovarianceEstimate(matrix=matrix, n_shots=n, standard_errors=standard_errors)
 
 
-def _chain_scaling(chain_gain_signal: float, chain_gain_idler: float) -> np.ndarray:
+def _subtract_background(
+    cov_on: np.ndarray,
+    cov_off: np.ndarray,
+    chain_gain_signal: float,
+    chain_gain_idler: float,
+) -> np.ndarray:
+    """ON - OFF referred to the amplifier output, with vacuum restored.
+
+    Works entrywise on single matrices and on (..., 4, 4) stacks alike.
+    """
     if chain_gain_signal <= 0.0 or chain_gain_idler <= 0.0:
         raise ValueError(
             f"chain gains must be positive, got ({chain_gain_signal}, {chain_gain_idler})"
         )
-    return np.diag(
-        [
-            1.0 / math.sqrt(chain_gain_signal),
-            1.0 / math.sqrt(chain_gain_signal),
-            1.0 / math.sqrt(chain_gain_idler),
-            1.0 / math.sqrt(chain_gain_idler),
-        ]
-    )
+    gains = np.array([chain_gain_signal, chain_gain_signal, chain_gain_idler, chain_gain_idler])
+    scale = 1.0 / np.sqrt(np.outer(gains, gains))
+    return (cov_on - cov_off) * scale + VACUUM_VARIANCE * np.eye(4)
 
 
 def infer_tmsvs(
@@ -99,66 +130,42 @@ def infer_tmsvs(
     returns ON - OFF + I/4. No positivity projection is applied; physicality
     is a downstream diagnostic.
     """
-    scale = _chain_scaling(chain_gain_signal, chain_gain_idler)
-    on_scaled = scale @ on.matrix @ scale
-    off_scaled = scale @ off.matrix @ scale
-    return on_scaled - off_scaled + VACUUM_VARIANCE * np.eye(4)
+    return _subtract_background(on.matrix, off.matrix, chain_gain_signal, chain_gain_idler)
 
 
-def _inferred_from_matrices(
-    cov_on: np.ndarray,
-    cov_off: np.ndarray,
-    scale: np.ndarray,
+def _inferred_stack(
+    shots_on, shots_off, chain_gain_signal: float, chain_gain_idler: float, n_blocks: int
 ) -> np.ndarray:
-    return scale @ (cov_on - cov_off) @ scale + VACUUM_VARIANCE * np.eye(4)
+    """Inferred covariance of all shots, then of each leave-one-block-out subsample."""
+    on = _as_shot_array(shots_on)
+    off = _as_shot_array(shots_off)
+    return _subtract_background(
+        _covariance_stack(on, n_blocks),
+        _covariance_stack(off, n_blocks),
+        chain_gain_signal,
+        chain_gain_idler,
+    )
 
 
-def _block_bounds(n: int, n_blocks: int) -> np.ndarray:
-    n_blocks = max(2, min(n_blocks, n))
-    return np.linspace(0, n, n_blocks + 1, dtype=int)
+def _rotate_idler(stack: np.ndarray, angle: float) -> np.ndarray:
+    """R C R^T for every covariance C of a stack, R rotating the idler by ``angle``.
+
+    Rotating the inferred covariance equals inferring from rotated shots:
+    the rotation acts on the idler block alone, where the chain scaling is
+    a multiple of the identity, and it leaves the vacuum term unchanged.
+    """
+    rotated_rows = rotate_quadrature_array(stack, "idler", angle)
+    return rotate_quadrature_array(np.swapaxes(rotated_rows, -1, -2), "idler", angle)
 
 
-class _MomentSums:
-    """First/second moment sums per jackknife block for one shot array."""
-
-    def __init__(self, values: np.ndarray, bounds: np.ndarray) -> None:
-        self.n = values.shape[0]
-        self.counts = np.diff(bounds)
-        starts = bounds[:-1]
-        self.block_first = np.add.reduceat(values, starts, axis=0)
-        outer = values[:, :, np.newaxis] * values[:, np.newaxis, :]
-        self.block_second = np.add.reduceat(outer, starts, axis=0)
-        self.total_first = self.block_first.sum(axis=0)
-        self.total_second = self.block_second.sum(axis=0)
-
-    def covariance(self, leave_out: int | None = None) -> np.ndarray:
-        if leave_out is None:
-            first, second, n = self.total_first, self.total_second, self.n
-        else:
-            first = self.total_first - self.block_first[leave_out]
-            second = self.total_second - self.block_second[leave_out]
-            n = self.n - int(self.counts[leave_out])
-        mean = first / n
-        return (second - n * np.outer(mean, mean)) / (n - 1)
-
-
-def _pearson_with_jackknife(
-    sums_on: _MomentSums,
-    sums_off: _MomentSums,
-    scale: np.ndarray,
-) -> tuple[float, float]:
-    inferred = _inferred_from_matrices(sums_on.covariance(), sums_off.covariance(), scale)
-    rho = pearson_xx(inferred)
-    n_blocks = sums_on.counts.size
-    replicates = np.empty(n_blocks)
-    for k in range(n_blocks):
-        cov = _inferred_from_matrices(
-            sums_on.covariance(leave_out=k), sums_off.covariance(leave_out=k), scale
-        )
-        replicates[k] = pearson_xx(cov)
+def _pearson_with_jackknife(stack: np.ndarray) -> tuple[float, float]:
+    """Rho of a stack's first covariance, with the block-jackknife SE of the rest."""
+    rho = pearson_xx(stack)
+    replicates = rho[1:]
     spread = replicates - replicates.mean()
+    n_blocks = replicates.size
     se = math.sqrt((n_blocks - 1) / n_blocks * float(np.dot(spread, spread)))
-    return rho, se
+    return float(rho[0]), se
 
 
 def inferred_pearson(
@@ -171,20 +178,11 @@ def inferred_pearson(
 ) -> tuple[float, float]:
     """Pearson rho of the inferred covariance, with a block-jackknife SE.
 
-    Both stages get the same idler rotation before estimation, mirroring the
-    phase-sweep convention.
+    Both stages get the same idler rotation, mirroring the phase-sweep
+    convention; it is applied to the inferred covariances, not the shots.
     """
-    on = _as_shot_array(shots_on)
-    off = _as_shot_array(shots_off)
-    if idler_rotation != 0.0:
-        on = rotate_quadrature_array(on, "idler", idler_rotation)
-        off = rotate_quadrature_array(off, "idler", idler_rotation)
-    scale = _chain_scaling(chain_gain_signal, chain_gain_idler)
-    bounds_on = _block_bounds(on.shape[0], n_blocks)
-    bounds_off = _block_bounds(off.shape[0], n_blocks)
-    return _pearson_with_jackknife(
-        _MomentSums(on, bounds_on), _MomentSums(off, bounds_off), scale
-    )
+    stack = _inferred_stack(shots_on, shots_off, chain_gain_signal, chain_gain_idler, n_blocks)
+    return _pearson_with_jackknife(_rotate_idler(stack, idler_rotation))
 
 
 def phase_sweep(
@@ -197,27 +195,21 @@ def phase_sweep(
 ) -> PhaseSweepResult:
     """Pearson correlation versus idler rotation angle.
 
-    For every alpha the idler quadratures of both stages are rotated, the
-    covariances re-estimated, the squeezed state re-inferred and rho
-    recorded. The OFF stage is rotated too: a no-op for an isotropic
-    background but bias-free if it is not. The maximizer is refined by a
-    three-point parabola around the grid maximum when possible.
+    The moment sums of each stage are built once. For every alpha the
+    inferred covariance and its jackknife replicates are rotated as
+    R C R^T, which equals rotating the idler quadratures of both stages
+    before estimation, and rho is recorded. The OFF stage is thereby rotated
+    too: a no-op for an isotropic background but bias-free if it is not. The
+    maximizer is refined by a three-point parabola around the grid maximum
+    when possible.
     """
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
         raise ValueError("phase grid must contain at least one angle")
-    on = _as_shot_array(shots_on)
-    off = _as_shot_array(shots_off)
-    scale = _chain_scaling(chain_gain_signal, chain_gain_idler)
-
-    rho_values = np.empty(alphas.size)
-    rho_errors = np.empty(alphas.size)
-    for k, alpha in enumerate(alphas):
-        on_rot = rotate_quadrature_array(on, "idler", alpha)
-        off_rot = rotate_quadrature_array(off, "idler", alpha)
-        sums_on = _MomentSums(on_rot, _block_bounds(on.shape[0], n_blocks))
-        sums_off = _MomentSums(off_rot, _block_bounds(off.shape[0], n_blocks))
-        rho_values[k], rho_errors[k] = _pearson_with_jackknife(sums_on, sums_off, scale)
+    stack = _inferred_stack(shots_on, shots_off, chain_gain_signal, chain_gain_idler, n_blocks)
+    rho_values, rho_errors = np.array(
+        [_pearson_with_jackknife(_rotate_idler(stack, alpha)) for alpha in alphas]
+    ).T
 
     alpha_star, rho_max, refined = _refine_maximum(alphas, rho_values)
     return PhaseSweepResult(

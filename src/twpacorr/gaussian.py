@@ -72,31 +72,6 @@ class TwpaParams:
         )
 
 
-@dataclass(frozen=True)
-class QuadratureSet:
-    """One demodulated (X, P) pair per mode, in vacuum-normalized units."""
-
-    x_signal: float
-    p_signal: float
-    x_idler: float
-    p_idler: float
-
-    def __post_init__(self) -> None:
-        values = (self.x_signal, self.p_signal, self.x_idler, self.p_idler)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"quadratures must be finite, got {values}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(
-            [self.x_signal, self.p_signal, self.x_idler, self.p_idler]
-        )
-
-    @classmethod
-    def from_array(cls, values) -> "QuadratureSet":
-        x_s, p_s, x_i, p_i = (float(v) for v in values)
-        return cls(x_s, p_s, x_i, p_i)
-
-
 def tmsvs_covariance(params: TwpaParams) -> np.ndarray:
     """Covariance of the amplifier output seeded by two-mode vacuum.
 
@@ -131,26 +106,24 @@ def tmsvs_covariance(params: TwpaParams) -> np.ndarray:
     )
 
 
-def rotate_quadrature(q: QuadratureSet, mode: str, angle: float) -> QuadratureSet:
-    """Rotate the (X, P) pair of one mode by ``angle`` radians.
-
-    Applies (X', P') = (X cos a + P sin a, -X sin a + P cos a) to the chosen
-    mode and leaves the other mode untouched.
-    """
-    rotated = rotate_quadrature_array(q.as_array()[np.newaxis, :], mode, angle)
-    return QuadratureSet.from_array(rotated[0])
-
-
 def rotate_quadrature_array(values: np.ndarray, mode: str, angle: float) -> np.ndarray:
-    """Vectorized :func:`rotate_quadrature` for an (n, 4) quadrature array."""
+    """Rotate the (X, P) pair of one mode by ``angle`` radians in every row.
+
+    ``values`` is any (..., 4) array whose last axis is in
+    :data:`QUADRATURE_ORDER`: an (n, 4) batch of shots, or the rows of a
+    (..., 4, 4) covariance stack (rotating the rows and then the columns
+    gives R C R^T). Applies
+    (X', P') = (X cos a + P sin a, -X sin a + P cos a) to the chosen mode and
+    leaves the other mode untouched.
+    """
     values = np.asarray(values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != 4:
-        raise ValueError(f"expected an (n, 4) array, got shape {values.shape}")
+    if values.ndim == 0 or values.shape[-1] != 4:
+        raise ValueError(f"expected a (..., 4) array, got shape {values.shape}")
     col = _mode_column(mode)
     c, s = math.cos(angle), math.sin(angle)
     rotation = np.array([[c, -s], [s, c]])
     out = values.copy()
-    out[:, col : col + 2] = values[:, col : col + 2] @ rotation
+    out[..., col : col + 2] = values[..., col : col + 2] @ rotation
     return out
 
 
@@ -170,28 +143,34 @@ def _mode_column(mode: str) -> int:
         raise ValueError(f"mode must be 'signal' or 'idler', got {mode!r}") from None
 
 
-def pearson_xx(cov: np.ndarray) -> float:
+def pearson_xx(cov: np.ndarray) -> float | np.ndarray:
     """Pearson correlation of the (X_s, X_i) pair of a covariance matrix.
 
-    Raises if either X variance is non-positive rather than returning NaN.
+    Takes one 4x4 matrix, giving a float, or a (..., 4, 4) stack, giving an
+    array of the stack's shape. Raises if any X variance is non-positive
+    rather than returning NaN.
     """
     cov = np.asarray(cov, dtype=float)
-    v_s, v_i = cov[0, 0], cov[2, 2]
-    if v_s <= 0.0 or v_i <= 0.0:
+    v_s, v_i = cov[..., 0, 0], cov[..., 2, 2]
+    if np.any(v_s <= 0.0) or np.any(v_i <= 0.0):
         raise ValueError(
-            f"X variances must be strictly positive, got ({v_s}, {v_i})"
+            f"X variances must be strictly positive, got ({np.min(v_s)}, {np.min(v_i)})"
         )
-    return float(cov[0, 2] / math.sqrt(v_s * v_i))
+    rho = cov[..., 0, 2] / np.sqrt(v_s * v_i)
+    return float(rho) if rho.ndim == 0 else rho
 
 
 def squeezing_db(cov: np.ndarray) -> float:
     """Squeezing of the collective quadrature X_s - X_i, in dB.
 
     Computes sigma^2(X_s - X_i) and returns 10 log10 of its ratio to 0.5,
-    the two-mode vacuum reference. Negative values mean squeezing.
+    the two-mode vacuum reference. Negative values mean squeezing. Raises if
+    the variance is non-positive, which an inferred covariance can give.
     """
     cov = np.asarray(cov, dtype=float)
     variance = cov[0, 0] + cov[2, 2] - 2.0 * cov[0, 2]
+    if variance <= 0.0:
+        raise ValueError(f"X_s - X_i variance must be strictly positive, got {variance}")
     return float(10.0 * math.log10(variance / 0.5))
 
 
@@ -246,8 +225,3 @@ def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         jitter = 1e-12 * float(np.trace(cov)) / 4.0
         return np.linalg.cholesky(cov + jitter * np.eye(4))
-
-
-def as_quadrature_sets(shots: np.ndarray) -> list[QuadratureSet]:
-    """View an (n, 4) quadrature array as a list of :class:`QuadratureSet`."""
-    return [QuadratureSet.from_array(row) for row in np.asarray(shots, dtype=float)]

@@ -26,7 +26,12 @@ from .acquisition import (
     WindowSpec,
     run_experiment,
 )
-from .estimators import DEFAULT_JACKKNIFE_BLOCKS, inferred_pearson, phase_sweep
+from .estimators import (
+    DEFAULT_JACKKNIFE_BLOCKS,
+    DEFAULT_PHASE_POINTS,
+    inferred_pearson,
+    phase_sweep,
+)
 
 MODELS = ("abs_sinc", "gaussian")
 
@@ -159,7 +164,7 @@ def sweep_detuning(
     """
     detunings = np.asarray(detunings, dtype=float)
     if alpha_grid is None:
-        alpha_grid = np.linspace(0.0, 2.0 * math.pi, 73)
+        alpha_grid = np.linspace(0.0, 2.0 * math.pi, DEFAULT_PHASE_POINTS)
 
     calibration_plan = FrequencyPlan.for_detuning(plan.f_pump, plan.f_idler_demod, 0.0)
     calibration = run_experiment(calibration_plan, band, config, stream=0)

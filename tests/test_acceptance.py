@@ -239,13 +239,13 @@ def test_criterion_6_kernel_oracle_agreement():
 def test_criterion_7_symplectic_physicality():
     failures = []
     grid = [
-        (g_s, g_i, theta)
+        (g_s, g_i)
         for g_s in (1.0, 1.5, 3.0, 10.0)
         for g_i in (1.0, 2.0, 25.0)
         if (g_s, g_i) != (1.0, 1.0)
     ]
     thetas = (-2.0, 0.0, 1.1, math.pi)
-    points = [(g_s, g_i, theta) for g_s, g_i, _ in grid[:5] for theta in thetas]
+    points = [(g_s, g_i, theta) for g_s, g_i in grid[:5] for theta in thetas]
     points = points[:20]
     for g_s, g_i, theta in points:
         cov = tmsvs_covariance(TwpaParams(g_s, g_i, theta))

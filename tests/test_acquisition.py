@@ -261,18 +261,6 @@ class TestRunExperiment:
         tol = 3.0 * np.sqrt(on.standard_errors**2 + off.standard_errors**2)
         assert np.all(np.abs(on.matrix - off.matrix) <= tol)
 
-    def test_shot_pairs_view(self, plan_matched):
-        band = make_band()
-        acq = make_acquisition(n_shots=4, seed=3)
-        data = run_experiment(plan_matched, band, acq)
-        pairs = list(data.shot_pairs())
-        assert len(pairs) == 4
-        on_record, off_record = pairs[2]
-        assert on_record.stage == "pump_on"
-        assert off_record.stage == "pump_off"
-        assert on_record.shot_index == off_record.shot_index == 2
-        assert on_record.quadratures.x_signal == data.on[2, 0]
-
     def test_added_noise_raises_both_stages_equally(self, plan_matched):
         band = make_band()
         noisy = make_acquisition(n_shots=4000, seed=13, added_noise=8.0)

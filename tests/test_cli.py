@@ -95,6 +95,57 @@ class TestConfigValidation:
         assert result.exit_code == 2
 
 
+class TestCommandLineOverrides:
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)], ids=["negative", "2**128"])
+    def test_out_of_range_seed_is_config_error(self, tmp_path, seed):
+        path = write_config(tmp_path)
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--seed", seed])
+        assert result.exit_code == 2, result.output
+        assert "'seed'" in result.output
+
+    def test_largest_seed_is_kept_exactly(self, tmp_path):
+        path = write_config(tmp_path, overrides={"seed": 2**128 - 1})
+        assert load_config(path).acquisition.seed == 2**128 - 1
+
+    def test_zero_phase_points_is_config_error(self, tmp_path):
+        path = write_config(tmp_path)
+        result = CliRunner().invoke(main, ["phase-sweep", "--config", str(path), "--points", "0"])
+        assert result.exit_code == 2, result.output
+        assert "phase_sweep.points" in result.output
+
+    def test_too_few_linewidth_points_is_config_error(self, tmp_path):
+        path = write_config(tmp_path)
+        result = CliRunner().invoke(
+            main, ["linewidth", "--config", str(path), "--out", str(tmp_path / "run"), "--points", "3"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "linewidth.points" in result.output
+        assert not (tmp_path / "run" / "fits.csv").exists()
+
+    def test_non_finite_number_is_config_error(self, tmp_path):
+        path = write_config(tmp_path, overrides={"frequency.f_pump": float("nan")})
+        with pytest.raises(ConfigError, match="frequency.f_pump"):
+            load_config(path)
+
+    def test_linewidth_calibration_uses_phase_points(self, tmp_path):
+        rows = []
+        for points in (5, 73):
+            path = write_config(tmp_path, overrides={"phase_sweep.points": points})
+            out = tmp_path / f"run_{points}"
+            result = CliRunner().invoke(main, ["linewidth", "--config", str(path), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            rows.append(read_csv_rows(out / "linewidth_rectangular_6us.csv"))
+        assert rows[0] != rows[1]
+
+    @pytest.mark.parametrize("command", ["simulate", "phase-sweep"])
+    @pytest.mark.parametrize("option", ["--jobs=2", "--strict"])
+    def test_sweep_options_only_on_sweep_commands(self, tmp_path, command, option):
+        path = write_config(tmp_path)
+        result = CliRunner().invoke(main, [command, "--config", str(path), option])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+
 class TestSimulate:
     def test_writes_covariance_and_summary(self, tmp_path):
         path = write_config(tmp_path)
@@ -127,6 +178,24 @@ class TestSimulate:
         rows = read_csv_rows(tmp_path / "run" / "traces_pump_on.csv")
         assert rows[0] == "shot,sample,signal_re,signal_im,idler_re,idler_im"
         assert len(rows) == 1 + 2 * 100  # header + 2 shots x 100 samples
+
+    def test_unphysical_inference_is_numerical_failure(self, tmp_path):
+        # Ten quanta of added noise at 400 shots leave the inferred
+        # X_s - X_i variance below zero on this seed.
+        path = write_config(
+            tmp_path,
+            overrides={
+                "acquisition.chain_gain_signal": 1e6,
+                "acquisition.chain_gain_idler": 1e6,
+                "acquisition.added_noise_quanta": 10.0,
+                "seed": 1,
+            },
+        )
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 3, result.output
+        assert "numerical failure" in result.output
+        assert "variance" in result.output
+        assert isinstance(result.exception, SystemExit)
 
 
 class TestPhaseSweepCommand:

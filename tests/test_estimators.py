@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from twpacorr import (
+    AcquisitionConfig,
     FrequencyPlan,
     TwpaParams,
+    WindowSpec,
     estimate_covariance,
     infer_tmsvs,
     inferred_pearson,
     pearson_xx,
     phase_sweep,
+    rotate_quadrature_array,
     run_experiment,
     sample_shots,
     tmsvs_covariance,
@@ -49,14 +52,6 @@ class TestEstimateCovariance:
         diag = np.diag(est.matrix)
         expected = np.sqrt((np.outer(diag, diag) + est.matrix**2) / (500 - 1))
         np.testing.assert_allclose(est.standard_errors, expected, rtol=1e-12)
-
-    def test_accepts_quadrature_set_sequence(self):
-        from twpacorr import as_quadrature_sets
-
-        shots = sample_shots(0.25 * np.eye(4), 64, seed=2)
-        est_array = estimate_covariance(shots)
-        est_objects = estimate_covariance(as_quadrature_sets(shots))
-        np.testing.assert_allclose(est_array.matrix, est_objects.matrix, atol=1e-15)
 
     def test_consistency_rate(self):
         # Entrywise error should shrink like n^(-1/2) across three decades.
@@ -169,8 +164,6 @@ class TestPhaseSweep:
     def test_idler_power_is_rotation_invariant(self, ideal_experiment):
         powers = []
         for alpha in (0.0, 0.9, 2.2):
-            from twpacorr import rotate_quadrature_array
-
             rotated = rotate_quadrature_array(ideal_experiment.on, "idler", alpha)
             est = estimate_covariance(rotated)
             powers.append(est.matrix[2, 2] + est.matrix[3, 3])
@@ -216,3 +209,73 @@ class TestInferredPearson:
         )
         assert abs(rho_quarter) < 0.2
         assert rho_zero > 0.8
+
+
+def reference_pearson(on, off, gain_signal, gain_idler, alpha, n_blocks):
+    """Rho and its block-jackknife SE from rotated shots, by the definition.
+
+    Rotates the shots, estimates each covariance with np.cov, and leaves
+    out one contiguous block at a time in an explicit loop.
+    """
+    on = rotate_quadrature_array(on, "idler", alpha)
+    off = rotate_quadrature_array(off, "idler", alpha)
+    scale = np.diag(1.0 / np.sqrt([gain_signal, gain_signal, gain_idler, gain_idler]))
+
+    def rho(on_part, off_part):
+        cov_on = np.cov(on_part, rowvar=False)
+        cov_off = np.cov(off_part, rowvar=False)
+        cov = scale @ (cov_on - cov_off) @ scale + 0.25 * np.eye(4)
+        return cov[0, 2] / math.sqrt(cov[0, 0] * cov[2, 2])
+
+    bounds = np.linspace(0, on.shape[0], n_blocks + 1, dtype=int)
+    replicates = np.array(
+        [
+            rho(np.delete(on, slice(a, b), axis=0), np.delete(off, slice(a, b), axis=0))
+            for a, b in zip(bounds[:-1], bounds[1:])
+        ]
+    )
+    spread = replicates - replicates.mean()
+    return rho(on, off), math.sqrt((n_blocks - 1) / n_blocks * np.sum(spread**2))
+
+
+class TestAgainstShotDefinition:
+    ALPHAS = (0.0, 0.45, 1.3, 2.9, -2.0)
+    GAINS = (250.0, 9.0)
+
+    @pytest.fixture(scope="class")
+    def noisy(self, plan_matched):
+        band = make_band(twpa=TwpaParams(2.0, 2.0, 0.45))
+        acq = AcquisitionConfig(
+            window=WindowSpec("gaussian", 6e-6),
+            n_shots=3000,
+            seed=2718,
+            chain_gain_signal=self.GAINS[0],
+            chain_gain_idler=self.GAINS[1],
+            added_noise_quanta=2.0,
+        )
+        return run_experiment(plan_matched, band, acq)
+
+    @pytest.fixture(scope="class")
+    def reference(self, noisy):
+        return np.array(
+            [reference_pearson(noisy.on, noisy.off, *self.GAINS, a, 50) for a in self.ALPHAS]
+        )
+
+    def test_phase_sweep_matches_rotated_shots(self, noisy, reference):
+        result = phase_sweep(noisy.on, noisy.off, *self.GAINS, self.ALPHAS)
+        np.testing.assert_allclose(result.rho_values, reference[:, 0], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(result.rho_errors, reference[:, 1], rtol=0.0, atol=1e-12)
+
+    def test_inferred_pearson_matches_rotated_shots(self, noisy, reference):
+        for alpha, (rho, se) in zip(self.ALPHAS, reference):
+            got = inferred_pearson(noisy.on, noisy.off, *self.GAINS, idler_rotation=alpha)
+            np.testing.assert_allclose(got, (rho, se), rtol=0.0, atol=1e-12)
+
+    def test_common_offset_leaves_rho_unchanged(self, ideal_experiment):
+        # Raw moment sums lose the spread of shots sitting on a large common
+        # offset; the estimator must not.
+        on, off = ideal_experiment.on, ideal_experiment.off
+        rho, se = inferred_pearson(on, off, 1.0, 1.0)
+        rho_shifted, se_shifted = inferred_pearson(on + 1e7, off + 1e7, 1.0, 1.0)
+        assert rho_shifted == pytest.approx(rho, abs=1e-9)
+        assert se_shifted == pytest.approx(se, abs=1e-9)

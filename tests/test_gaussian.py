@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from twpacorr import (
-    QuadratureSet,
     TwpaParams,
     VACUUM_VARIANCE,
     is_physical,
     pearson_xx,
     physicality_min_eigenvalue,
     rotate_covariance,
-    rotate_quadrature,
+    rotate_quadrature_array,
     sample_shots,
     squeezing_db,
     tmsvs_covariance,
@@ -116,30 +115,39 @@ class TestPhysicality:
 
 
 class TestRotateQuadrature:
+    SHOTS = np.array([[0.3, -0.1, 0.7, 0.2], [-1.2, 0.4, 0.05, -0.6]])
+
     def test_zero_angle_is_identity(self):
-        q = QuadratureSet(0.3, -0.1, 0.7, 0.2)
-        assert rotate_quadrature(q, "idler", 0.0) == q
+        rotated = rotate_quadrature_array(self.SHOTS, "idler", 0.0)
+        assert np.array_equal(rotated, self.SHOTS)
 
     def test_full_turn_is_identity(self):
-        q = QuadratureSet(0.3, -0.1, 0.7, 0.2)
-        r = rotate_quadrature(q, "signal", 2.0 * math.pi)
-        for a, b in zip(r.as_array(), q.as_array()):
-            assert a == pytest.approx(b, abs=1e-12)
+        rotated = rotate_quadrature_array(self.SHOTS, "signal", 2.0 * math.pi)
+        np.testing.assert_allclose(rotated, self.SHOTS, rtol=0.0, atol=1e-12)
 
     def test_quarter_turn_swaps_axes(self):
-        q = QuadratureSet(0.0, 0.0, 1.0, 0.0)
-        r = rotate_quadrature(q, "idler", math.pi / 2.0)
-        assert r.x_idler == pytest.approx(0.0, abs=1e-15)
-        assert r.p_idler == pytest.approx(-1.0, abs=1e-15)
+        rotated = rotate_quadrature_array(np.array([[0.0, 0.0, 1.0, 0.0]]), "idler", math.pi / 2.0)
+        assert rotated[0, 2] == pytest.approx(0.0, abs=1e-15)
+        assert rotated[0, 3] == pytest.approx(-1.0, abs=1e-15)
 
     def test_other_mode_untouched(self):
-        q = QuadratureSet(0.3, -0.1, 0.7, 0.2)
-        r = rotate_quadrature(q, "idler", 1.234)
-        assert (r.x_signal, r.p_signal) == (q.x_signal, q.p_signal)
+        rotated = rotate_quadrature_array(self.SHOTS, "idler", 1.234)
+        assert np.array_equal(rotated[:, :2], self.SHOTS[:, :2])
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            rotate_quadrature(QuadratureSet(0, 0, 0, 0), "pump", 0.1)
+            rotate_quadrature_array(np.zeros((1, 4)), "pump", 0.1)
+
+    def test_rows_then_columns_rotate_a_covariance_stack(self):
+        # Rotating each row and then each column of a (..., 4, 4) stack is
+        # R C R^T, which rotate_covariance writes as a matrix product.
+        stack = np.stack(
+            [tmsvs_covariance(TwpaParams(g, 2.0, 0.3 * g)) for g in (1.5, 2.0, 4.0)]
+        )
+        rows = rotate_quadrature_array(stack, "idler", 0.8)
+        both = np.swapaxes(rotate_quadrature_array(np.swapaxes(rows, -1, -2), "idler", 0.8), -1, -2)
+        for cov, rotated in zip(stack, both):
+            np.testing.assert_allclose(rotated, rotate_covariance(cov, "idler", 0.8), atol=1e-14)
 
 
 class TestPearson:
@@ -156,9 +164,16 @@ class TestPearson:
         assert pearson_xx(tmsvs_covariance(TwpaParams(1.0, 1.0))) == 0.0
 
     def test_degenerate_variance_raises(self):
-        degenerate = np.zeros((4, 4))
-        with pytest.raises(ValueError):
-            pearson_xx(degenerate)
+        stack = np.stack([tmsvs_covariance(TwpaParams(2.0, 2.0)), np.zeros((4, 4))])
+        for degenerate in (np.zeros((4, 4)), stack):
+            with pytest.raises(ValueError):
+                pearson_xx(degenerate)
+
+    def test_stack_gives_one_rho_per_matrix(self):
+        covs = [tmsvs_covariance(TwpaParams(g, 2.0, 0.4)) for g in (1.0, 3.0, 12.0)]
+        rho = pearson_xx(np.stack([covs, covs]))
+        assert rho.shape == (2, 3)
+        np.testing.assert_array_equal(rho[1], [pearson_xx(cov) for cov in covs])
 
     def test_rotation_curve_periodic_with_opposite_extrema(self):
         # rho as a function of idler rotation is 2pi-periodic and its
