@@ -8,6 +8,13 @@ acquisition channel (signal/idler) accumulates its bins into a complex
 baseband trace relative to its demodulation frequency, so digital IQ
 demodulation reduces to a window-weighted integral with an LO phase factor.
 
+Synthesis and demodulation are linear in a shot's standard-normal draws, so
+``run_experiment`` folds them, with the chain gains, the LO phases and the
+detection noise, into one real matrix per stage and maps each shot's draws to
+its four quadratures with one matrix product. ``synthesize_baseband_pair``
+and ``demodulate`` build the same shot trace by trace; they are the per-shot
+reference for that map.
+
 Conventions baked in here:
 
 * Time samples sit at interval midpoints, and the synthesis phase reference
@@ -45,6 +52,10 @@ WINDOW_SHAPES = ("rectangular", "gaussian")
 KERNEL_MARGIN_CYCLES = 10.0
 
 _STAGE_CODES = {"pump_on": 1, "pump_off": 2}
+
+#: Fewest shots per stage: every leave-one-block-out jackknife subsample
+#: then keeps at least two, enough for a sample covariance.
+MIN_SHOTS = 3
 
 
 @dataclass(frozen=True)
@@ -170,8 +181,8 @@ class AcquisitionConfig:
     sample_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.n_shots < 2:
-            raise ValueError(f"n_shots must be >= 2, got {self.n_shots}")
+        if self.n_shots < MIN_SHOTS:
+            raise ValueError(f"n_shots must be >= {MIN_SHOTS}, got {self.n_shots}")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
         if self.chain_gain_signal <= 0.0 or self.chain_gain_idler <= 0.0:
@@ -218,25 +229,35 @@ def shot_rng(seed: int, shot_index: int, stage: str, stream: int = 0) -> np.rand
 class _StreamCursor:
     """Reusable generator that jumps between counter-derived substreams.
 
-    Resetting the Philox counter in place sidesteps the per-construction
-    entropy pull of ``shot_rng`` while producing bit-identical draws; the
-    equivalence is pinned by a regression test.
+    Writing the Philox state in place sidesteps the per-construction entropy
+    pull of ``shot_rng`` while producing bit-identical draws; the equivalence
+    is pinned by a regression test. The state mapping is built once: a seek
+    rewrites its counter words and clears any buffered output, then hands it
+    to the bit generator.
     """
 
     def __init__(self, seed: int) -> None:
         self._bit_generator = np.random.Philox(key=seed)
         self.generator = np.random.Generator(self._bit_generator)
-        self._key = [seed & 0xFFFFFFFFFFFFFFFF, seed >> 64]
+        self._counter = [0, 0, 0, 0]
+        self._state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": self._counter,
+                "key": [seed & 0xFFFFFFFFFFFFFFFF, seed >> 64],
+            },
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def seek(self, shot_index: int, stage: str, stream: int) -> np.random.Generator:
-        state = self._bit_generator.state
-        state["state"]["counter"][:] = (0, shot_index, _STAGE_CODES[stage], stream)
-        state["state"]["key"][:] = self._key
-        state["buffer"][:] = 0
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        self._bit_generator.state = state
+        counter = self._counter
+        counter[1] = shot_index
+        counter[2] = _STAGE_CODES[stage]
+        counter[3] = stream
+        self._bit_generator.state = self._state
         return self.generator
 
 
@@ -247,6 +268,22 @@ def _midpoint_times(n_samples: int, sample_rate: float) -> np.ndarray:
 
 def _trace_length(window: WindowSpec, sample_rate: float) -> int:
     return round(sample_rate * window.tau)
+
+
+def _window_weights(window: WindowSpec, sample_rate: float) -> tuple[np.ndarray, float, float]:
+    """The sampled window integral: E(t) at the sample midpoints, dt, and int E = sum E dt.
+
+    A trace demodulates to ``sum(trace * E) * dt * exp(-i lo_phase) / int E``.
+    """
+    dt = 1.0 / sample_rate
+    envelope = window.envelope(_midpoint_times(_trace_length(window, sample_rate), sample_rate))
+    return envelope, dt, float(np.sum(envelope) * dt)
+
+
+def _complex_rows(coefficients: np.ndarray) -> np.ndarray:
+    """(n, 2, 2) real blocks mapping the row (Re u, Im u) to (Re, Im) of ``c u``."""
+    re, im = coefficients.real, coefficients.imag
+    return np.stack([np.stack([re, im], axis=-1), np.stack([-im, re], axis=-1)], axis=-2)
 
 
 class _SynthesisKernel:
@@ -260,13 +297,10 @@ class _SynthesisKernel:
         sample_rate: float,
     ) -> None:
         tau = window.tau
-        self.n_samples = _trace_length(window, sample_rate)
+        self.envelope, self.dt, self.norm = _window_weights(window, sample_rate)
+        self.n_samples = self.envelope.size
         if self.n_samples < 1:
             raise ValueError("window shorter than one sample at this rate")
-        self.dt = 1.0 / sample_rate
-        times = _midpoint_times(self.n_samples, sample_rate)
-        self.envelope = window.envelope(times)
-        self.norm = float(np.sum(self.envelope) * self.dt)
         self.power = float(np.sum(self.envelope**2) * self.dt)
 
         detuning = plan.detuning
@@ -281,7 +315,7 @@ class _SynthesisKernel:
         offsets = band.offsets()
         # Phase evolution is referenced to the window center; bins beat at
         # their offset from each channel's demodulation frequency.
-        centered = times - tau / 2.0
+        centered = _midpoint_times(self.n_samples, sample_rate) - tau / 2.0
         self.phases_signal = np.exp(2j * np.pi * np.outer(detuning - offsets, centered))
         self.phases_idler = np.exp(2j * np.pi * np.outer(offsets, centered))
         self.n_bins = offsets.size
@@ -301,6 +335,44 @@ class _SynthesisKernel:
         amp_signal = (quads[:, 0] + 1j * quads[:, 1]) * self.amplitude_scale
         amp_idler = (quads[:, 2] + 1j * quads[:, 3]) * self.amplitude_scale
         return amp_signal, amp_idler
+
+    def linear_map(self, stage: str, config: AcquisitionConfig) -> np.ndarray:
+        """Real W with one shot's (X_s, P_s, X_i, P_i) = its draws @ W.
+
+        The rows follow the draw order of one (shot, stage) substream: four
+        per bin pair, which the stage's Cholesky factor mixes, then, with
+        added noise, the signal and the idler trace noise, real and imaginary
+        parts interleaved per sample. The shape is (4 n_bins, 4), or
+        (4 n_bins + 4 n_samples, 4) with noise.
+        """
+        factor = self.cholesky_on if stage == "pump_on" else self.cholesky_off
+        bins = np.zeros((self.n_bins, 4, 4))
+        noise = np.zeros((2, 2 * self.n_samples, 4))
+        channels = (
+            (self.phases_signal, config.lo_phase_signal, config.chain_gain_signal),
+            (self.phases_idler, config.lo_phase_idler, config.chain_gain_idler),
+        )
+        for index, (phases, lo_phase, chain_gain) in enumerate(channels):
+            columns = slice(2 * index, 2 * index + 2)
+            weights = self.envelope * self.dt * np.exp(-1j * lo_phase) / self.norm
+            # Bin b reaches the demodulated channel through sum_t phases[b, t] weights[t].
+            gain = self.amplitude_scale * math.sqrt(chain_gain)
+            bins[:, columns, columns] = _complex_rows(gain * (phases @ weights))
+            # Per-sample noise sized so the demodulated added-noise variance
+            # per quadrature equals chain_gain * added_noise_quanta / 4.
+            sigma = math.sqrt(
+                chain_gain
+                * config.added_noise_quanta
+                / 4.0
+                * self.norm**2
+                / (self.power * self.dt)
+            )
+            noise[index, :, columns] = _complex_rows(sigma * weights).reshape(-1, 2)
+        # Bin rows act on the draws before the Cholesky mix: W_b = L^T M_b.
+        rows = (factor.T @ bins).reshape(-1, 4)
+        if config.added_noise_quanta == 0.0:
+            return rows
+        return np.concatenate([rows, noise.reshape(-1, 4)])
 
 
 def synthesize_baseband_pair(
@@ -341,17 +413,18 @@ def demodulate(
     trace = np.asarray(trace)
     if trace.size == 0:
         raise ValueError("cannot demodulate an empty trace")
-    expected = _trace_length(window, sample_rate)
-    if trace.size != expected:
+    envelope, dt, norm = _window_weights(window, sample_rate)
+    if trace.size != envelope.size:
         raise ValueError(
             f"trace length {trace.size} does not match window tau {window.tau:.3g} s "
-            f"at sample rate {sample_rate:.6g} Hz (expected {expected})"
+            f"at sample rate {sample_rate:.6g} Hz (expected {envelope.size})"
         )
-    dt = 1.0 / sample_rate
-    envelope = window.envelope(_midpoint_times(trace.size, sample_rate))
-    norm = float(np.sum(envelope) * dt)
     z = np.sum(trace * envelope) * dt * np.exp(-1j * lo_phase) / norm
     return float(z.real), float(z.imag)
+
+
+#: Shots whose draws are buffered before one matrix product maps them.
+_CHUNK_SHOTS = 256
 
 
 def run_experiment(
@@ -365,87 +438,30 @@ def run_experiment(
     Each shot synthesizes both channel traces, scales them by the square root
     of the per-channel chain gain, adds white detection noise at trace level
     (sized so it demodulates to ``chain_gain * added_noise_quanta / 4`` per
-    quadrature), and demodulates with the channel LO phases. ``stream``
-    selects an independent substream family so sweep points stay independent
-    under a common master seed.
+    quadrature), and demodulates with the channel LO phases. All of that is
+    linear in the shot's draws, so it runs as one matrix product per chunk of
+    shots (``_SynthesisKernel.linear_map``); the traces are never formed.
+    ``synthesize_baseband_pair`` and ``demodulate`` give the same numbers
+    shot by shot. ``stream`` selects an independent substream family so
+    sweep points stay independent under a common master seed.
     """
     band.validate_for(config.window.tau)
     kernel = _SynthesisKernel(band, plan, config.window, config.sample_rate)
-
-    demod_signal = (
-        kernel.envelope
-        * kernel.dt
-        * np.exp(-1j * config.lo_phase_signal)
-        / kernel.norm
-    )
-    demod_idler = (
-        kernel.envelope * kernel.dt * np.exp(-1j * config.lo_phase_idler) / kernel.norm
-    )
-
-    # Per-sample noise sized so the demodulated added-noise variance per
-    # quadrature equals chain_gain * added_noise_quanta / 4.
-    def noise_std(chain_gain: float) -> float:
-        if config.added_noise_quanta == 0.0:
-            return 0.0
-        variance = (
-            chain_gain
-            * config.added_noise_quanta
-            / 4.0
-            * kernel.norm**2
-            / (kernel.power * kernel.dt)
-        )
-        return math.sqrt(variance)
-
-    sigma_signal = noise_std(config.chain_gain_signal)
-    sigma_idler = noise_std(config.chain_gain_idler)
-    root_gain_signal = math.sqrt(config.chain_gain_signal)
-    root_gain_idler = math.sqrt(config.chain_gain_idler)
+    maps = {stage: kernel.linear_map(stage, config) for stage in _STAGE_CODES}
 
     n = config.n_shots
-    n_t = kernel.n_samples
-    results = {"pump_on": np.empty((n, 4)), "pump_off": np.empty((n, 4))}
-    chunk = 4096
+    chunk = min(n, _CHUNK_SHOTS)
+    draws = np.empty((chunk, maps["pump_on"].shape[0]))
+    rows = list(draws)
     cursor = _StreamCursor(config.seed)
-    with_noise = bool(sigma_signal or sigma_idler)
-
-    for stage in ("pump_on", "pump_off"):
-        out = results[stage]
-        factor = kernel.cholesky_on if stage == "pump_on" else kernel.cholesky_off
+    results = {}
+    for stage, linear_map in maps.items():
+        out = results[stage] = np.empty((n, 4))
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
-            m = stop - start
-            raw = np.empty((m, kernel.n_bins, 4))
-            raw_noise = np.empty((m, 2, 2 * n_t)) if with_noise else None
-            for local, shot in enumerate(range(start, stop)):
-                rng = cursor.seek(shot, stage, stream)
-                rng.standard_normal(out=raw[local])
-                if with_noise:
-                    rng.standard_normal(out=raw_noise[local])
-
-            quads = raw.reshape(-1, 4) @ factor.T
-            amps_signal = (quads[:, 0] + 1j * quads[:, 1]).reshape(m, kernel.n_bins)
-            amps_signal *= kernel.amplitude_scale
-            amps_idler = (quads[:, 2] + 1j * quads[:, 3]).reshape(m, kernel.n_bins)
-            amps_idler *= kernel.amplitude_scale
-
-            traces_signal = amps_signal @ kernel.phases_signal
-            traces_signal *= root_gain_signal
-            traces_idler = amps_idler @ kernel.phases_idler
-            traces_idler *= root_gain_idler
-            if with_noise:
-                traces_signal += sigma_signal * (
-                    raw_noise[:, 0, 0::2] + 1j * raw_noise[:, 0, 1::2]
-                )
-                traces_idler += sigma_idler * (
-                    raw_noise[:, 1, 0::2] + 1j * raw_noise[:, 1, 1::2]
-                )
-
-            z_signal = traces_signal @ demod_signal
-            z_idler = traces_idler @ demod_idler
-            out[start:stop, 0] = z_signal.real
-            out[start:stop, 1] = z_signal.imag
-            out[start:stop, 2] = z_idler.real
-            out[start:stop, 3] = z_idler.imag
+            for row, shot in zip(rows, range(start, stop)):
+                cursor.seek(shot, stage, stream).standard_normal(out=row)
+            np.matmul(draws[: stop - start], linear_map, out=out[start:stop])
 
     return ExperimentData(
         plan=plan,

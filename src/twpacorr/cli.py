@@ -123,7 +123,6 @@ def _sweep_options(fn):
     fn = _config_options(fn)
     fn = click.option("--points", default=None, type=int, help="Detuning grid points per sweep.")(fn)
     fn = click.option("--span", default=None, type=float, help="Total detuning span in Hz.")(fn)
-    fn = click.option("--jobs", default=1, type=int, show_default=True, help="Worker threads for sweep points.")(fn)
     fn = click.option("--strict", is_flag=True, help="Exit with code 3 on any numerical failure.")(fn)
     return fn
 
@@ -263,7 +262,7 @@ def _case_label(window) -> str:
     return f"{window.shape}_{window.tau * 1e6:g}us"
 
 
-def _run_linewidth_cases(config: ExperimentConfig, jobs, strict):
+def _run_linewidth_cases(config: ExperimentConfig, strict):
     """Run every configured (window, tau) case; returns (fits, sweeps)."""
     span = config.linewidth_span
     detunings = np.linspace(-span / 2.0, span / 2.0, config.linewidth_points)
@@ -278,9 +277,7 @@ def _run_linewidth_cases(config: ExperimentConfig, jobs, strict):
         label = _case_label(window)
         acq = config.acquisition_for(window)
         try:
-            sweep = sweep_detuning(
-                plan, config.band, acq, detunings, alpha_grid=alpha_grid, jobs=jobs
-            )
+            sweep = sweep_detuning(plan, config.band, acq, detunings, alpha_grid=alpha_grid)
             fit = fit_model(sweep, default_model_for(window))
         except ValueError as err:
             click.echo(f"case {label}: numerical failure: {err}", err=True)
@@ -324,18 +321,18 @@ def _run_linewidth_cases(config: ExperimentConfig, jobs, strict):
 
 @main.command()
 @_sweep_options
-def linewidth(config_path, out, seed, points, span, jobs, strict) -> None:
+def linewidth(config_path, out, seed, points, span, strict) -> None:
     """Sweep detuning for every configured (window, tau) case and fit linewidths."""
     config = _load(config_path, out, {"seed": seed, "linewidth.points": points, "linewidth.span": span})
-    _run_linewidth_cases(config, jobs, strict)
+    _run_linewidth_cases(config, strict)
 
 
 @main.command("compare-windows")
 @_sweep_options
-def cmd_compare_windows(config_path, out, seed, points, span, jobs, strict) -> None:
+def cmd_compare_windows(config_path, out, seed, points, span, strict) -> None:
     """Run the linewidth cases and emit the cross-window comparison table."""
     config = _load(config_path, out, {"seed": seed, "linewidth.points": points, "linewidth.span": span})
-    fits, sweeps = _run_linewidth_cases(config, jobs, strict)
+    fits, sweeps = _run_linewidth_cases(config, strict)
     rows = [
         (
             row.window,

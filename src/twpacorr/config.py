@@ -17,6 +17,7 @@ from typing import Any, Optional
 import yaml
 
 from .acquisition import (
+    MIN_SHOTS,
     AcquisitionConfig,
     EmissionBandModel,
     FrequencyPlan,
@@ -213,10 +214,13 @@ def parse_config(data: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
     seed = _get_int(data, "seed", "seed", required=True)
     if not 0 <= seed < MAX_SEED:
         raise ConfigError(f"field 'seed' must lie in [0, 2**128), got {seed}")
+    n_shots = _get_int(acq_section, "n_shots", "acquisition.n_shots", required=True)
+    if n_shots < MIN_SHOTS:
+        raise ConfigError(f"field 'acquisition.n_shots' must be >= {MIN_SHOTS}, got {n_shots}")
     try:
         acquisition = AcquisitionConfig(
             window=window,
-            n_shots=_get_int(acq_section, "n_shots", "acquisition.n_shots", required=True),
+            n_shots=n_shots,
             seed=seed,
             lo_phase_signal=_deg_to_rad(
                 _get_number(

@@ -76,6 +76,8 @@ def _covariance_stack(values: np.ndarray, n_blocks: int) -> np.ndarray:
     second = block_second.sum(axis=0) - block_second
     kept = (n - counts)[:, np.newaxis, np.newaxis]
     # With two shots each subsample keeps one, which has no covariance: NaN.
+    # Acquired data has at least acquisition.MIN_SHOTS = 3 shots, so with
+    # three or more blocks (the default is 50) every subsample keeps two.
     with np.errstate(divide="ignore", invalid="ignore"):
         return (second - first[:, :, np.newaxis] * first[:, np.newaxis, :] / kept) / (kept - 1)
 

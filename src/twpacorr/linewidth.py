@@ -12,7 +12,6 @@ half-max and lobe constant below follows from that choice.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -153,7 +152,6 @@ def sweep_detuning(
     detunings: Sequence[float],
     alpha_grid: Optional[Sequence[float]] = None,
     n_blocks: int = DEFAULT_JACKKNIFE_BLOCKS,
-    jobs: int = 1,
 ) -> DetuningSweep:
     """Run the correlation experiment across a detuning grid.
 
@@ -178,11 +176,12 @@ def sweep_detuning(
     )
     alpha_star = swept.alpha_star
 
-    def one_point(index_detuning: tuple[int, float]) -> tuple[float, float]:
-        index, detuning = index_detuning
+    rho_values = np.empty(detunings.size)
+    rho_errors = np.empty(detunings.size)
+    for index, detuning in enumerate(detunings):
         point_plan = FrequencyPlan.for_detuning(plan.f_pump, plan.f_idler_demod, detuning)
         data = run_experiment(point_plan, band, config, stream=index + 1)
-        return inferred_pearson(
+        rho_values[index], rho_errors[index] = inferred_pearson(
             data.on,
             data.off,
             config.chain_gain_signal,
@@ -190,16 +189,6 @@ def sweep_detuning(
             idler_rotation=alpha_star,
             n_blocks=n_blocks,
         )
-
-    work = list(enumerate(detunings))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_point, work))
-    else:
-        results = [one_point(item) for item in work]
-
-    rho_values = np.array([r[0] for r in results])
-    rho_errors = np.array([r[1] for r in results])
     return DetuningSweep(
         detunings=detunings,
         rho_values=rho_values,

@@ -17,7 +17,7 @@ from twpacorr import (
     shot_rng,
     synthesize_baseband_pair,
 )
-from twpacorr.acquisition import _StreamCursor
+from twpacorr.acquisition import _CHUNK_SHOTS, _StreamCursor
 
 from conftest import F_IDLER, F_PUMP, make_acquisition, make_band, overlap_kernel
 
@@ -208,6 +208,19 @@ class TestStreams:
             got = cursor.seek(shot, stage, stream).standard_normal(16)
             np.testing.assert_array_equal(expected, got)
 
+    def test_seek_clears_buffered_state(self):
+        cursor = _StreamCursor(99)
+        # Three 32-bit draws leave half of a 64-bit output and the rest of a
+        # Philox block buffered.
+        cursor.seek(4, "pump_on", 1).integers(0, 2**32, size=3, dtype=np.uint32)
+        got = cursor.seek(4, "pump_on", 1)
+        expected = shot_rng(99, 4, "pump_on", 1)
+        np.testing.assert_array_equal(
+            expected.integers(0, 2**32, size=5, dtype=np.uint32),
+            got.integers(0, 2**32, size=5, dtype=np.uint32),
+        )
+        np.testing.assert_array_equal(expected.standard_normal(8), got.standard_normal(8))
+
     def test_distinct_shots_and_stages_are_distinct_streams(self):
         a = shot_rng(5, 0, "pump_on").standard_normal(8)
         b = shot_rng(5, 1, "pump_on").standard_normal(8)
@@ -242,6 +255,54 @@ class TestRunExperiment:
             x_i, p_i = demodulate(trace_i, window, acq.lo_phase_idler, acq.sample_rate)
             np.testing.assert_allclose(
                 data.on[shot], [x_s, p_s, x_i, p_i], rtol=0.0, atol=1e-12
+            )
+
+    def test_noise_and_both_stages_match_per_shot_operations(self):
+        # Each shot is rebuilt trace by trace: synthesis from the shot's
+        # substream, root chain gain, white noise from the next 4 n_samples
+        # normals (real and imaginary parts interleaved), demodulation.
+        band = make_band()
+        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.3e6)
+        window = WindowSpec("gaussian", 6e-6)
+        gains = (4.0, 0.25)
+        lo_phases = (0.4, -1.1)
+        acq = AcquisitionConfig(
+            window=window,
+            n_shots=_CHUNK_SHOTS + 2,
+            seed=2024,
+            lo_phase_signal=lo_phases[0],
+            lo_phase_idler=lo_phases[1],
+            chain_gain_signal=gains[0],
+            chain_gain_idler=gains[1],
+            added_noise_quanta=3.0,
+        )
+        data = run_experiment(plan, band, acq, stream=2)
+
+        rate = acq.sample_rate
+        n_samples = round(rate * window.tau)
+        envelope = window.envelope((np.arange(n_samples) + 0.5) / rate)
+        norm = envelope.sum() / rate
+        power = (envelope**2).sum() / rate
+        sigmas = [
+            math.sqrt(gain * acq.added_noise_quanta / 4.0 * norm**2 * rate / power)
+            for gain in gains
+        ]
+        # The last two shots sit in a second chunk of the batched runner.
+        shots = (0, 1, _CHUNK_SHOTS, _CHUNK_SHOTS + 1)
+        for stage, quadratures in (("pump_on", data.on), ("pump_off", data.off)):
+            expected = []
+            for shot in shots:
+                rng = shot_rng(acq.seed, shot, stage, stream=2)
+                traces = synthesize_baseband_pair(band, plan, window, stage, rng, rate)
+                noise = rng.standard_normal(4 * n_samples).reshape(2, 2 * n_samples)
+                row = []
+                for trace, gain, sigma, lo_phase, n in zip(traces, gains, sigmas, lo_phases, noise):
+                    trace = math.sqrt(gain) * trace + sigma * (n[0::2] + 1j * n[1::2])
+                    row.extend(demodulate(trace, window, lo_phase, rate))
+                expected.append(row)
+            expected = np.array(expected)
+            np.testing.assert_allclose(
+                quadratures[list(shots)], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()
             )
 
     def test_off_stage_is_isotropic_vacuum(self, ideal_experiment):
@@ -317,6 +378,8 @@ class TestAcquisitionConfig:
     def test_rejects_bad_counts_and_gains(self):
         with pytest.raises(ValueError):
             make_acquisition(n_shots=1)
+        with pytest.raises(ValueError, match="n_shots"):
+            make_acquisition(n_shots=2)
         with pytest.raises(ValueError):
             make_acquisition(chain_gain=0.0)
         with pytest.raises(ValueError):

@@ -145,6 +145,23 @@ class TestCommandLineOverrides:
         assert result.exit_code == 2
         assert "No such option" in result.output
 
+    @pytest.mark.parametrize("command", ["linewidth", "compare-windows"])
+    def test_sweep_commands_have_no_jobs_option(self, tmp_path, command):
+        path = write_config(tmp_path)
+        result = CliRunner().invoke(main, [command, "--config", str(path), "--jobs=2"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output
+
+    @pytest.mark.parametrize("command", ["phase-sweep", "linewidth"])
+    def test_two_shots_is_config_error(self, tmp_path, command):
+        # Two shots leave one per jackknife subsample, whose SE is undefined.
+        path = write_config(tmp_path, overrides={"acquisition.n_shots": 2})
+        out = tmp_path / "run"
+        result = CliRunner().invoke(main, [command, "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "acquisition.n_shots" in result.output
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_writes_covariance_and_summary(self, tmp_path):

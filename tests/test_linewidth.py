@@ -244,14 +244,6 @@ class TestSweepDetuning:
         with pytest.raises(ValueError, match="band"):
             sweep_detuning(plan_matched, band, acq, detunings)
 
-    def test_jobs_parameter_reproduces_serial_results(self, plan_matched):
-        band = make_band(halfwidth=2.2e6, spacing=80e3)
-        acq = make_acquisition(n_shots=500, seed=31)
-        detunings = np.linspace(-0.2e6, 0.2e6, 5)
-        serial = sweep_detuning(plan_matched, band, acq, detunings, jobs=1)
-        threaded = sweep_detuning(plan_matched, band, acq, detunings, jobs=3)
-        np.testing.assert_array_equal(serial.rho_values, threaded.rho_values)
-
 
 class TestSnrGrowth:
     def test_snr_nondecreasing_with_shots(self, plan_matched):
