@@ -32,8 +32,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +56,13 @@ _STAGE_CODES = {"pump_on": 1, "pump_off": 2}
 #: then keeps at least two, enough for a sample covariance.
 MIN_SHOTS = 3
 
+#: Seeds key a Philox generator, whose key is 128 bits wide.
+MAX_SEED = 2**128
+
+# Every ValueError that the dataclasses below and validate_for raise begins
+# with the name of the field or argument it refuses, so the config can name
+# the dotted path of what was refused.
+
 
 @dataclass(frozen=True)
 class WindowSpec:
@@ -64,20 +70,12 @@ class WindowSpec:
 
     shape: str
     tau: float
-    gaussian_floor: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.shape not in WINDOW_SHAPES:
-            raise ValueError(
-                f"window shape must be one of {WINDOW_SHAPES}, got {self.shape!r}"
-            )
+            raise ValueError(f"shape must be one of {WINDOW_SHAPES}, got {self.shape!r}")
         if not self.tau > 0.0:
-            raise ValueError(f"window tau must be positive, got {self.tau}")
-        if self.shape == "gaussian":
-            floor = GAUSSIAN_FLOOR if self.gaussian_floor is None else float(self.gaussian_floor)
-            object.__setattr__(self, "gaussian_floor", floor)
-        elif self.gaussian_floor is not None:
-            raise ValueError("gaussian_floor only applies to gaussian windows")
+            raise ValueError(f"tau must be positive, got {self.tau}")
 
     def envelope(self, times: np.ndarray) -> np.ndarray:
         """Envelope E(t) for ``times`` measured from the window start, in [0, tau]."""
@@ -85,8 +83,7 @@ class WindowSpec:
         if self.shape == "rectangular":
             return np.ones_like(times)
         u = 2.0 * times / self.tau - 1.0
-        beta = self.gaussian_floor
-        return (1.0 + beta) * np.exp(-2.0 * u * u) - beta
+        return (1.0 + GAUSSIAN_FLOOR) * np.exp(-2.0 * u * u) - GAUSSIAN_FLOOR
 
 
 @dataclass(frozen=True)
@@ -105,7 +102,7 @@ class FrequencyPlan:
 
     def __post_init__(self) -> None:
         if self.f_signal_demod == self.f_idler_demod:
-            raise ValueError("signal and idler demodulation frequencies must differ")
+            raise ValueError(f"f_signal_demod equals f_idler_demod ({self.f_idler_demod:.6g} Hz)")
         if abs(self.detuning) > self.MAX_DETUNING:
             raise ValueError(
                 f"detuning {self.detuning:.6g} Hz outside the supported "
@@ -143,26 +140,37 @@ class EmissionBandModel:
 
     def __post_init__(self) -> None:
         if not self.band_halfwidth > 0.0:
-            raise ValueError("band_halfwidth must be positive")
+            raise ValueError(f"band_halfwidth must be positive, got {self.band_halfwidth}")
         if not 0.0 < self.bin_spacing <= self.band_halfwidth:
-            raise ValueError("bin_spacing must lie in (0, band_halfwidth]")
+            raise ValueError(f"bin_spacing must lie in (0, band_halfwidth], got {self.bin_spacing}")
 
     def offsets(self) -> np.ndarray:
         """Bin-center offsets from the idler demodulation frequency."""
         n_bins = max(1, round(2.0 * self.band_halfwidth / self.bin_spacing))
         return -self.band_halfwidth + (np.arange(n_bins) + 0.5) * self.bin_spacing
 
-    def validate_for(self, tau: float) -> None:
-        """Check the quasi-continuum conditions against an acquisition time."""
+    def validate_for(self, tau: float, detuning: float = 0.0) -> None:
+        """Check that the comb stands for the continuum in one acquisition.
+
+        The bins must be fine against 1/tau, and the band must cover the
+        window kernel, KERNEL_MARGIN_CYCLES / tau wide, around ``detuning``.
+        """
+        margin = KERNEL_MARGIN_CYCLES / tau
         if self.bin_spacing > 1.0 / (2.0 * tau):
             raise ValueError(
-                f"bin_spacing {self.bin_spacing:.6g} Hz too coarse for tau "
-                f"{tau:.3g} s (needs <= {1.0 / (2.0 * tau):.6g} Hz)"
+                f"tau {tau:.3g} s is too long for bin_spacing {self.bin_spacing:.6g} Hz "
+                f"(needs bin_spacing <= {1.0 / (2.0 * tau):.6g} Hz)"
             )
-        if self.band_halfwidth < KERNEL_MARGIN_CYCLES / tau:
+        if self.band_halfwidth < margin:
             raise ValueError(
-                f"band_halfwidth {self.band_halfwidth:.6g} Hz too narrow for tau "
-                f"{tau:.3g} s (needs >= {KERNEL_MARGIN_CYCLES / tau:.6g} Hz)"
+                f"tau {tau:.3g} s is too short for band_halfwidth {self.band_halfwidth:.6g} Hz "
+                f"(needs band_halfwidth >= {margin:.6g} Hz)"
+            )
+        if abs(detuning) > self.band_halfwidth - margin:
+            raise ValueError(
+                f"detuning {detuning:.6g} Hz is not covered by the emission band: "
+                f"band_halfwidth {self.band_halfwidth:.6g} Hz covers "
+                f"+/-{self.band_halfwidth - margin:.6g} Hz at tau {tau:.3g} s"
             )
 
 
@@ -178,24 +186,23 @@ class AcquisitionConfig:
     chain_gain_signal: float = 1.0
     chain_gain_idler: float = 1.0
     added_noise_quanta: float = 0.0
-    sample_rate: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.n_shots < MIN_SHOTS:
             raise ValueError(f"n_shots must be >= {MIN_SHOTS}, got {self.n_shots}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if self.chain_gain_signal <= 0.0 or self.chain_gain_idler <= 0.0:
-            raise ValueError("chain gains must be positive")
-        if self.added_noise_quanta < 0.0:
-            raise ValueError("added_noise_quanta must be >= 0")
-        if self.sample_rate is None:
-            object.__setattr__(self, "sample_rate", 100.0 / self.window.tau)
-        if self.sample_rate * self.window.tau < 50.0 - 1e-9:
-            raise ValueError(
-                f"sample_rate {self.sample_rate:.6g} Hz gives fewer than 50 "
-                f"samples per window of tau {self.window.tau:.3g} s"
-            )
+        if not 0 <= self.seed < MAX_SEED:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+        if not self.chain_gain_signal > 0.0:
+            raise ValueError(f"chain_gain_signal must be positive, got {self.chain_gain_signal}")
+        if not self.chain_gain_idler > 0.0:
+            raise ValueError(f"chain_gain_idler must be positive, got {self.chain_gain_idler}")
+        if not self.added_noise_quanta >= 0.0:
+            raise ValueError(f"added_noise_quanta must be >= 0, got {self.added_noise_quanta}")
+
+    @property
+    def sample_rate(self) -> float:
+        """Trace sample rate in Hz: 100 samples per window."""
+        return 100.0 / self.window.tau
 
 
 @dataclass(frozen=True)
@@ -297,20 +304,13 @@ class _SynthesisKernel:
         sample_rate: float,
     ) -> None:
         tau = window.tau
+        detuning = plan.detuning
+        band.validate_for(tau, detuning)
         self.envelope, self.dt, self.norm = _window_weights(window, sample_rate)
         self.n_samples = self.envelope.size
         if self.n_samples < 1:
             raise ValueError("window shorter than one sample at this rate")
         self.power = float(np.sum(self.envelope**2) * self.dt)
-
-        detuning = plan.detuning
-        margin = KERNEL_MARGIN_CYCLES / tau
-        if abs(detuning) > band.band_halfwidth - margin:
-            raise ValueError(
-                f"emission band (halfwidth {band.band_halfwidth:.6g} Hz) does not "
-                f"cover the signal demodulation at {plan.f_signal_demod:.6g} Hz "
-                f"(detuning {detuning:.6g} Hz needs {margin:.6g} Hz of margin)"
-            )
 
         offsets = band.offsets()
         # Phase evolution is referenced to the window center; bins beat at
@@ -391,7 +391,6 @@ def synthesize_baseband_pair(
     """
     if stage not in _STAGE_CODES:
         raise ValueError(f"stage must be 'pump_on' or 'pump_off', got {stage!r}")
-    band.validate_for(window.tau)
     kernel = _SynthesisKernel(band, plan, window, sample_rate)
     amp_signal, amp_idler = kernel.bin_amplitudes(rng, stage)
     return amp_signal @ kernel.phases_signal, amp_idler @ kernel.phases_idler
@@ -445,7 +444,6 @@ def run_experiment(
     shot by shot. ``stream`` selects an independent substream family so
     sweep points stay independent under a common master seed.
     """
-    band.validate_for(config.window.tau)
     kernel = _SynthesisKernel(band, plan, config.window, config.sample_rate)
     maps = {stage: kernel.linear_map(stage, config) for stage in _STAGE_CODES}
 

@@ -72,7 +72,7 @@ def _format_value(value) -> str:
 def _metadata(config: ExperimentConfig) -> dict:
     return {
         "config_hash": config.hash(),
-        "seed": config.seed,
+        "seed": config.acquisition.seed,
         "version": f"twpacorr {__version__}",
     }
 
@@ -95,15 +95,17 @@ def _write_json(path: Path, meta: dict, payload: dict) -> None:
     click.echo(f"wrote {path}")
 
 
-def _load(config_path: str, out: str | None, overrides: dict) -> ExperimentConfig:
+def _load(config_path: str, out: str | None, overrides: dict, sweep: bool) -> ExperimentConfig:
     """Validated config with the set command-line options merged in; exits 2 on error.
 
     ``overrides`` maps dotted config paths to option values; unset options
-    (None) keep the file's value.
+    (None) keep the file's value. ``sweep`` says whether the command
+    acquires the linewidth cases or the single window (``check_coverage``).
     """
     fields = {path: value for path, value in overrides.items() if value is not None}
     try:
         config = load_config(config_path, fields)
+        config.check_coverage(sweep)
     except ConfigError as err:
         click.echo(f"config error: {err}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
@@ -142,7 +144,7 @@ def main() -> None:
 @click.option("--dump-traces", default=0, type=int, help="Also dump the first N pump-on baseband traces.")
 def simulate(config_path, out, seed, dump_traces) -> None:
     """Run one pump-on/off experiment and report the inferred covariance."""
-    config = _load(config_path, out, {"seed": seed})
+    config = _load(config_path, out, {"seed": seed}, sweep=False)
     acq = config.acquisition
     data = run_experiment(config.plan(), config.band, acq)
     on = estimate_covariance(data.on)
@@ -220,7 +222,7 @@ def _parse_angle_list(ctx, param, raw: str | None) -> list[float]:
 )
 def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
     """Sweep the relative LO phase and locate the correlation maximum."""
-    config = _load(config_path, out, {"seed": seed, "phase_sweep.points": points})
+    config = _load(config_path, out, {"seed": seed, "phase_sweep.points": points}, sweep=False)
     acq = config.acquisition
     alphas_deg = _phase_grid_deg(config)
     data = run_experiment(config.plan(), config.band, acq)
@@ -275,7 +277,7 @@ def _run_linewidth_cases(config: ExperimentConfig, strict):
     sweeps = []
     for window in config.cases:
         label = _case_label(window)
-        acq = config.acquisition_for(window)
+        acq = replace(config.acquisition, window=window)
         try:
             sweep = sweep_detuning(plan, config.band, acq, detunings, alpha_grid=alpha_grid)
             fit = fit_model(sweep, default_model_for(window))
@@ -323,7 +325,8 @@ def _run_linewidth_cases(config: ExperimentConfig, strict):
 @_sweep_options
 def linewidth(config_path, out, seed, points, span, strict) -> None:
     """Sweep detuning for every configured (window, tau) case and fit linewidths."""
-    config = _load(config_path, out, {"seed": seed, "linewidth.points": points, "linewidth.span": span})
+    overrides = {"seed": seed, "linewidth.points": points, "linewidth.span": span}
+    config = _load(config_path, out, overrides, sweep=True)
     _run_linewidth_cases(config, strict)
 
 
@@ -331,7 +334,8 @@ def linewidth(config_path, out, seed, points, span, strict) -> None:
 @_sweep_options
 def cmd_compare_windows(config_path, out, seed, points, span, strict) -> None:
     """Run the linewidth cases and emit the cross-window comparison table."""
-    config = _load(config_path, out, {"seed": seed, "linewidth.points": points, "linewidth.span": span})
+    overrides = {"seed": seed, "linewidth.points": points, "linewidth.span": span}
+    config = _load(config_path, out, overrides, sweep=True)
     fits, sweeps = _run_linewidth_cases(config, strict)
     rows = [
         (

@@ -1,8 +1,13 @@
-"""Experiment configuration: YAML schema, validation and canonical hashing.
+"""Experiment configuration: one table of fields, validation and canonical hashing.
 
-The config file is a single nested document; angles are degrees, frequencies
-Hz, times seconds. Validation errors always name the offending field by its
-dotted path (e.g. ``acquisition.window.tau``).
+The config file is a single nested YAML document. ``FIELDS`` is the reference
+for every field: its dotted path, how it is read, its default and, in the
+comment beside it, its unit (angles are degrees, frequencies Hz, times
+seconds). Reading flattens the document into ``{dotted path: value}``, so
+command-line overrides, which are dotted paths too, merge by a dict update,
+and a field the table does not know is refused by its path. Every error
+names the offending field by its dotted path (e.g. ``acquisition.window.tau``),
+also when the check that fails belongs to the object the value goes into.
 """
 
 from __future__ import annotations
@@ -10,29 +15,24 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import yaml
 
-from .acquisition import (
-    MIN_SHOTS,
-    AcquisitionConfig,
-    EmissionBandModel,
-    FrequencyPlan,
-    WindowSpec,
-)
+from .acquisition import AcquisitionConfig, EmissionBandModel, FrequencyPlan, WindowSpec
 from .estimators import DEFAULT_PHASE_POINTS
 from .gaussian import TwpaParams
 
-DEFAULT_LINEWIDTH_POINTS = 201
-DEFAULT_LINEWIDTH_SPAN = 2e6
-DEFAULT_CASE_TAUS = (3e-6, 4e-6, 5e-6, 6e-6)
-
-
-#: Seeds key a Philox generator, whose key is 128 bits wide.
-MAX_SEED = 2**128
+#: Linewidth cases of a config that lists none: both window families at the
+#: four standard times.
+DEFAULT_CASES = tuple(
+    WindowSpec(shape=shape, tau=tau)
+    for shape in ("rectangular", "gaussian")
+    for tau in (3e-6, 4e-6, 5e-6, 6e-6)
+)
 
 
 class ConfigError(Exception):
@@ -43,27 +43,7 @@ def _deg_to_rad(value: float) -> float:
     return value * math.pi / 180.0
 
 
-def _section(data: dict, key: str, path: str) -> dict:
-    value = data.get(key)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"field '{path}' must be a mapping")
-    return value
-
-
-def _get_number(
-    data: dict,
-    key: str,
-    path: str,
-    required: bool = False,
-    default: Any = None,
-) -> Optional[float]:
-    if key not in data or data[key] is None:
-        if required:
-            raise ConfigError(f"missing required field '{path}'")
-        return default
-    value = data[key]
+def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"field '{path}' must be a number, got {value!r}")
     try:
@@ -76,29 +56,129 @@ def _get_number(
     return number
 
 
-def _get_int(data: dict, key: str, path: str, required: bool = False, default: Any = None):
-    value = data.get(key)
+def _integer(value: Any, path: str) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         # Taken as written: going through float would round values above
         # 2**53, such as large seeds.
         return value
-    value = _get_number(data, key, path, required=required, default=default)
-    if value is None:
-        return None
-    if value != int(value):
+    number = _number(value, path)
+    if number != int(number):
         raise ConfigError(f"field '{path}' must be an integer, got {value!r}")
-    return int(value)
+    return int(number)
 
 
-def _get_str(data: dict, key: str, path: str, required: bool = False, default: Any = None):
-    if key not in data or data[key] is None:
-        if required:
-            raise ConfigError(f"missing required field '{path}'")
-        return default
-    value = data[key]
+def _text(value: Any, path: str) -> str:
     if not isinstance(value, str):
         raise ConfigError(f"field '{path}' must be a string, got {value!r}")
     return value
+
+
+def _above(low: float, read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
+    """``read``, refusing values at or below ``low``."""
+
+    def bounded(value: Any, path: str):
+        number = read(value, path)
+        if not number > low:
+            raise ConfigError(f"field '{path}' must be > {low}, got {number}")
+        return number
+
+    return bounded
+
+
+#: Marks a field without a default.
+REQUIRED = object()
+
+#: Every config field by dotted path: (reader, default). ``[]`` stands for
+#: the index of an entry in a list of mappings. Ranges that an object the
+#: value goes into checks are noted in brackets.
+FIELDS: dict[str, tuple[Callable[[Any, str], Any], Any]] = {
+    "frequency.f_pump": (_number, REQUIRED),  # Hz
+    "frequency.f_idler_demod": (_number, REQUIRED),  # Hz
+    "frequency.detuning": (_number, 0.0),  # Hz, 2 f_pump - f_signal - f_idler [|detuning| <= 10 MHz]
+    "twpa.gain_signal": (_number, REQUIRED),  # linear power gain [>= 1]
+    "twpa.gain_idler": (_number, REQUIRED),  # linear power gain [>= 1]
+    "twpa.phase_mismatch_deg": (_number, 0.0),  # deg
+    "band.halfwidth": (_number, 5e6),  # Hz around each demodulation frequency [> 0]
+    "band.bin_spacing": (_number, 25e3),  # Hz between comb bins [(0, halfwidth]]
+    "acquisition.window.shape": (_text, REQUIRED),  # rectangular or gaussian
+    "acquisition.window.tau": (_number, REQUIRED),  # s [> 0]
+    "acquisition.n_shots": (_integer, REQUIRED),  # shot pairs per experiment [>= 3]
+    "acquisition.lo_phase_signal_deg": (_number, 0.0),  # deg
+    "acquisition.lo_phase_idler_deg": (_number, 0.0),  # deg
+    "acquisition.chain_gain_signal": (_number, 1e6),  # linear power gain [> 0]
+    "acquisition.chain_gain_idler": (_number, 1e6),  # linear power gain [> 0]
+    "acquisition.added_noise_quanta": (_number, 10.0),  # quanta at the chain input [>= 0]
+    "phase_sweep.points": (_above(0, _integer), DEFAULT_PHASE_POINTS),  # angles over [0, 360] deg
+    "linewidth.points": (_above(4, _integer), 201),  # detunings per case
+    "linewidth.span": (_above(0.0, _number), 2e6),  # Hz, whole detuning grid
+    # Without a list of cases, the linewidth sweeps run DEFAULT_CASES.
+    "linewidth.cases[].window": (_text, REQUIRED),  # rectangular or gaussian
+    "linewidth.cases[].tau": (_number, REQUIRED),  # s [> 0]
+    "output_dir": (_text, "runs/output"),  # relative to the config file
+    "seed": (_integer, REQUIRED),  # master seed [0, 2**128)
+}
+
+#: Dotted paths of the mappings and lists of mappings that hold fields.
+_SECTIONS = {path[:i] for path in FIELDS for i, char in enumerate(path) if char in ".["}
+_INDEX = re.compile(r"\[\d+\]")
+
+
+def _flatten(node: dict, path: str, flat: dict) -> None:
+    """Put the fields of mapping ``node`` into ``flat`` by dotted path.
+
+    A list of mappings is stored as its length, and its entries' fields
+    under ``[index]``. Null stands for the default.
+    """
+    for key, value in node.items():
+        child = f"{path}{key}"
+        pattern = _INDEX.sub("[]", child) if "[" in child else child
+        listed = f"{pattern}[]" in _SECTIONS
+        if pattern in FIELDS:
+            flat[child] = value
+        elif pattern not in _SECTIONS:
+            raise ConfigError(f"unknown field '{child}'")
+        elif isinstance(value, dict) and not listed:
+            _flatten(value, f"{child}.", flat)
+        elif isinstance(value, list) and value and listed:
+            flat[child] = len(value)
+            _flatten({f"[{index}]": entry for index, entry in enumerate(value)}, child, flat)
+        elif value is not None:
+            raise ConfigError(f"field '{child}' must be a {'non-empty list' if listed else 'mapping'}")
+
+
+def _read(flat: dict) -> dict:
+    """Every field of the table, read from ``flat`` or defaulted, by dotted path."""
+    values = {}
+    for pattern, (read, default) in FIELDS.items():
+        listed, _, rest = pattern.partition("[]")
+        paths = [f"{listed}[{i}]{rest}" for i in range(flat.get(listed, 0))] if rest else [pattern]
+        for path in paths:
+            value = flat.get(path)
+            if value is not None:
+                values[path] = read(value, path)
+            elif default is REQUIRED:
+                raise ConfigError(f"missing required field '{path}'")
+            else:
+                values[path] = default
+    return values
+
+
+def _checked(paths: dict, build: Callable, *args, **kwargs):
+    """``build(*args, **kwargs)``, with its ValueError as a ConfigError on a field.
+
+    ``paths`` maps the argument names that ``build``'s messages begin with
+    to the dotted paths of the fields they came from.
+    """
+    try:
+        return build(*args, **kwargs)
+    except ValueError as err:
+        name = str(err).split(" ", 1)[0]
+        raise ConfigError(f"field '{paths.get(name, name)}': {err}") from None
+
+
+def _window(values: dict, path: str, shape_key: str) -> WindowSpec:
+    shape, tau = f"{path}.{shape_key}", f"{path}.tau"
+    return _checked({"shape": shape, "tau": tau}, WindowSpec, values[shape], values[tau])
 
 
 @dataclass(frozen=True)
@@ -116,14 +196,28 @@ class ExperimentConfig:
     linewidth_span: float
     cases: tuple[WindowSpec, ...]
     output_dir: Path
-    seed: int
 
     def plan(self) -> FrequencyPlan:
         return FrequencyPlan.for_detuning(self.f_pump, self.f_idler_demod, self.detuning)
 
-    def acquisition_for(self, window: WindowSpec) -> AcquisitionConfig:
-        """Base acquisition rebound to another window (sample rate re-derived)."""
-        return replace(self.acquisition, window=window, sample_rate=None)
+    def check_coverage(self, sweep: bool) -> None:
+        """Refuse, before any shot is drawn, an acquisition the band cannot simulate.
+
+        A single run acquires ``acquisition.window`` at ``frequency.detuning``;
+        a sweep acquires every linewidth case from detuning 0 to ``span / 2``
+        either side, so only sweeps need linewidth cases that suit the band.
+        """
+        if not sweep:
+            paths = {"tau": "acquisition.window.tau", "detuning": "frequency.detuning"}
+            _checked(paths, self.band.validate_for, self.acquisition.window.tau, self.detuning)
+            return
+        edge = self.linewidth_span / 2.0
+        plan_paths = {"detuning": "linewidth.span", "f_signal_demod": "frequency.f_idler_demod"}
+        for detuning in (0.0, edge):
+            _checked(plan_paths, FrequencyPlan.for_detuning, self.f_pump, self.f_idler_demod, detuning)
+        for index, case in enumerate(self.cases):
+            paths = {"tau": f"linewidth.cases[{index}].tau", "detuning": "linewidth.span"}
+            _checked(paths, self.band.validate_for, case.tau, edge)
 
     def resolved(self) -> dict:
         """Canonical dict of the experiment-defining configuration.
@@ -157,6 +251,7 @@ class ExperimentConfig:
                 "chain_gain_signal": self.acquisition.chain_gain_signal,
                 "chain_gain_idler": self.acquisition.chain_gain_idler,
                 "added_noise_quanta": self.acquisition.added_noise_quanta,
+                # Derived from tau; kept so that hashes match older files.
                 "sample_rate": self.acquisition.sample_rate,
             },
             "phase_sweep": {"points": self.phase_points},
@@ -165,7 +260,7 @@ class ExperimentConfig:
                 "span": self.linewidth_span,
                 "cases": [{"window": c.shape, "tau": c.tau} for c in self.cases],
             },
-            "seed": self.seed,
+            "seed": self.acquisition.seed,
         }
 
     def hash(self) -> str:
@@ -173,155 +268,65 @@ class ExperimentConfig:
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def parse_config(data: dict, base_dir: Path = Path(".")) -> ExperimentConfig:
+def parse_config(
+    data: Any, base_dir: Path = Path("."), overrides: Optional[dict] = None
+) -> ExperimentConfig:
+    """Validate a config mapping, with ``overrides`` (dotted path: value) merged in."""
     if not isinstance(data, dict):
         raise ConfigError("configuration root must be a mapping")
+    flat: dict = {}
+    _flatten(data, "", flat)
+    # Overrides are dotted paths already: flattening them checks and merges them.
+    _flatten(overrides or {}, "", flat)
+    values = _read(flat)
 
-    frequency = _section(data, "frequency", "frequency")
-    f_pump = _get_number(frequency, "f_pump", "frequency.f_pump", required=True)
-    f_idler = _get_number(
-        frequency, "f_idler_demod", "frequency.f_idler_demod", required=True
+    twpa = _checked(
+        {"gain_signal": "twpa.gain_signal", "gain_idler": "twpa.gain_idler"},
+        TwpaParams,
+        values["twpa.gain_signal"],
+        values["twpa.gain_idler"],
+        _deg_to_rad(values["twpa.phase_mismatch_deg"]),
     )
-    detuning = _get_number(frequency, "detuning", "frequency.detuning", default=0.0)
-
-    twpa_section = _section(data, "twpa", "twpa")
-    gain_signal = _get_number(twpa_section, "gain_signal", "twpa.gain_signal", required=True)
-    gain_idler = _get_number(twpa_section, "gain_idler", "twpa.gain_idler", required=True)
-    mismatch_deg = _get_number(
-        twpa_section, "phase_mismatch_deg", "twpa.phase_mismatch_deg", default=0.0
+    band = _checked(
+        {"band_halfwidth": "band.halfwidth", "bin_spacing": "band.bin_spacing"},
+        EmissionBandModel,
+        twpa,
+        values["band.halfwidth"],
+        values["band.bin_spacing"],
     )
-    try:
-        twpa = TwpaParams(gain_signal, gain_idler, _deg_to_rad(mismatch_deg))
-    except ValueError as err:
-        raise ConfigError(f"invalid 'twpa' section: {err}") from err
-
-    band_section = _section(data, "band", "band")
-    try:
-        band = EmissionBandModel(
-            per_bin_params=twpa,
-            band_halfwidth=_get_number(band_section, "halfwidth", "band.halfwidth", default=5e6),
-            bin_spacing=_get_number(band_section, "bin_spacing", "band.bin_spacing", default=25e3),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid 'band' section: {err}") from err
-
-    acq_section = _section(data, "acquisition", "acquisition")
-    if not acq_section:
-        raise ConfigError("missing required field 'acquisition'")
-    window = _parse_window(
-        _section(acq_section, "window", "acquisition.window"), "acquisition.window"
+    acquisition_fields = ("n_shots", "chain_gain_signal", "chain_gain_idler", "added_noise_quanta")
+    acquisition = _checked(
+        {"seed": "seed", **{name: f"acquisition.{name}" for name in acquisition_fields}},
+        AcquisitionConfig,
+        window=_window(values, "acquisition.window", "shape"),
+        seed=values["seed"],
+        lo_phase_signal=_deg_to_rad(values["acquisition.lo_phase_signal_deg"]),
+        lo_phase_idler=_deg_to_rad(values["acquisition.lo_phase_idler_deg"]),
+        **{name: values[f"acquisition.{name}"] for name in acquisition_fields},
     )
-    seed = _get_int(data, "seed", "seed", required=True)
-    if not 0 <= seed < MAX_SEED:
-        raise ConfigError(f"field 'seed' must lie in [0, 2**128), got {seed}")
-    n_shots = _get_int(acq_section, "n_shots", "acquisition.n_shots", required=True)
-    if n_shots < MIN_SHOTS:
-        raise ConfigError(f"field 'acquisition.n_shots' must be >= {MIN_SHOTS}, got {n_shots}")
-    try:
-        acquisition = AcquisitionConfig(
-            window=window,
-            n_shots=n_shots,
-            seed=seed,
-            lo_phase_signal=_deg_to_rad(
-                _get_number(
-                    acq_section, "lo_phase_signal_deg", "acquisition.lo_phase_signal_deg", default=0.0
-                )
-            ),
-            lo_phase_idler=_deg_to_rad(
-                _get_number(
-                    acq_section, "lo_phase_idler_deg", "acquisition.lo_phase_idler_deg", default=0.0
-                )
-            ),
-            chain_gain_signal=_get_number(
-                acq_section, "chain_gain_signal", "acquisition.chain_gain_signal", default=1e6
-            ),
-            chain_gain_idler=_get_number(
-                acq_section, "chain_gain_idler", "acquisition.chain_gain_idler", default=1e6
-            ),
-            added_noise_quanta=_get_number(
-                acq_section, "added_noise_quanta", "acquisition.added_noise_quanta", default=10.0
-            ),
-            sample_rate=_get_number(acq_section, "sample_rate", "acquisition.sample_rate"),
-        )
-    except ValueError as err:
-        raise ConfigError(f"invalid 'acquisition' section: {err}") from err
-
-    phase_section = _section(data, "phase_sweep", "phase_sweep")
-    phase_points = _get_int(
-        phase_section, "points", "phase_sweep.points", default=DEFAULT_PHASE_POINTS
+    n_cases = flat.get("linewidth.cases", 0)
+    cases = tuple(_window(values, f"linewidth.cases[{i}]", "window") for i in range(n_cases))
+    detuning = values["frequency.detuning"]
+    _checked(
+        {"detuning": "frequency.detuning", "f_signal_demod": "frequency.f_idler_demod"},
+        FrequencyPlan.for_detuning,
+        values["frequency.f_pump"],
+        values["frequency.f_idler_demod"],
+        detuning,
     )
-    if phase_points < 1:
-        raise ConfigError("field 'phase_sweep.points' must be >= 1")
-
-    linewidth_section = _section(data, "linewidth", "linewidth")
-    linewidth_points = _get_int(
-        linewidth_section, "points", "linewidth.points", default=DEFAULT_LINEWIDTH_POINTS
-    )
-    if linewidth_points < 5:
-        raise ConfigError("field 'linewidth.points' must be >= 5")
-    linewidth_span = _get_number(
-        linewidth_section, "span", "linewidth.span", default=DEFAULT_LINEWIDTH_SPAN
-    )
-    if linewidth_span <= 0:
-        raise ConfigError("field 'linewidth.span' must be positive")
-    cases = _parse_cases(linewidth_section.get("cases"), "linewidth.cases")
-
-    output_dir = _get_str(data, "output_dir", "output_dir", default="runs/output")
-
-    try:
-        FrequencyPlan.for_detuning(f_pump, f_idler, detuning)
-    except ValueError as err:
-        raise ConfigError(f"invalid 'frequency' section: {err}") from err
-
     return ExperimentConfig(
-        f_pump=f_pump,
-        f_idler_demod=f_idler,
+        f_pump=values["frequency.f_pump"],
+        f_idler_demod=values["frequency.f_idler_demod"],
         detuning=detuning,
         twpa=twpa,
         band=band,
         acquisition=acquisition,
-        phase_points=phase_points,
-        linewidth_points=linewidth_points,
-        linewidth_span=linewidth_span,
-        cases=cases,
-        output_dir=base_dir / output_dir,
-        seed=seed,
+        phase_points=values["phase_sweep.points"],
+        linewidth_points=values["linewidth.points"],
+        linewidth_span=values["linewidth.span"],
+        cases=cases or DEFAULT_CASES,
+        output_dir=base_dir / values["output_dir"],
     )
-
-
-def _parse_window(section: dict, path: str) -> WindowSpec:
-    if not section:
-        raise ConfigError(f"missing required field '{path}'")
-    shape = _get_str(section, "shape", f"{path}.shape", required=True)
-    tau = _get_number(section, "tau", f"{path}.tau", required=True)
-    try:
-        return WindowSpec(shape=shape, tau=tau)
-    except ValueError as err:
-        raise ConfigError(f"invalid '{path}': {err}") from err
-
-
-def _parse_cases(raw: Any, path: str) -> tuple[WindowSpec, ...]:
-    if raw is None:
-        # Default grid: both window families at the four standard times.
-        return tuple(
-            WindowSpec(shape=shape, tau=tau)
-            for shape in ("rectangular", "gaussian")
-            for tau in DEFAULT_CASE_TAUS
-        )
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"field '{path}' must be a non-empty list")
-    cases = []
-    for index, entry in enumerate(raw):
-        entry_path = f"{path}[{index}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"field '{entry_path}' must be a mapping")
-        shape = _get_str(entry, "window", f"{entry_path}.window", required=True)
-        tau = _get_number(entry, "tau", f"{entry_path}.tau", required=True)
-        try:
-            cases.append(WindowSpec(shape=shape, tau=tau))
-        except ValueError as err:
-            raise ConfigError(f"invalid '{entry_path}': {err}") from err
-    return tuple(cases)
 
 
 def load_config(path: str | Path, overrides: Optional[dict] = None) -> ExperimentConfig:
@@ -342,14 +347,4 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> Experimen
         raise ConfigError(f"malformed YAML in {path}: {err}") from err
     if data is None:
         raise ConfigError(f"empty configuration file {path}")
-    for dotted, value in (overrides or {}).items():
-        *sections, key = dotted.split(".")
-        node = data
-        for section in sections:
-            if isinstance(node, dict) and node.get(section) is None:
-                node[section] = {}
-            node = node.get(section) if isinstance(node, dict) else None
-        # A node that is not a mapping is left for parse_config to report.
-        if isinstance(node, dict):
-            node[key] = value
-    return parse_config(data, base_dir=path.parent)
+    return parse_config(data, base_dir=path.parent, overrides=overrides)

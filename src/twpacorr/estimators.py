@@ -64,6 +64,10 @@ def _covariance_stack(values: np.ndarray, n_blocks: int) -> np.ndarray:
     """
     n = values.shape[0]
     n_blocks = max(2, min(n_blocks, n))
+    if n - math.ceil(n / n_blocks) < 2:
+        # Leaving out the largest block would keep fewer than the two shots a
+        # covariance needs (3 shots in 2 blocks); blocks of one shot keep n - 1.
+        n_blocks = n
     # Block 0 is empty, so leaving it out keeps every shot.
     counts = np.diff(np.linspace(0, n, n_blocks + 1, dtype=int), prepend=0)
     # Blocks are zero-padded to a common length; padding adds nothing to the sums.
@@ -76,8 +80,7 @@ def _covariance_stack(values: np.ndarray, n_blocks: int) -> np.ndarray:
     second = block_second.sum(axis=0) - block_second
     kept = (n - counts)[:, np.newaxis, np.newaxis]
     # With two shots each subsample keeps one, which has no covariance: NaN.
-    # Acquired data has at least acquisition.MIN_SHOTS = 3 shots, so with
-    # three or more blocks (the default is 50) every subsample keeps two.
+    # Acquired data has at least acquisition.MIN_SHOTS = 3 shots.
     with np.errstate(divide="ignore", invalid="ignore"):
         return (second - first[:, :, np.newaxis] * first[:, np.newaxis, :] / kept) / (kept - 1)
 

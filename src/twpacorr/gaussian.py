@@ -63,10 +63,10 @@ class TwpaParams:
     phase_mismatch: float = 0.0
 
     def __post_init__(self) -> None:
-        if not (self.gain_signal >= 1.0 and self.gain_idler >= 1.0):
-            raise ValueError(
-                f"gains must be >= 1, got ({self.gain_signal}, {self.gain_idler})"
-            )
+        if not self.gain_signal >= 1.0:
+            raise ValueError(f"gain_signal must be >= 1, got {self.gain_signal}")
+        if not self.gain_idler >= 1.0:
+            raise ValueError(f"gain_idler must be >= 1, got {self.gain_idler}")
         object.__setattr__(
             self, "phase_mismatch", _reduce_angle(float(self.phase_mismatch))
         )

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .acquisition import (
     AcquisitionConfig,
@@ -25,12 +24,7 @@ from .acquisition import (
     WindowSpec,
     run_experiment,
 )
-from .estimators import (
-    DEFAULT_JACKKNIFE_BLOCKS,
-    DEFAULT_PHASE_POINTS,
-    inferred_pearson,
-    phase_sweep,
-)
+from .estimators import DEFAULT_PHASE_POINTS, inferred_pearson, phase_sweep
 
 MODELS = ("abs_sinc", "gaussian")
 
@@ -151,7 +145,6 @@ def sweep_detuning(
     config: AcquisitionConfig,
     detunings: Sequence[float],
     alpha_grid: Optional[Sequence[float]] = None,
-    n_blocks: int = DEFAULT_JACKKNIFE_BLOCKS,
 ) -> DetuningSweep:
     """Run the correlation experiment across a detuning grid.
 
@@ -172,7 +165,6 @@ def sweep_detuning(
         config.chain_gain_signal,
         config.chain_gain_idler,
         alpha_grid,
-        n_blocks=n_blocks,
     )
     alpha_star = swept.alpha_star
 
@@ -187,7 +179,6 @@ def sweep_detuning(
             config.chain_gain_signal,
             config.chain_gain_idler,
             idler_rotation=alpha_star,
-            n_blocks=n_blocks,
         )
     return DetuningSweep(
         detunings=detunings,
@@ -236,6 +227,10 @@ def fit_model(
     Follows the magnitude of the correlation since the analysis always
     targets the maximum positive correlation.
     """
+    # Imported here, not at module level: scipy.optimize is most of the
+    # package's import time, and only fitting needs it.
+    from scipy.optimize import least_squares
+
     if model not in MODELS:
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     detunings = sweep.detunings

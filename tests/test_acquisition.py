@@ -17,7 +17,7 @@ from twpacorr import (
     shot_rng,
     synthesize_baseband_pair,
 )
-from twpacorr.acquisition import _CHUNK_SHOTS, _StreamCursor
+from twpacorr.acquisition import _CHUNK_SHOTS, GAUSSIAN_FLOOR, _StreamCursor
 
 from conftest import F_IDLER, F_PUMP, make_acquisition, make_band, overlap_kernel
 
@@ -32,8 +32,7 @@ class TestWindowSpec:
         assert abs(ends[1] - 1.0) < 1e-12
 
     def test_gaussian_floor_value(self):
-        window = WindowSpec("gaussian", 6e-6)
-        assert window.gaussian_floor == pytest.approx(0.15651764274967, rel=1e-10)
+        assert GAUSSIAN_FLOOR == pytest.approx(0.15651764274967, rel=1e-10)
 
     def test_rectangular_is_flat(self):
         window = WindowSpec("rectangular", 4e-6)
@@ -44,8 +43,6 @@ class TestWindowSpec:
             WindowSpec("hann", 1e-6)
         with pytest.raises(ValueError):
             WindowSpec("rectangular", 0.0)
-        with pytest.raises(ValueError):
-            WindowSpec("rectangular", 1e-6, gaussian_floor=0.1)
 
 
 class TestFrequencyPlan:
@@ -176,7 +173,7 @@ class TestSynthesize:
         band = make_band(halfwidth=2.0e6, spacing=50e3)
         plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.5e6)
         window = WindowSpec("rectangular", 6e-6)
-        with pytest.raises(ValueError, match="6.1805e"):
+        with pytest.raises(ValueError, match="detuning 500000 Hz"):
             synthesize_baseband_pair(
                 band, plan, window, "pump_on", shot_rng(1, 0, "pump_on"), 100.0 / window.tau
             )
@@ -370,10 +367,6 @@ class TestAcquisitionConfig:
     def test_default_sample_rate_is_hundred_per_window(self):
         acq = make_acquisition(window=WindowSpec("rectangular", 4e-6))
         assert acq.sample_rate == pytest.approx(100.0 / 4e-6)
-
-    def test_rejects_undersampled_window(self):
-        with pytest.raises(ValueError, match="50"):
-            make_acquisition(window=WindowSpec("rectangular", 4e-6), sample_rate=1e6)
 
     def test_rejects_bad_counts_and_gains(self):
         with pytest.raises(ValueError):

@@ -279,3 +279,17 @@ class TestAgainstShotDefinition:
         rho_shifted, se_shifted = inferred_pearson(on + 1e7, off + 1e7, 1.0, 1.0)
         assert rho_shifted == pytest.approx(rho, abs=1e-9)
         assert se_shifted == pytest.approx(se, abs=1e-9)
+
+    def test_three_shots_in_two_blocks_leave_one_shot_out(self):
+        # Leaving out the larger of two blocks of 3 shots would keep one shot,
+        # which has no covariance; the jackknife leaves out one shot instead.
+        rng = np.random.default_rng(5)
+        on = 3.0 * rng.standard_normal((3, 4))
+        off = 0.1 * rng.standard_normal((3, 4))
+        expected = reference_pearson(on, off, 1.0, 1.0, 0.0, 3)
+        got = inferred_pearson(on, off, 1.0, 1.0, n_blocks=2)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+        swept = phase_sweep(on, off, 1.0, 1.0, [0.0], n_blocks=2)
+        np.testing.assert_allclose(
+            (swept.rho_values[0], swept.rho_errors[0]), expected, rtol=0.0, atol=1e-12
+        )
