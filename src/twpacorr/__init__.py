@@ -32,12 +32,9 @@ from .gaussian import (
     QUADRATURE_ORDER,
     VACUUM_VARIANCE,
     TwpaParams,
-    is_physical,
     pearson_xx,
     physicality_min_eigenvalue,
-    rotate_covariance,
     rotate_quadrature_array,
-    sample_shots,
     squeezing_db,
     tmsvs_covariance,
 )
@@ -75,15 +72,12 @@ __all__ = [
     "fwhm_from_scale",
     "infer_tmsvs",
     "inferred_pearson",
-    "is_physical",
     "model_prediction",
     "pearson_xx",
     "phase_sweep",
     "physicality_min_eigenvalue",
-    "rotate_covariance",
     "rotate_quadrature_array",
     "run_experiment",
-    "sample_shots",
     "shot_rng",
     "squeezing_db",
     "sweep_detuning",

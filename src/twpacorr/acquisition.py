@@ -12,8 +12,9 @@ Synthesis and demodulation are linear in a shot's standard-normal draws, so
 ``run_experiment`` folds them, with the chain gains, the LO phases and the
 detection noise, into one real matrix per stage and maps each shot's draws to
 its four quadratures with one matrix product. ``synthesize_baseband_pair``
-and ``demodulate`` build the same shot trace by trace; they are the per-shot
-reference for that map.
+forms the traces themselves, for any number of shots from one synthesis
+kernel; with ``demodulate`` it is the per-shot reference for that map, and
+it is what ``simulate --dump-traces`` writes out.
 
 Conventions baked in here:
 
@@ -32,6 +33,7 @@ Conventions baked in here:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,10 @@ MIN_SHOTS = 3
 
 #: Seeds key a Philox generator, whose key is 128 bits wide.
 MAX_SEED = 2**128
+
+#: Most comb bins one band may hold; each bin costs two rows of n_samples
+#: complex phases in every synthesis kernel.
+MAX_BINS = 10_000
 
 # Every ValueError that the dataclasses below and validate_for raise begins
 # with the name of the field or argument it refuses, so the config can name
@@ -143,11 +149,19 @@ class EmissionBandModel:
             raise ValueError(f"band_halfwidth must be positive, got {self.band_halfwidth}")
         if not 0.0 < self.bin_spacing <= self.band_halfwidth:
             raise ValueError(f"bin_spacing must lie in (0, band_halfwidth], got {self.bin_spacing}")
+        if self.n_bins > MAX_BINS:
+            raise ValueError(
+                f"band_halfwidth {self.band_halfwidth:.6g} Hz holds {self.n_bins} bins of "
+                f"{self.bin_spacing:.6g} Hz, more than the {MAX_BINS} allowed"
+            )
+
+    @property
+    def n_bins(self) -> int:
+        return max(1, round(2.0 * self.band_halfwidth / self.bin_spacing))
 
     def offsets(self) -> np.ndarray:
         """Bin-center offsets from the idler demodulation frequency."""
-        n_bins = max(1, round(2.0 * self.band_halfwidth / self.bin_spacing))
-        return -self.band_halfwidth + (np.arange(n_bins) + 0.5) * self.bin_spacing
+        return -self.band_halfwidth + (np.arange(self.n_bins) + 0.5) * self.bin_spacing
 
     def validate_for(self, tau: float, detuning: float = 0.0) -> None:
         """Check that the comb stands for the continuum in one acquisition.
@@ -213,11 +227,8 @@ class ExperimentData:
     (X_s, P_s, X_i, P_i); row k of each holds shot k of that stage.
     """
 
-    plan: FrequencyPlan
-    config: AcquisitionConfig
     on: np.ndarray
     off: np.ndarray
-    stream: int = 0
 
 
 def shot_rng(seed: int, shot_index: int, stage: str, stream: int = 0) -> np.random.Generator:
@@ -326,15 +337,17 @@ class _SynthesisKernel:
         self.cholesky_on = np.linalg.cholesky(tmsvs_covariance(band.per_bin_params))
         self.cholesky_off = 0.5 * np.eye(4)
 
-    def bin_amplitudes(
-        self, rng: np.random.Generator, stage: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Complex (signal, idler) amplitudes for every bin pair of one shot."""
+    def traces(self, draws: np.ndarray, stage: str) -> tuple[np.ndarray, np.ndarray]:
+        """Complex (signal, idler) traces of a (..., n_bins, 4) stack of bin draws.
+
+        The stage's Cholesky factor mixes each bin pair's four draws into its
+        quadratures; the traces have shape (..., n_samples).
+        """
         factor = self.cholesky_on if stage == "pump_on" else self.cholesky_off
-        quads = rng.standard_normal((self.n_bins, 4)) @ factor.T
-        amp_signal = (quads[:, 0] + 1j * quads[:, 1]) * self.amplitude_scale
-        amp_idler = (quads[:, 2] + 1j * quads[:, 3]) * self.amplitude_scale
-        return amp_signal, amp_idler
+        quads = draws @ factor.T
+        amp_signal = (quads[..., 0] + 1j * quads[..., 1]) * self.amplitude_scale
+        amp_idler = (quads[..., 2] + 1j * quads[..., 3]) * self.amplitude_scale
+        return amp_signal @ self.phases_signal, amp_idler @ self.phases_idler
 
     def linear_map(self, stage: str, config: AcquisitionConfig) -> np.ndarray:
         """Real W with one shot's (X_s, P_s, X_i, P_i) = its draws @ W.
@@ -380,20 +393,23 @@ def synthesize_baseband_pair(
     plan: FrequencyPlan,
     window: WindowSpec,
     stage: str,
-    rng: np.random.Generator,
+    rngs: Iterable[np.random.Generator],
     sample_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One shot of complex baseband traces for the (signal, idler) channels.
+    """Complex baseband (signal, idler) traces, one shot per generator in ``rngs``.
 
-    For ``pump_on`` every symmetric bin pair contributes one two-mode
-    squeezed sample; ``pump_off`` replaces the bins with independent vacuum.
-    The returned traces carry no detection-chain gain or added noise.
+    Returns two (n_shots, n_samples) arrays; row k is the shot drawn from the
+    k-th generator, which is left just after its 4 n_bins bin draws. For
+    ``pump_on`` every symmetric bin pair contributes one two-mode squeezed
+    sample; ``pump_off`` replaces the bins with independent vacuum. The
+    traces carry no detection-chain gain or added noise. One synthesis
+    kernel serves every shot of the call.
     """
     if stage not in _STAGE_CODES:
         raise ValueError(f"stage must be 'pump_on' or 'pump_off', got {stage!r}")
     kernel = _SynthesisKernel(band, plan, window, sample_rate)
-    amp_signal, amp_idler = kernel.bin_amplitudes(rng, stage)
-    return amp_signal @ kernel.phases_signal, amp_idler @ kernel.phases_idler
+    draws = np.array([rng.standard_normal((kernel.n_bins, 4)) for rng in rngs])
+    return kernel.traces(draws.reshape(-1, kernel.n_bins, 4), stage)
 
 
 def demodulate(
@@ -440,9 +456,12 @@ def run_experiment(
     quadrature), and demodulates with the channel LO phases. All of that is
     linear in the shot's draws, so it runs as one matrix product per chunk of
     shots (``_SynthesisKernel.linear_map``); the traces are never formed.
-    ``synthesize_baseband_pair`` and ``demodulate`` give the same numbers
-    shot by shot. ``stream`` selects an independent substream family so
-    sweep points stay independent under a common master seed.
+    With unit chain gains and no added noise, shot k's pump-on row is the
+    ``demodulate``d trace that ``synthesize_baseband_pair`` draws from
+    ``shot_rng(seed, k, "pump_on", stream)``, so the traces that
+    ``simulate --dump-traces`` writes are the ones behind these quadratures.
+    ``stream`` selects an independent substream family so sweep points stay
+    independent under a common master seed.
     """
     kernel = _SynthesisKernel(band, plan, config.window, config.sample_rate)
     maps = {stage: kernel.linear_map(stage, config) for stage in _STAGE_CODES}
@@ -461,10 +480,4 @@ def run_experiment(
                 cursor.seek(shot, stage, stream).standard_normal(out=row)
             np.matmul(draws[: stop - start], linear_map, out=out[start:stop])
 
-    return ExperimentData(
-        plan=plan,
-        config=config,
-        on=results["pump_on"],
-        off=results["pump_off"],
-        stream=stream,
-    )
+    return ExperimentData(on=results["pump_on"], off=results["pump_off"])

@@ -78,12 +78,14 @@ def _metadata(config: ExperimentConfig) -> dict:
 
 
 def _write_csv(path: Path, meta: dict, columns, rows) -> None:
+    """Write the header lines, then ``rows`` (any iterable) one line at a time."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# {key}={_format_value(value)}" for key, value in meta.items()]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_value(value) for value in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as file:
+        for key, value in meta.items():
+            file.write(f"# {key}={_format_value(value)}\n")
+        file.write(",".join(columns) + "\n")
+        for row in rows:
+            file.write(",".join(_format_value(value) for value in row) + "\n")
     click.echo(f"wrote {path}")
 
 
@@ -106,12 +108,24 @@ def _load(config_path: str, out: str | None, overrides: dict, sweep: bool) -> Ex
     try:
         config = load_config(config_path, fields)
         config.check_coverage(sweep)
+        if out is not None:
+            config = replace(config, output_dir=Path(out))
+        _check_output_dir(config.output_dir)
     except ConfigError as err:
         click.echo(f"config error: {err}", err=True)
         sys.exit(EXIT_CONFIG_ERROR)
-    if out is not None:
-        config = replace(config, output_dir=Path(out))
     return config
+
+
+def _check_output_dir(path: Path) -> None:
+    """Refuse an output directory that names, or lies under, something not a directory."""
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ConfigError(
+                    f"field 'output_dir': cannot write into {path}: {existing} is not a directory"
+                )
+            return
 
 
 def _config_options(fn):
@@ -177,28 +191,25 @@ def simulate(config_path, out, seed, dump_traces) -> None:
     _write_json(config.output_dir / "summary.json", meta, summary)
 
     if dump_traces > 0:
-        rows = []
-        for shot in range(min(dump_traces, acq.n_shots)):
-            rng = shot_rng(acq.seed, shot, "pump_on")
-            trace_s, trace_i = synthesize_baseband_pair(
-                config.band, config.plan(), acq.window, "pump_on", rng, acq.sample_rate
-            )
-            for sample in range(trace_s.size):
-                rows.append(
-                    (
-                        shot,
-                        sample,
-                        trace_s[sample].real,
-                        trace_s[sample].imag,
-                        trace_i[sample].real,
-                        trace_i[sample].imag,
-                    )
-                )
+        shots = range(min(dump_traces, acq.n_shots))
+        traces_s, traces_i = synthesize_baseband_pair(
+            config.band,
+            config.plan(),
+            acq.window,
+            "pump_on",
+            (shot_rng(acq.seed, shot, "pump_on") for shot in shots),
+            acq.sample_rate,
+        )
+        table = np.stack([traces_s.real, traces_s.imag, traces_i.real, traces_i.imag], axis=-1)
         _write_csv(
             config.output_dir / "traces_pump_on.csv",
             meta,
             ("shot", "sample", "signal_re", "signal_im", "idler_re", "idler_im"),
-            rows,
+            (
+                (shot, sample, *values)
+                for shot, trace in zip(shots, table)
+                for sample, values in enumerate(trace.tolist())
+            ),
         )
 
 

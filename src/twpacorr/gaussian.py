@@ -32,9 +32,6 @@ OMEGA = np.array(
 
 _MODES = {"signal": 0, "idler": 2}
 
-#: Worst acceptable negativity when checking positive semidefiniteness.
-PSD_TOLERANCE = 1e-9
-
 
 def _reduce_angle(theta: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
@@ -127,15 +124,6 @@ def rotate_quadrature_array(values: np.ndarray, mode: str, angle: float) -> np.n
     return out
 
 
-def rotate_covariance(cov: np.ndarray, mode: str, angle: float) -> np.ndarray:
-    """Covariance of a state whose ``mode`` quadratures were rotated by ``angle``."""
-    col = _mode_column(mode)
-    c, s = math.cos(angle), math.sin(angle)
-    block = np.eye(4)
-    block[col : col + 2, col : col + 2] = np.array([[c, s], [-s, c]])
-    return block @ np.asarray(cov, dtype=float) @ block.T
-
-
 def _mode_column(mode: str) -> int:
     try:
         return _MODES[mode]
@@ -186,42 +174,3 @@ def physicality_min_eigenvalue(cov: np.ndarray) -> float:
     cov = np.asarray(cov, dtype=float)
     hermitian = cov + 0.25j * OMEGA
     return float(np.linalg.eigvalsh(hermitian)[0])
-
-
-def is_physical(cov: np.ndarray, tol: float = PSD_TOLERANCE) -> bool:
-    """True if the covariance satisfies the uncertainty bound within ``tol``."""
-    return physicality_min_eigenvalue(cov) >= -tol
-
-
-def sample_shots(cov: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` zero-mean Gaussian quadrature samples with covariance ``cov``.
-
-    Returns an (n, 4) array in :data:`QUADRATURE_ORDER`. Uses a Cholesky
-    factorization with a single diagonal-jitter retry for marginally
-    semidefinite inputs (e.g. matrices inferred by subtraction). Output is
-    bit-reproducible for a fixed (cov, n, seed) on a given platform.
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 covariance, got shape {cov.shape}")
-    if not np.allclose(cov, cov.T, atol=1e-12, rtol=0.0):
-        raise ValueError("covariance must be symmetric to 1e-12")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    min_eig = float(np.linalg.eigvalsh(cov)[0])
-    if min_eig < -PSD_TOLERANCE:
-        raise ValueError(
-            f"covariance is not positive semidefinite (min eigenvalue {min_eig:.3e})"
-        )
-    factor = _cholesky_with_jitter(cov)
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, 4)) @ factor.T
-
-
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    # One jitter retry only: inferred matrices can sit a hair below PSD.
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * float(np.trace(cov)) / 4.0
-        return np.linalg.cholesky(cov + jitter * np.eye(4))

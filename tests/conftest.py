@@ -49,6 +49,11 @@ def overlap_kernel(window: WindowSpec, detunings) -> np.ndarray:
     return np.array(values) / norm
 
 
+def gaussian_shots(cov, n: int, seed: int) -> np.ndarray:
+    """``n`` zero-mean (n, 4) quadrature samples with covariance ``cov``."""
+    return np.random.default_rng(seed).standard_normal((n, 4)) @ np.linalg.cholesky(cov).T
+
+
 def make_band(twpa=None, halfwidth=2.7e6, spacing=60e3) -> EmissionBandModel:
     if twpa is None:
         twpa = TwpaParams(2.0, 2.0, 0.0)

@@ -17,7 +17,7 @@ from twpacorr import (
     shot_rng,
     synthesize_baseband_pair,
 )
-from twpacorr.acquisition import _CHUNK_SHOTS, GAUSSIAN_FLOOR, _StreamCursor
+from twpacorr.acquisition import _CHUNK_SHOTS, GAUSSIAN_FLOOR, MAX_BINS, _StreamCursor
 
 from conftest import F_IDLER, F_PUMP, make_acquisition, make_band, overlap_kernel
 
@@ -75,6 +75,11 @@ class TestEmissionBandModel:
         band = make_band(halfwidth=5e6, spacing=100e3)
         with pytest.raises(ValueError, match="bin_spacing"):
             band.validate_for(6e-6)
+
+    def test_rejects_more_bins_than_the_bound(self):
+        assert make_band(halfwidth=MAX_BINS * 30e3, spacing=60e3).n_bins == MAX_BINS
+        with pytest.raises(ValueError, match="^band_halfwidth"):
+            make_band(halfwidth=1e12, spacing=60e3)
 
     def test_validate_for_flags_narrow_band(self):
         band = make_band(halfwidth=1e6, spacing=20e3)
@@ -160,12 +165,9 @@ class TestSynthesize:
         rate = 100.0 / window.tau
         density = window.tau / 2.0
         expected = 2.0 * band.band_halfwidth * density
-        powers = []
-        for shot in range(1000):
-            rng = shot_rng(11, shot, "pump_off")
-            trace_s, _ = synthesize_baseband_pair(band, plan, window, "pump_off", rng, rate)
-            powers.append(np.mean(np.abs(trace_s) ** 2))
-        powers = np.array(powers)
+        rngs = (shot_rng(11, shot, "pump_off") for shot in range(1000))
+        traces_s, _ = synthesize_baseband_pair(band, plan, window, "pump_off", rngs, rate)
+        powers = np.mean(np.abs(traces_s) ** 2, axis=1)
         se = powers.std(ddof=1) / math.sqrt(powers.size)
         assert abs(powers.mean() - expected) <= 3.0 * se
 
@@ -175,7 +177,7 @@ class TestSynthesize:
         window = WindowSpec("rectangular", 6e-6)
         with pytest.raises(ValueError, match="detuning 500000 Hz"):
             synthesize_baseband_pair(
-                band, plan, window, "pump_on", shot_rng(1, 0, "pump_on"), 100.0 / window.tau
+                band, plan, window, "pump_on", [shot_rng(1, 0, "pump_on")], 100.0 / window.tau
             )
 
     def test_rejects_unknown_stage(self):
@@ -183,7 +185,7 @@ class TestSynthesize:
         plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.0)
         with pytest.raises(ValueError, match="stage"):
             synthesize_baseband_pair(
-                band, plan, WindowSpec("rectangular", 6e-6), "idle", shot_rng(1, 0, "pump_on"), 1e7
+                band, plan, WindowSpec("rectangular", 6e-6), "idle", [shot_rng(1, 0, "pump_on")], 1e7
             )
 
     def test_trace_length(self):
@@ -191,10 +193,35 @@ class TestSynthesize:
         plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.0)
         window = WindowSpec("gaussian", 4e-6)
         rate = 80.0 / window.tau
-        trace_s, trace_i = synthesize_baseband_pair(
-            band, plan, window, "pump_on", shot_rng(1, 0, "pump_on"), rate
+        traces_s, traces_i = synthesize_baseband_pair(
+            band, plan, window, "pump_on", [shot_rng(1, 0, "pump_on")], rate
         )
-        assert trace_s.size == trace_i.size == 80
+        assert traces_s.shape == traces_i.shape == (1, 80)
+
+    def test_one_call_matches_one_call_per_generator(self):
+        # One kernel for several shots gives each shot's own traces and
+        # leaves each generator just after its bin draws.
+        band = make_band()
+        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.2e6)
+        window = WindowSpec("gaussian", 6e-6)
+        rate = 100.0 / window.tau
+        shots = (0, 5, 9)
+        batched = [shot_rng(3, shot, "pump_on", 1) for shot in shots]
+        traces = np.stack(synthesize_baseband_pair(band, plan, window, "pump_on", batched, rate))
+        for row, (shot, rng) in enumerate(zip(shots, batched)):
+            single = shot_rng(3, shot, "pump_on", 1)
+            expected = np.stack(synthesize_baseband_pair(band, plan, window, "pump_on", [single], rate))
+            np.testing.assert_allclose(
+                traces[:, row], expected[:, 0], rtol=0.0, atol=1e-12 * np.abs(expected).max()
+            )
+            np.testing.assert_array_equal(rng.standard_normal(4), single.standard_normal(4))
+
+    def test_no_generators_give_no_traces(self):
+        band = make_band()
+        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.0)
+        window = WindowSpec("rectangular", 6e-6)
+        traces_s, traces_i = synthesize_baseband_pair(band, plan, window, "pump_on", [], 100.0 / window.tau)
+        assert traces_s.shape == traces_i.shape == (0, 100)
 
 
 class TestStreams:
@@ -245,8 +272,8 @@ class TestRunExperiment:
         data = run_experiment(plan_matched, band, acq)
         for shot in (0, 3):
             rng = shot_rng(acq.seed, shot, "pump_on")
-            trace_s, trace_i = synthesize_baseband_pair(
-                band, plan_matched, window, "pump_on", rng, acq.sample_rate
+            (trace_s,), (trace_i,) = synthesize_baseband_pair(
+                band, plan_matched, window, "pump_on", [rng], acq.sample_rate
             )
             x_s, p_s = demodulate(trace_s, window, acq.lo_phase_signal, acq.sample_rate)
             x_i, p_i = demodulate(trace_i, window, acq.lo_phase_idler, acq.sample_rate)
@@ -290,7 +317,7 @@ class TestRunExperiment:
             expected = []
             for shot in shots:
                 rng = shot_rng(acq.seed, shot, stage, stream=2)
-                traces = synthesize_baseband_pair(band, plan, window, stage, rng, rate)
+                traces = [t[0] for t in synthesize_baseband_pair(band, plan, window, stage, [rng], rate)]
                 noise = rng.standard_normal(4 * n_samples).reshape(2, 2 * n_samples)
                 row = []
                 for trace, gain, sigma, lo_phase, n in zip(traces, gains, sigmas, lo_phases, noise):

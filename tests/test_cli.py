@@ -8,6 +8,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from twpacorr import demodulate, run_experiment
 from twpacorr.cli import main
 from twpacorr.config import ConfigError, load_config
 
@@ -195,6 +196,29 @@ class TestSimulate:
         rows = read_csv_rows(tmp_path / "run" / "traces_pump_on.csv")
         assert rows[0] == "shot,sample,signal_re,signal_im,idler_re,idler_im"
         assert len(rows) == 1 + 2 * 100  # header + 2 shots x 100 samples
+
+    def test_dumped_traces_demodulate_to_the_acquired_shots(self, tmp_path):
+        # Unit chain gains and no added noise: demodulating dumped trace k
+        # gives shot k of the pump-on stage, to the CSV's 9 digits.
+        path = write_config(tmp_path)
+        result = CliRunner().invoke(
+            main,
+            ["simulate", "--config", str(path), "--out", str(tmp_path / "run"), "--dump-traces", "3"],
+        )
+        assert result.exit_code == 0, result.output
+        config = load_config(path)
+        acq = config.acquisition
+        shots = run_experiment(config.plan(), config.band, acq).on
+        rows = read_csv_rows(tmp_path / "run" / "traces_pump_on.csv")[1:]
+        table = np.array([[float(x) for x in row.split(",")] for row in rows])
+        traces = table[:, 2:].reshape(3, 100, 4)
+        for shot, trace in enumerate(traces):
+            assert np.array_equal(table[100 * shot : 100 * (shot + 1), :2].T, [[shot] * 100, range(100)])
+            x_s, p_s = demodulate(trace[:, 0] + 1j * trace[:, 1], acq.window, 0.0, acq.sample_rate)
+            x_i, p_i = demodulate(trace[:, 2] + 1j * trace[:, 3], acq.window, 0.0, acq.sample_rate)
+            np.testing.assert_allclose(
+                [x_s, p_s, x_i, p_i], shots[shot], rtol=0.0, atol=1e-8 * np.abs(trace).max()
+            )
 
     def test_unphysical_inference_is_numerical_failure(self, tmp_path):
         # Ten quanta of added noise at 400 shots leave the inferred

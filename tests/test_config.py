@@ -41,6 +41,7 @@ BAD_VALUES = [
     ("halfwidth-text", {"band.halfwidth": "wide"}, "band.halfwidth"),
     ("halfwidth-nan", {"band.halfwidth": NAN}, "band.halfwidth"),
     ("halfwidth-zero", {"band.halfwidth": 0.0}, "band.halfwidth"),
+    ("halfwidth-too-many-bins", {"band.halfwidth": 1e12}, "band.halfwidth"),
     ("bin_spacing-list", {"band.bin_spacing": [60e3]}, "band.bin_spacing"),
     ("bin_spacing-inf", {"band.bin_spacing": INF}, "band.bin_spacing"),
     ("bin_spacing-negative", {"band.bin_spacing": -60e3}, "band.bin_spacing"),
@@ -144,6 +145,31 @@ def test_bad_value_is_refused_by_field(tmp_path, command, changes, field):
 )
 def test_uncovered_acquisition_is_refused_before_any_shot(tmp_path, changes, options, command, field):
     assert_refused(tmp_path, changes, options, command, field)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("where", ["--out", "output_dir"])
+def test_output_path_through_a_file_is_refused(tmp_path, monkeypatch, command, where):
+    import twpacorr.cli as cli_module
+
+    def acquire(*args, **kwargs):
+        raise AssertionError("acquisition ran")
+
+    monkeypatch.setattr(cli_module, "run_experiment", acquire)
+    monkeypatch.setattr(cli_module, "sweep_detuning", acquire)
+    blocker = tmp_path / "F"
+    blocker.write_text("keep\n")
+    # --out names the file itself; output_dir names a directory under it.
+    out = blocker if where == "--out" else blocker / "run"
+    changes = {"output_dir": str(out)} if where == "output_dir" else {}
+    options = ["--out", str(out)] if where == "--out" else []
+    config = write_config(tmp_path, overrides=changes)
+    result = CliRunner().invoke(main, [command, "--config", str(config), *options])
+    assert result.exit_code == 2, result.output
+    assert "'output_dir'" in result.output and str(out) in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert blocker.read_text() == "keep\n"
 
 
 def test_every_field_has_a_bad_value_case():

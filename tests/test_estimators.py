@@ -17,12 +17,11 @@ from twpacorr import (
     phase_sweep,
     rotate_quadrature_array,
     run_experiment,
-    sample_shots,
     tmsvs_covariance,
 )
 from twpacorr.estimators import CovarianceEstimate
 
-from conftest import F_IDLER, F_PUMP, make_acquisition, make_band
+from conftest import F_IDLER, F_PUMP, gaussian_shots, make_acquisition, make_band
 
 
 class TestEstimateCovariance:
@@ -37,17 +36,17 @@ class TestEstimateCovariance:
             estimate_covariance(np.ones((1, 4)))
 
     def test_vacuum_samples_within_three_se(self):
-        shots = sample_shots(0.25 * np.eye(4), 10**6, seed=8)
+        shots = gaussian_shots(0.25 * np.eye(4), 10**6, seed=8)
         est = estimate_covariance(shots)
         assert np.all(np.abs(est.matrix - 0.25 * np.eye(4)) <= 3.0 * est.standard_errors)
 
     def test_known_covariance_within_three_se(self):
         cov = tmsvs_covariance(TwpaParams(2.0, 2.0, 0.0))
-        est = estimate_covariance(sample_shots(cov, 10**5, seed=12))
+        est = estimate_covariance(gaussian_shots(cov, 10**5, seed=12))
         assert np.all(np.abs(est.matrix - cov) <= 3.0 * est.standard_errors)
 
     def test_standard_error_formula(self):
-        shots = sample_shots(tmsvs_covariance(TwpaParams(3.0, 2.0, 0.2)), 500, seed=4)
+        shots = gaussian_shots(tmsvs_covariance(TwpaParams(3.0, 2.0, 0.2)), 500, seed=4)
         est = estimate_covariance(shots)
         diag = np.diag(est.matrix)
         expected = np.sqrt((np.outer(diag, diag) + est.matrix**2) / (500 - 1))
@@ -60,7 +59,7 @@ class TestEstimateCovariance:
         for j, n in enumerate((10**3, 10**4, 10**5)):
             runs = [
                 np.linalg.norm(
-                    estimate_covariance(sample_shots(cov, n, seed=300 + 37 * j + k)).matrix - cov
+                    estimate_covariance(gaussian_shots(cov, n, seed=300 + 37 * j + k)).matrix - cov
                 )
                 for k in range(10)
             ]
@@ -71,13 +70,13 @@ class TestEstimateCovariance:
 
 class TestInferTmsvs:
     def test_identical_stages_restore_vacuum_exactly(self):
-        shots = sample_shots(tmsvs_covariance(TwpaParams(2.0, 3.0, 0.1)), 200, seed=6)
+        shots = gaussian_shots(tmsvs_covariance(TwpaParams(2.0, 3.0, 0.1)), 200, seed=6)
         est = estimate_covariance(shots)
         inferred = infer_tmsvs(est, est, 1.0, 1.0)
         assert np.array_equal(inferred, 0.25 * np.eye(4))
 
     def test_vacuum_restoration_any_gains(self):
-        est = estimate_covariance(sample_shots(0.25 * np.eye(4), 100, seed=1))
+        est = estimate_covariance(gaussian_shots(0.25 * np.eye(4), 100, seed=1))
         inferred = infer_tmsvs(est, est, 250.0, 9.0)
         assert np.array_equal(inferred, 0.25 * np.eye(4))
 
