@@ -28,7 +28,7 @@ from .gaussian import (
     rotate_quadrature_array,
     squeezing_db,
 )
-from .linewidth import compare_windows, default_model_for, fit_model, sweep_detuning
+from .linewidth import compare_windows, fit_model, sweep_detuning
 
 EXIT_CONFIG_ERROR = 2
 EXIT_NUMERICAL_FAILURE = 3
@@ -155,7 +155,7 @@ def main() -> None:
 
 @main.command()
 @_config_options
-@click.option("--dump-traces", default=0, type=int, help="Also dump the first N pump-on baseband traces.")
+@click.option("--dump-traces", default=0, type=click.IntRange(min=0), help="Also dump the first N pump-on baseband traces.")
 def simulate(config_path, out, seed, dump_traces) -> None:
     """Run one pump-on/off experiment and report the inferred covariance."""
     config = _load(config_path, out, {"seed": seed}, sweep=False)
@@ -217,9 +217,12 @@ def _parse_angle_list(ctx, param, raw: str | None) -> list[float]:
     if raw is None or raw.strip() == "":
         return []
     try:
-        return [float(part) for part in raw.split(",")]
+        angles = [float(part) for part in raw.split(",")]
     except ValueError:
         raise click.BadParameter(f"invalid angle list {raw!r}") from None
+    if not all(math.isfinite(angle) for angle in angles):
+        raise click.BadParameter(f"angles must be finite, got {raw!r}")
+    return angles
 
 
 @main.command("phase-sweep")
@@ -259,7 +262,7 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
     )
 
     for angle_deg in dump_shots:
-        rotated = rotate_quadrature_array(data.on, "idler", math.radians(angle_deg))
+        rotated = rotate_quadrature_array(data.on, math.radians(angle_deg))
         x_signal = rotated[:, 0] / math.sqrt(acq.chain_gain_signal)
         x_idler = rotated[:, 2] / math.sqrt(acq.chain_gain_idler)
         rows = list(zip(x_signal, x_idler))
@@ -291,7 +294,7 @@ def _run_linewidth_cases(config: ExperimentConfig, strict):
         acq = replace(config.acquisition, window=window)
         try:
             sweep = sweep_detuning(plan, config.band, acq, detunings, alpha_grid=alpha_grid)
-            fit = fit_model(sweep, default_model_for(window))
+            fit = fit_model(sweep)
         except ValueError as err:
             click.echo(f"case {label}: numerical failure: {err}", err=True)
             if strict:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .gaussian import VACUUM_VARIANCE, pearson_xx, rotate_quadrature_array
 
-DEFAULT_JACKKNIFE_BLOCKS = 50
+#: Contiguous blocks of the leave-one-block-out jackknife (one shot each below 50 shots).
+JACKKNIFE_BLOCKS = 50
 #: Default number of angles in a phase grid over [0, 2 pi].
 DEFAULT_PHASE_POINTS = 73
 
@@ -26,7 +27,6 @@ class CovarianceEstimate:
     """Sample covariance with entrywise standard errors."""
 
     matrix: np.ndarray
-    n_shots: int
     standard_errors: np.ndarray
 
 
@@ -53,21 +53,17 @@ def _as_shot_array(shots) -> np.ndarray:
     return values
 
 
-def _covariance_stack(values: np.ndarray, n_blocks: int) -> np.ndarray:
+def _covariance_stack(values: np.ndarray) -> np.ndarray:
     """Sample covariances (n - 1 divisor) of all shots and of each jackknife subsample.
 
     Returns a (B + 1, 4, 4) stack: entry 0 uses every shot, entry k + 1
-    leaves out the k-th of B contiguous blocks. The shots are centered on
-    their overall mean before the per-block moment sums are taken, so a
-    large common offset cannot cancel catastrophically; centering changes
-    none of the covariances.
+    leaves out the k-th of B = min(JACKKNIFE_BLOCKS, n) contiguous blocks.
+    The shots are centered on their overall mean before the per-block moment
+    sums are taken, so a large common offset cannot cancel catastrophically;
+    centering changes none of the covariances.
     """
     n = values.shape[0]
-    n_blocks = max(2, min(n_blocks, n))
-    if n - math.ceil(n / n_blocks) < 2:
-        # Leaving out the largest block would keep fewer than the two shots a
-        # covariance needs (3 shots in 2 blocks); blocks of one shot keep n - 1.
-        n_blocks = n
+    n_blocks = min(JACKKNIFE_BLOCKS, n)
     # Block 0 is empty, so leaving it out keeps every shot.
     counts = np.diff(np.linspace(0, n, n_blocks + 1, dtype=int), prepend=0)
     # Blocks are zero-padded to a common length; padding adds nothing to the sums.
@@ -96,11 +92,10 @@ def estimate_covariance(shots) -> CovarianceEstimate:
     n = values.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 shots to estimate a covariance, got {n}")
-    # Entry 0 uses every shot whatever the blocking.
-    matrix = _covariance_stack(values, DEFAULT_JACKKNIFE_BLOCKS)[0]
+    matrix = _covariance_stack(values)[0]
     diag = np.diag(matrix)
     standard_errors = np.sqrt((np.outer(diag, diag) + matrix**2) / (n - 1))
-    return CovarianceEstimate(matrix=matrix, n_shots=n, standard_errors=standard_errors)
+    return CovarianceEstimate(matrix=matrix, standard_errors=standard_errors)
 
 
 def _subtract_background(
@@ -139,14 +134,12 @@ def infer_tmsvs(
 
 
 def _inferred_stack(
-    shots_on, shots_off, chain_gain_signal: float, chain_gain_idler: float, n_blocks: int
+    shots_on, shots_off, chain_gain_signal: float, chain_gain_idler: float
 ) -> np.ndarray:
     """Inferred covariance of all shots, then of each leave-one-block-out subsample."""
-    on = _as_shot_array(shots_on)
-    off = _as_shot_array(shots_off)
     return _subtract_background(
-        _covariance_stack(on, n_blocks),
-        _covariance_stack(off, n_blocks),
+        _covariance_stack(_as_shot_array(shots_on)),
+        _covariance_stack(_as_shot_array(shots_off)),
         chain_gain_signal,
         chain_gain_idler,
     )
@@ -159,8 +152,8 @@ def _rotate_idler(stack: np.ndarray, angle: float) -> np.ndarray:
     the rotation acts on the idler block alone, where the chain scaling is
     a multiple of the identity, and it leaves the vacuum term unchanged.
     """
-    rotated_rows = rotate_quadrature_array(stack, "idler", angle)
-    return rotate_quadrature_array(np.swapaxes(rotated_rows, -1, -2), "idler", angle)
+    rotated_rows = rotate_quadrature_array(stack, angle)
+    return rotate_quadrature_array(np.swapaxes(rotated_rows, -1, -2), angle)
 
 
 def _pearson_with_jackknife(stack: np.ndarray) -> tuple[float, float]:
@@ -179,14 +172,13 @@ def inferred_pearson(
     chain_gain_signal: float,
     chain_gain_idler: float,
     idler_rotation: float = 0.0,
-    n_blocks: int = DEFAULT_JACKKNIFE_BLOCKS,
 ) -> tuple[float, float]:
     """Pearson rho of the inferred covariance, with a block-jackknife SE.
 
     Both stages get the same idler rotation, mirroring the phase-sweep
     convention; it is applied to the inferred covariances, not the shots.
     """
-    stack = _inferred_stack(shots_on, shots_off, chain_gain_signal, chain_gain_idler, n_blocks)
+    stack = _inferred_stack(shots_on, shots_off, chain_gain_signal, chain_gain_idler)
     return _pearson_with_jackknife(_rotate_idler(stack, idler_rotation))
 
 
@@ -196,7 +188,6 @@ def phase_sweep(
     chain_gain_signal: float,
     chain_gain_idler: float,
     alphas: Sequence[float],
-    n_blocks: int = DEFAULT_JACKKNIFE_BLOCKS,
 ) -> PhaseSweepResult:
     """Pearson correlation versus idler rotation angle.
 
@@ -211,7 +202,7 @@ def phase_sweep(
     alphas = np.asarray(alphas, dtype=float)
     if alphas.size == 0:
         raise ValueError("phase grid must contain at least one angle")
-    stack = _inferred_stack(shots_on, shots_off, chain_gain_signal, chain_gain_idler, n_blocks)
+    stack = _inferred_stack(shots_on, shots_off, chain_gain_signal, chain_gain_idler)
     rho_values, rho_errors = np.array(
         [_pearson_with_jackknife(_rotate_idler(stack, alpha)) for alpha in alphas]
     ).T

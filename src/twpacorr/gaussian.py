@@ -30,8 +30,6 @@ OMEGA = np.array(
     ]
 )
 
-_MODES = {"signal": 0, "idler": 2}
-
 
 def _reduce_angle(theta: float) -> float:
     """Reduce an angle to the interval (-pi, pi]."""
@@ -103,32 +101,24 @@ def tmsvs_covariance(params: TwpaParams) -> np.ndarray:
     )
 
 
-def rotate_quadrature_array(values: np.ndarray, mode: str, angle: float) -> np.ndarray:
-    """Rotate the (X, P) pair of one mode by ``angle`` radians in every row.
+def rotate_quadrature_array(values: np.ndarray, angle: float) -> np.ndarray:
+    """Rotate the idler's (X, P) pair by ``angle`` radians in every row.
 
     ``values`` is any (..., 4) array whose last axis is in
     :data:`QUADRATURE_ORDER`: an (n, 4) batch of shots, or the rows of a
     (..., 4, 4) covariance stack (rotating the rows and then the columns
     gives R C R^T). Applies
-    (X', P') = (X cos a + P sin a, -X sin a + P cos a) to the chosen mode and
-    leaves the other mode untouched.
+    (X_i', P_i') = (X_i cos a + P_i sin a, -X_i sin a + P_i cos a) and leaves
+    the signal untouched.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 0 or values.shape[-1] != 4:
         raise ValueError(f"expected a (..., 4) array, got shape {values.shape}")
-    col = _mode_column(mode)
     c, s = math.cos(angle), math.sin(angle)
     rotation = np.array([[c, -s], [s, c]])
     out = values.copy()
-    out[..., col : col + 2] = values[..., col : col + 2] @ rotation
+    out[..., 2:4] = values[..., 2:4] @ rotation
     return out
-
-
-def _mode_column(mode: str) -> int:
-    try:
-        return _MODES[mode]
-    except KeyError:
-        raise ValueError(f"mode must be 'signal' or 'idler', got {mode!r}") from None
 
 
 def pearson_xx(cov: np.ndarray) -> float | np.ndarray:

@@ -1,9 +1,10 @@
 """Detuning sweeps and linewidth extraction.
 
 Runs the two-mode correlation experiment across a detuning grid, fits the
-frequency-domain response with either ``|A sinc(xi df)|`` (rectangular
-windows) or ``A exp(-(xi df)^2 / 2)`` (gaussian windows), and reduces fits
-to FWHM, SNR and side-lobe figures for window comparisons.
+frequency-domain response with the model its window shape fixes,
+``|A sinc(xi df)|`` for rectangular windows and ``A exp(-(xi df)^2 / 2)``
+for gaussian ones (:data:`MODEL_FOR_SHAPE`), and reduces fits to FWHM, SNR
+and side-lobe figures for window comparisons.
 
 The sinc convention is fixed to sinc(x) = sin(x)/x with sinc(0) = 1; every
 half-max and lobe constant below follows from that choice.
@@ -26,7 +27,9 @@ from .acquisition import (
 )
 from .estimators import DEFAULT_PHASE_POINTS, inferred_pearson, phase_sweep
 
-MODELS = ("abs_sinc", "gaussian")
+#: The response model fitted to a sweep, by its window's shape.
+MODEL_FOR_SHAPE = {"rectangular": "abs_sinc", "gaussian": "gaussian"}
+MODELS = tuple(MODEL_FOR_SHAPE.values())
 
 #: Positive root of sinc(x) = 1/2; the half width of |sinc| at half maximum.
 SINC_HALF_MAX_ARG = 1.8954942670339809
@@ -53,7 +56,6 @@ class DetuningSweep:
     rho_errors: np.ndarray
     window: WindowSpec
     alpha_star: float = 0.0
-    n_shots: int = 0
 
     def __post_init__(self) -> None:
         detunings = np.asarray(self.detunings, dtype=float)
@@ -90,7 +92,6 @@ class WindowComparison:
 
     window: str
     tau: float
-    amplitude: float
     fwhm: float
     snr: float
     fwhm_tau: float
@@ -133,10 +134,6 @@ def fwhm_from_scale(model: str, scale_xi: float) -> float:
     if model == "gaussian":
         return 2.0 * GAUSSIAN_HALF_MAX_ARG / scale_xi
     raise ValueError(f"model must be one of {MODELS}, got {model!r}")
-
-
-def default_model_for(window: WindowSpec) -> str:
-    return "abs_sinc" if window.shape == "rectangular" else "gaussian"
 
 
 def sweep_detuning(
@@ -186,7 +183,6 @@ def sweep_detuning(
         rho_errors=rho_errors,
         window=config.window,
         alpha_star=alpha_star,
-        n_shots=config.n_shots,
     )
 
 
@@ -215,15 +211,13 @@ def _initial_guess(model: str, detunings: np.ndarray, magnitudes: np.ndarray) ->
     return amplitude, constant / half_crossing
 
 
-def fit_model(
-    sweep: DetuningSweep,
-    model: str,
-    initial_guess: Optional[tuple[float, float]] = None,
-) -> LinewidthFit:
+def fit_model(sweep: DetuningSweep) -> LinewidthFit:
     """Weighted nonlinear least-squares fit of |rho| versus detuning.
 
+    The model m follows the sweep's window shape (:data:`MODEL_FOR_SHAPE`).
     Minimizes sum(((|rho_k| - m(df_k)) / se_k)^2) with inverse-variance
-    weights when per-point errors are available (unweighted otherwise).
+    weights when per-point errors are available (unweighted otherwise),
+    starting from the curve's peak and its half-maximum crossing.
     Follows the magnitude of the correlation since the analysis always
     targets the maximum positive correlation.
     """
@@ -231,8 +225,7 @@ def fit_model(
     # package's import time, and only fitting needs it.
     from scipy.optimize import least_squares
 
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    model = MODEL_FOR_SHAPE[sweep.window.shape]
     detunings = sweep.detunings
     magnitudes = np.abs(sweep.rho_values)
     if float(np.ptp(magnitudes)) < 1e-12:
@@ -244,10 +237,7 @@ def fit_model(
     else:
         weights = np.ones_like(magnitudes)
 
-    if initial_guess is None:
-        amplitude0, scale0 = _initial_guess(model, detunings, magnitudes)
-    else:
-        amplitude0, scale0 = initial_guess
+    amplitude0, scale0 = _initial_guess(model, detunings, magnitudes)
     amplitude0 = min(max(amplitude0, 1e-9), MAX_AMPLITUDE)
     scale0 = max(scale0, 1e-12)
 
@@ -324,7 +314,6 @@ def compare_windows(
             WindowComparison(
                 window=sweep.window.shape,
                 tau=sweep.window.tau,
-                amplitude=fit.amplitude,
                 fwhm=fit.fwhm,
                 snr=fit.snr,
                 fwhm_tau=fit.fwhm * sweep.window.tau,

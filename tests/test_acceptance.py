@@ -38,6 +38,9 @@ from twpacorr.linewidth import SINC_FIRST_LOBE_LEVEL, _model_jacobian
 
 from conftest import F_IDLER, F_PUMP, overlap_kernel
 
+# Deselect with -m "not acceptance" for a quick loop; tier-1 runs it.
+pytestmark = pytest.mark.acceptance
+
 ACCEPT_SEED = 20260810
 ALT_SEED = 977003
 
@@ -74,8 +77,7 @@ def _finish(criterion: int, name: str, failures: list) -> None:
 def _run_sweep_case(shape: str, tau: float, seed: int = ACCEPT_SEED):
     detunings = np.linspace(-SWEEP_SPAN / 2.0, SWEEP_SPAN / 2.0, SWEEP_POINTS)
     sweep = sweep_detuning(PLAN, BAND, _acquisition(tau, shape, seed), detunings)
-    model = "abs_sinc" if shape == "rectangular" else "gaussian"
-    return sweep, fit_model(sweep, model)
+    return sweep, fit_model(sweep)
 
 
 @pytest.fixture(scope="session")

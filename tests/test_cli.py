@@ -57,6 +57,17 @@ def read_csv_rows(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
 
+@pytest.fixture
+def no_acquisition(monkeypatch):
+    """Make any acquisition fail, for options that must be refused before one."""
+    import twpacorr.cli as cli_module
+
+    def acquire(*args, **kwargs):
+        raise AssertionError("acquisition ran")
+
+    monkeypatch.setattr(cli_module, "run_experiment", acquire)
+
+
 class TestConfigValidation:
     def test_missing_tau_names_field(self, tmp_path):
         path = write_config(tmp_path, drop=["acquisition.window.tau"])
@@ -197,6 +208,17 @@ class TestSimulate:
         assert rows[0] == "shot,sample,signal_re,signal_im,idler_re,idler_im"
         assert len(rows) == 1 + 2 * 100  # header + 2 shots x 100 samples
 
+    def test_negative_dump_traces_is_usage_error(self, tmp_path, no_acquisition):
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(path), "--out", str(out), "--dump-traces", "-5"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "--dump-traces" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_dumped_traces_demodulate_to_the_acquired_shots(self, tmp_path):
         # Unit chain gains and no added noise: demodulating dumped trace k
         # gives shot k of the pump-on stage, to the CSV's 9 digits.
@@ -294,6 +316,19 @@ class TestPhaseSweepCommand:
             rows = read_csv_rows(tmp_path / "run" / f"shots_alpha_{angle}deg.csv")
             assert rows[0] == "x_signal,x_idler"
             assert len(rows) == 1 + 400
+
+    @pytest.mark.parametrize("angles", ["inf,10", "nan", "-inf"])
+    def test_non_finite_dump_angle_is_usage_error(self, tmp_path, no_acquisition, angles):
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main,
+            ["phase-sweep", "--config", str(path), "--out", str(out), "--dump-shots", angles],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--dump-shots" in result.output and "finite" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
 
 class TestLinewidthCommand:

@@ -90,10 +90,8 @@ class TestInferTmsvs:
     def test_gain_normalization_uses_geometric_mean_cross_block(self):
         matrix = np.arange(16, dtype=float).reshape(4, 4)
         matrix = (matrix + matrix.T) / 2.0
-        on = CovarianceEstimate(matrix=matrix, n_shots=10, standard_errors=np.zeros((4, 4)))
-        off = CovarianceEstimate(
-            matrix=np.zeros((4, 4)), n_shots=10, standard_errors=np.zeros((4, 4))
-        )
+        on = CovarianceEstimate(matrix=matrix, standard_errors=np.zeros((4, 4)))
+        off = CovarianceEstimate(matrix=np.zeros((4, 4)), standard_errors=np.zeros((4, 4)))
         g_s, g_i = 4.0, 9.0
         inferred = infer_tmsvs(on, off, g_s, g_i) - 0.25 * np.eye(4)
         np.testing.assert_allclose(inferred[:2, :2], matrix[:2, :2] / g_s, rtol=1e-12)
@@ -163,7 +161,7 @@ class TestPhaseSweep:
     def test_idler_power_is_rotation_invariant(self, ideal_experiment):
         powers = []
         for alpha in (0.0, 0.9, 2.2):
-            rotated = rotate_quadrature_array(ideal_experiment.on, "idler", alpha)
+            rotated = rotate_quadrature_array(ideal_experiment.on, alpha)
             est = estimate_covariance(rotated)
             powers.append(est.matrix[2, 2] + est.matrix[3, 3])
         assert max(powers) - min(powers) < 1e-10
@@ -216,8 +214,8 @@ def reference_pearson(on, off, gain_signal, gain_idler, alpha, n_blocks):
     Rotates the shots, estimates each covariance with np.cov, and leaves
     out one contiguous block at a time in an explicit loop.
     """
-    on = rotate_quadrature_array(on, "idler", alpha)
-    off = rotate_quadrature_array(off, "idler", alpha)
+    on = rotate_quadrature_array(on, alpha)
+    off = rotate_quadrature_array(off, alpha)
     scale = np.diag(1.0 / np.sqrt([gain_signal, gain_signal, gain_idler, gain_idler]))
 
     def rho(on_part, off_part):
@@ -279,16 +277,16 @@ class TestAgainstShotDefinition:
         assert rho_shifted == pytest.approx(rho, abs=1e-9)
         assert se_shifted == pytest.approx(se, abs=1e-9)
 
-    def test_three_shots_in_two_blocks_leave_one_shot_out(self):
-        # Leaving out the larger of two blocks of 3 shots would keep one shot,
-        # which has no covariance; the jackknife leaves out one shot instead.
+    def test_three_shots_leave_one_shot_out(self):
+        # Below 50 shots every jackknife block holds one shot, so each of the
+        # 3 subsamples keeps the two shots a covariance needs.
         rng = np.random.default_rng(5)
         on = 3.0 * rng.standard_normal((3, 4))
         off = 0.1 * rng.standard_normal((3, 4))
         expected = reference_pearson(on, off, 1.0, 1.0, 0.0, 3)
-        got = inferred_pearson(on, off, 1.0, 1.0, n_blocks=2)
+        got = inferred_pearson(on, off, 1.0, 1.0)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
-        swept = phase_sweep(on, off, 1.0, 1.0, [0.0], n_blocks=2)
+        swept = phase_sweep(on, off, 1.0, 1.0, [0.0])
         np.testing.assert_allclose(
             (swept.rho_values[0], swept.rho_errors[0]), expected, rtol=0.0, atol=1e-12
         )

@@ -123,25 +123,21 @@ class TestRotateQuadrature:
     SHOTS = np.array([[0.3, -0.1, 0.7, 0.2], [-1.2, 0.4, 0.05, -0.6]])
 
     def test_zero_angle_is_identity(self):
-        rotated = rotate_quadrature_array(self.SHOTS, "idler", 0.0)
+        rotated = rotate_quadrature_array(self.SHOTS, 0.0)
         assert np.array_equal(rotated, self.SHOTS)
 
     def test_full_turn_is_identity(self):
-        rotated = rotate_quadrature_array(self.SHOTS, "signal", 2.0 * math.pi)
+        rotated = rotate_quadrature_array(self.SHOTS, 2.0 * math.pi)
         np.testing.assert_allclose(rotated, self.SHOTS, rtol=0.0, atol=1e-12)
 
     def test_quarter_turn_swaps_axes(self):
-        rotated = rotate_quadrature_array(np.array([[0.0, 0.0, 1.0, 0.0]]), "idler", math.pi / 2.0)
+        rotated = rotate_quadrature_array(np.array([[0.0, 0.0, 1.0, 0.0]]), math.pi / 2.0)
         assert rotated[0, 2] == pytest.approx(0.0, abs=1e-15)
         assert rotated[0, 3] == pytest.approx(-1.0, abs=1e-15)
 
     def test_other_mode_untouched(self):
-        rotated = rotate_quadrature_array(self.SHOTS, "idler", 1.234)
+        rotated = rotate_quadrature_array(self.SHOTS, 1.234)
         assert np.array_equal(rotated[:, :2], self.SHOTS[:, :2])
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            rotate_quadrature_array(np.zeros((1, 4)), "pump", 0.1)
 
     def test_rows_then_columns_rotate_a_covariance_stack(self):
         # Rotating each row and then each column of a (..., 4, 4) stack is
@@ -149,8 +145,8 @@ class TestRotateQuadrature:
         stack = np.stack(
             [tmsvs_covariance(TwpaParams(g, 2.0, 0.3 * g)) for g in (1.5, 2.0, 4.0)]
         )
-        rows = rotate_quadrature_array(stack, "idler", 0.8)
-        both = np.swapaxes(rotate_quadrature_array(np.swapaxes(rows, -1, -2), "idler", 0.8), -1, -2)
+        rows = rotate_quadrature_array(stack, 0.8)
+        both = np.swapaxes(rotate_quadrature_array(np.swapaxes(rows, -1, -2), 0.8), -1, -2)
         for cov, rotated in zip(stack, both):
             np.testing.assert_allclose(rotated, rotate_idler(cov, 0.8), atol=1e-14)
 

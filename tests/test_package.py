@@ -33,3 +33,34 @@ def test_benchmark_wrapped_names_are_bound():
         if not callable(getattr(importlib.import_module(f"twpacorr.{module}"), attribute, None))
     ]
     assert not unbound
+
+
+def test_benchmark_counters_still_read_the_package(tmp_path, monkeypatch):
+    # The tracer's counters bind arguments and results by name (band, config,
+    # alphas, n_iterations); a signature change would zero them silently.
+    from click.testing import CliRunner
+
+    from twpacorr import cli, estimators, linewidth
+    from test_cli import write_config
+
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    tracer = importlib.import_module("spans").Tracer()
+    config = str(write_config(tmp_path))
+    commands = (
+        ["simulate", "--dump-traces", "2"],
+        ["phase-sweep", "--dump-shots", "0"],
+        ["compare-windows"],
+    )
+    modules = {"cli": cli, "linewidth": linewidth, "estimators": estimators}
+    with tracer.installed(modules):
+        for command in commands:
+            out = str(tmp_path / command[0])
+            result = CliRunner().invoke(cli.main, [*command, "--config", config, "--out", out])
+            assert result.exit_code == 0, result.output
+    for counter in (
+        "acquisition.run_experiment_normals",
+        "acquisition.synthesize_normals",
+        "estimators.phase_sweep_angles",
+        "linewidth.fit_nfev",
+    ):
+        assert tracer.counts[counter] > 0, counter
