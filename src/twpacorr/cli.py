@@ -1,9 +1,11 @@
 """Configuration-driven command line for simulation, sweeps and reports.
 
 Every output file embeds the config hash, master seed and tool version in
-``# key=value`` header lines; numeric cells are written with 9 significant
-digits. Re-running a command with an identical config and seed reproduces
-byte-identical files. Angles are degrees at this boundary, radians inside.
+``# key=value`` header lines. Each table is written through one row
+template, built from its first row: integers in full, floats with 9
+significant digits, strings as they are. Re-running a command with an
+identical config and seed reproduces byte-identical files. Angles are
+degrees at this boundary, radians inside.
 """
 
 from __future__ import annotations
@@ -59,14 +61,24 @@ COMPARISON_COLUMNS = (
 )
 
 
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".9g")
-    return str(value)
+def _row_template(row) -> str:
+    """The ``%`` template of one CSV line with the cell kinds of ``row``.
+
+    Integers are written in full, floats with 9 significant digits (``%.9g``
+    shares ``format(x, ".9g")``'s float-to-string path) and strings as they
+    are. Other kinds, bool among them, are refused: write flags as strings.
+    """
+    cells = []
+    for value in row:
+        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+            cells.append("%d")
+        elif isinstance(value, (float, np.floating)):
+            cells.append("%.9g")
+        elif isinstance(value, str):
+            cells.append("%s")
+        else:
+            raise TypeError(f"no CSV cell format for {value!r} of type {type(value).__name__}")
+    return ",".join(cells) + "\n"
 
 
 def _metadata(config: ExperimentConfig) -> dict:
@@ -78,14 +90,22 @@ def _metadata(config: ExperimentConfig) -> dict:
 
 
 def _write_csv(path: Path, meta: dict, columns, rows) -> None:
-    """Write the header lines, then ``rows`` (any iterable) one line at a time."""
+    """Write the header lines, then ``rows`` (any iterable of tuples) one line at a time.
+
+    Every row is formatted by the template of the first (``_row_template``),
+    so every row must have the first row's cell kinds.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    rows = iter(rows)
+    first = next(rows, None)
     with path.open("w") as file:
         for key, value in meta.items():
-            file.write(f"# {key}={_format_value(value)}\n")
+            file.write(f"# {key}={value}\n")
         file.write(",".join(columns) + "\n")
-        for row in rows:
-            file.write(",".join(_format_value(value) for value in row) + "\n")
+        if first is not None:
+            line = _row_template(first)
+            file.write(line % first)
+            file.writelines(map(line.__mod__, rows))
     click.echo(f"wrote {path}")
 
 
@@ -160,6 +180,11 @@ def simulate(config_path, out, seed, dump_traces) -> None:
     """Run one pump-on/off experiment and report the inferred covariance."""
     config = _load(config_path, out, {"seed": seed}, sweep=False)
     acq = config.acquisition
+    if dump_traces > acq.n_shots:
+        raise click.BadParameter(
+            f"{dump_traces} traces asked, but acquisition.n_shots is {acq.n_shots}",
+            param_hint="'--dump-traces'",
+        )
     data = run_experiment(config.plan(), config.band, acq)
     on = estimate_covariance(data.on)
     off = estimate_covariance(data.off)
@@ -191,7 +216,7 @@ def simulate(config_path, out, seed, dump_traces) -> None:
     _write_json(config.output_dir / "summary.json", meta, summary)
 
     if dump_traces > 0:
-        shots = range(min(dump_traces, acq.n_shots))
+        shots = range(dump_traces)
         traces_s, traces_i = synthesize_baseband_pair(
             config.band,
             config.plan(),
@@ -213,7 +238,12 @@ def simulate(config_path, out, seed, dump_traces) -> None:
         )
 
 
+def _shots_file_name(angle_deg: float) -> str:
+    return f"shots_alpha_{angle_deg:g}deg.csv"
+
+
 def _parse_angle_list(ctx, param, raw: str | None) -> list[float]:
+    """Finite angles in degrees, each with a shot file name of its own."""
     if raw is None or raw.strip() == "":
         return []
     try:
@@ -222,6 +252,12 @@ def _parse_angle_list(ctx, param, raw: str | None) -> list[float]:
         raise click.BadParameter(f"invalid angle list {raw!r}") from None
     if not all(math.isfinite(angle) for angle in angles):
         raise click.BadParameter(f"angles must be finite, got {raw!r}")
+    first_angle = {}
+    for angle in angles:
+        name = _shots_file_name(angle)
+        if name in first_angle:
+            raise click.BadParameter(f"angles {first_angle[name]!r} and {angle!r} both write {name}")
+        first_angle[name] = angle
     return angles
 
 
@@ -248,7 +284,7 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
         np.radians(alphas_deg),
     )
     meta = _metadata(config)
-    rows = list(zip(alphas_deg, result.rho_values, result.rho_errors))
+    rows = zip(alphas_deg, result.rho_values, result.rho_errors)
     _write_csv(config.output_dir / "phase_sweep.csv", meta, PHASE_SWEEP_COLUMNS, rows)
     _write_json(
         config.output_dir / "phase_sweep_summary.json",
@@ -265,12 +301,11 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
         rotated = rotate_quadrature_array(data.on, math.radians(angle_deg))
         x_signal = rotated[:, 0] / math.sqrt(acq.chain_gain_signal)
         x_idler = rotated[:, 2] / math.sqrt(acq.chain_gain_idler)
-        rows = list(zip(x_signal, x_idler))
         _write_csv(
-            config.output_dir / f"shots_alpha_{angle_deg:g}deg.csv",
+            config.output_dir / _shots_file_name(angle_deg),
             meta,
             ("x_signal", "x_idler"),
-            rows,
+            zip(x_signal.tolist(), x_idler.tolist()),
         )
 
 
@@ -301,7 +336,7 @@ def _run_linewidth_cases(config: ExperimentConfig, strict):
                 sys.exit(EXIT_NUMERICAL_FAILURE)
             fit_rows.append(
                 (window.shape, window.tau * 1e6, math.nan, math.nan, math.nan,
-                 math.nan, math.nan, math.nan, False, 0)
+                 math.nan, math.nan, math.nan, "false", 0)
             )
             continue
         if strict and not fit.converged:
@@ -324,7 +359,7 @@ def _run_linewidth_cases(config: ExperimentConfig, strict):
                 fit.snr,
                 comparison.sidelobe,
                 fit.residual_rms,
-                fit.converged,
+                "true" if fit.converged else "false",
                 fit.n_iterations,
             )
         )

@@ -1,6 +1,8 @@
 """Tests for the command-line front end: config validation, outputs, determinism."""
 
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +10,9 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from twpacorr import demodulate, run_experiment
-from twpacorr.cli import main
+from twpacorr import __version__, demodulate, run_experiment, shot_rng
+from twpacorr.acquisition import synthesize_baseband_pair
+from twpacorr.cli import COMPARISON_COLUMNS, _write_csv, main
 from twpacorr.config import ConfigError, load_config
 
 BASE_CONFIG = {
@@ -57,6 +60,19 @@ def read_csv_rows(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
 
+def nine_digit_line(values) -> str:
+    """One CSV line by the cell rule of every earlier release, written out longhand."""
+    cells = []
+    for value in values:
+        if isinstance(value, str):
+            cells.append(value)
+        elif isinstance(value, (int, np.integer)):
+            cells.append(str(int(value)))
+        else:
+            cells.append(format(float(value), ".9g"))
+    return ",".join(cells) + "\n"
+
+
 @pytest.fixture
 def no_acquisition(monkeypatch):
     """Make any acquisition fail, for options that must be refused before one."""
@@ -66,6 +82,58 @@ def no_acquisition(monkeypatch):
         raise AssertionError("acquisition ran")
 
     monkeypatch.setattr(cli_module, "run_experiment", acquire)
+
+
+class TestCsvFormat:
+    FLOATS = [
+        0.5, np.float64(-2.25), math.nan, np.float64(math.nan), math.inf, -math.inf,
+        -0.0, 1e-300, 1e16, 123456789.123, np.float64(6.02214076e23), 1.0 / 3.0,
+    ]
+
+    def test_cells_follow_the_nine_digit_rule(self, tmp_path):
+        meta = {"config_hash": "0123456789abcdef", "seed": 2**128 - 1, "version": "twpacorr 0"}
+        columns = ("n", "n64", "x", "x64", "label", "flag")
+        rows = [
+            (k - 5, np.int64(-(10**17) * k), value, np.float64(self.FLOATS[-k - 1]), f"case_{k}", flag)
+            for k, (value, flag) in enumerate(zip(self.FLOATS, ["true", "false"] * 6))
+        ]
+        path = tmp_path / "table.csv"
+        _write_csv(path, meta, columns, iter(rows))
+        expected = "".join(f"# {key}={nine_digit_line([value])}" for key, value in meta.items())
+        expected += "n,n64,x,x64,label,flag\n" + "".join(nine_digit_line(row) for row in rows)
+        assert path.read_bytes() == expected.encode()
+        for cell in ("nan", "inf", "-inf", "-0", "1e-300", "1e+16", "123456789", "-1100000000000000000"):
+            assert f",{cell}," in path.read_text(), cell
+
+    @pytest.mark.parametrize("flag", [True, np.bool_(False)], ids=["bool", "numpy-bool"])
+    def test_bool_cells_are_refused(self, tmp_path, flag):
+        with pytest.raises(TypeError, match="no CSV cell format"):
+            _write_csv(tmp_path / "flags.csv", {}, ("x", "flag"), [(1.0, flag)])
+
+    def test_trace_dump_bytes_follow_the_nine_digit_rule(self, tmp_path):
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(path), "--out", str(out), "--dump-traces", "3"]
+        )
+        assert result.exit_code == 0, result.output
+        config = replace(load_config(path), output_dir=out)
+        acq = config.acquisition
+        rngs = (shot_rng(acq.seed, shot, "pump_on") for shot in range(3))
+        signal, idler = synthesize_baseband_pair(
+            config.band, config.plan(), acq.window, "pump_on", rngs, acq.sample_rate
+        )
+        expected = [
+            f"# config_hash={config.hash()}\n",
+            "# seed=42\n",
+            f"# version=twpacorr {__version__}\n",
+            "shot,sample,signal_re,signal_im,idler_re,idler_im\n",
+        ]
+        for shot in range(3):
+            for sample in range(signal.shape[1]):
+                s, i = signal[shot, sample], idler[shot, sample]
+                expected.append(nine_digit_line([shot, sample, s.real, s.imag, i.real, i.imag]))
+        assert (out / "traces_pump_on.csv").read_bytes() == "".join(expected).encode()
 
 
 class TestConfigValidation:
@@ -219,6 +287,29 @@ class TestSimulate:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    def test_dump_traces_beyond_shot_count_is_usage_error(self, tmp_path, no_acquisition):
+        # The dumped traces are the ones behind the acquired shots; there are n_shots of them.
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(path), "--out", str(out), "--dump-traces", "401"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "--dump-traces" in result.output and "acquisition.n_shots" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
+    def test_dump_traces_may_equal_shot_count(self, tmp_path):
+        path = write_config(tmp_path, overrides={"acquisition.n_shots": 5})
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(path), "--out", str(out), "--dump-traces", "5"]
+        )
+        assert result.exit_code == 0, result.output
+        rows = read_csv_rows(out / "traces_pump_on.csv")
+        assert len(rows) == 1 + 5 * 100
+        assert rows[-1].startswith("4,99,")
+
     def test_dumped_traces_demodulate_to_the_acquired_shots(self, tmp_path):
         # Unit chain gains and no added noise: demodulating dumped trace k
         # gives shot k of the pump-on stage, to the CSV's 9 digits.
@@ -330,6 +421,21 @@ class TestPhaseSweepCommand:
         assert "Traceback" not in result.output
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "angles", ["0.1234567,0.1234571", "10,10", "90,45,90.0000001"], ids=["6-digits", "repeat", "third"]
+    )
+    def test_dump_angles_sharing_a_file_name_are_usage_error(self, tmp_path, no_acquisition, angles):
+        path = write_config(tmp_path)
+        out = tmp_path / "run"
+        result = CliRunner().invoke(
+            main,
+            ["phase-sweep", "--config", str(path), "--out", str(out), "--dump-shots", angles],
+        )
+        assert result.exit_code == 2, result.output
+        assert "--dump-shots" in result.output and "both write shots_alpha_" in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
 
 class TestLinewidthCommand:
     def test_single_case_produces_one_fit_row(self, tmp_path):
@@ -388,8 +494,22 @@ class TestLinewidthCommand:
         assert result.exit_code == 0
         fits = read_csv_rows(tmp_path / "run" / "fits.csv")
         assert len(fits) == 2
-        assert "nan" in fits[1]
-        assert "false" in fits[1]
+        assert fits[1] == "rectangular,6,nan,nan,nan,nan,nan,nan,false,0"
+
+    @pytest.mark.parametrize("converged", [True, False])
+    def test_fits_write_converged_as_true_or_false(self, tmp_path, monkeypatch, converged):
+        import twpacorr.cli as cli_module
+
+        real_fit = cli_module.fit_model
+        monkeypatch.setattr(cli_module, "fit_model", lambda sweep: replace(real_fit(sweep), converged=converged))
+        path = write_config(tmp_path)
+        result = CliRunner().invoke(
+            main, ["linewidth", "--config", str(path), "--out", str(tmp_path / "run")]
+        )
+        assert result.exit_code == 0, result.output
+        cells = read_csv_rows(tmp_path / "run" / "fits.csv")[1].split(",")
+        assert cells[8] == ("true" if converged else "false")
+        assert int(cells[9]) > 0
 
 
 class TestCompareWindowsCommand:
@@ -410,6 +530,23 @@ class TestCompareWindowsCommand:
         rows = read_csv_rows(tmp_path / "run" / "comparison.csv")
         assert rows[0].startswith("window,tau_us,fwhm_hz,snr,fwhm_tau")
         assert len(rows) == 3
+
+    def test_no_fitted_case_writes_the_header_alone(self, tmp_path, monkeypatch):
+        import twpacorr.cli as cli_module
+
+        def explode(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(cli_module, "fit_model", explode)
+        path = write_config(tmp_path)
+        result = CliRunner().invoke(
+            main, ["compare-windows", "--config", str(path), "--out", str(tmp_path / "run")]
+        )
+        assert result.exit_code == 0, result.output
+        lines = (tmp_path / "run" / "comparison.csv").read_text().splitlines()
+        assert [line.split("=")[0] for line in lines] == [
+            "# config_hash", "# seed", "# version", ",".join(COMPARISON_COLUMNS)
+        ]
 
 
 class TestDeterminism:
