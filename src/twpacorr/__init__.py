@@ -12,7 +12,6 @@ from .acquisition import (
     AcquisitionConfig,
     EmissionBandModel,
     ExperimentData,
-    FrequencyPlan,
     WindowSpec,
     demodulate,
     run_experiment,
@@ -56,7 +55,6 @@ __all__ = [
     "DetuningSweep",
     "EmissionBandModel",
     "ExperimentData",
-    "FrequencyPlan",
     "LinewidthFit",
     "OMEGA",
     "PhaseSweepResult",

@@ -7,6 +7,10 @@ squeezed sample, while pump-off stages replace every bin with vacuum. Each
 acquisition channel (signal/idler) accumulates its bins into a complex
 baseband trace relative to its demodulation frequency, so digital IQ
 demodulation reduces to a window-weighted integral with an LO phase factor.
+At baseband the absolute frequencies drop out: the only frequency the
+simulation reads is the detuning, ``2 f_pump - f_signal - f_idler`` in Hz,
+which shifts the signal channel's bins against the idler's. The pump and
+demodulation frequencies are checked where the configuration is read.
 
 Synthesis and demodulation are linear in a shot's standard-normal draws, so
 ``run_experiment`` folds them, with the chain gains, the LO phases and the
@@ -93,45 +97,6 @@ class WindowSpec:
 
 
 @dataclass(frozen=True)
-class FrequencyPlan:
-    """Pump and per-channel demodulation frequencies, all in Hz.
-
-    The detuning is always derived from the three frequencies, never stored:
-    ``detuning = 2 f_pump - f_signal_demod - f_idler_demod``.
-    """
-
-    f_pump: float
-    f_idler_demod: float
-    f_signal_demod: float
-
-    MAX_DETUNING = 10e6
-
-    def __post_init__(self) -> None:
-        if self.f_signal_demod == self.f_idler_demod:
-            raise ValueError(f"f_signal_demod equals f_idler_demod ({self.f_idler_demod:.6g} Hz)")
-        if abs(self.detuning) > self.MAX_DETUNING:
-            raise ValueError(
-                f"detuning {self.detuning:.6g} Hz outside the supported "
-                f"+/-{self.MAX_DETUNING:.0f} Hz range"
-            )
-
-    @property
-    def detuning(self) -> float:
-        return 2.0 * self.f_pump - self.f_signal_demod - self.f_idler_demod
-
-    @classmethod
-    def for_detuning(
-        cls, f_pump: float, f_idler_demod: float, detuning: float = 0.0
-    ) -> "FrequencyPlan":
-        """Plan with the signal demodulation placed to realize ``detuning``."""
-        return cls(
-            f_pump=f_pump,
-            f_idler_demod=f_idler_demod,
-            f_signal_demod=2.0 * f_pump - f_idler_demod - detuning,
-        )
-
-
-@dataclass(frozen=True)
 class EmissionBandModel:
     """Discretized broadband emission: uniform-gain bins around each channel.
 
@@ -141,8 +106,8 @@ class EmissionBandModel:
     """
 
     per_bin_params: TwpaParams
-    band_halfwidth: float = 5e6
-    bin_spacing: float = 25e3
+    band_halfwidth: float
+    bin_spacing: float
 
     def __post_init__(self) -> None:
         if not self.band_halfwidth > 0.0:
@@ -310,12 +275,11 @@ class _SynthesisKernel:
     def __init__(
         self,
         band: EmissionBandModel,
-        plan: FrequencyPlan,
+        detuning: float,
         window: WindowSpec,
         sample_rate: float,
     ) -> None:
         tau = window.tau
-        detuning = plan.detuning
         band.validate_for(tau, detuning)
         self.envelope, self.dt, self.norm = _window_weights(window, sample_rate)
         self.n_samples = self.envelope.size
@@ -390,7 +354,7 @@ class _SynthesisKernel:
 
 def synthesize_baseband_pair(
     band: EmissionBandModel,
-    plan: FrequencyPlan,
+    detuning: float,
     window: WindowSpec,
     stage: str,
     rngs: Iterable[np.random.Generator],
@@ -398,8 +362,9 @@ def synthesize_baseband_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complex baseband (signal, idler) traces, one shot per generator in ``rngs``.
 
-    Returns two (n_shots, n_samples) arrays; row k is the shot drawn from the
-    k-th generator, which is left just after its 4 n_bins bin draws. For
+    ``detuning`` (Hz) is the only frequency read. Returns two
+    (n_shots, n_samples) arrays; row k is the shot drawn from the k-th
+    generator, which is left just after its 4 n_bins bin draws. For
     ``pump_on`` every symmetric bin pair contributes one two-mode squeezed
     sample; ``pump_off`` replaces the bins with independent vacuum. The
     traces carry no detection-chain gain or added noise. One synthesis
@@ -407,7 +372,7 @@ def synthesize_baseband_pair(
     """
     if stage not in _STAGE_CODES:
         raise ValueError(f"stage must be 'pump_on' or 'pump_off', got {stage!r}")
-    kernel = _SynthesisKernel(band, plan, window, sample_rate)
+    kernel = _SynthesisKernel(band, detuning, window, sample_rate)
     draws = np.array([rng.standard_normal((kernel.n_bins, 4)) for rng in rngs])
     return kernel.traces(draws.reshape(-1, kernel.n_bins, 4), stage)
 
@@ -443,19 +408,20 @@ _CHUNK_SHOTS = 256
 
 
 def run_experiment(
-    plan: FrequencyPlan,
+    detuning: float,
     band: EmissionBandModel,
     config: AcquisitionConfig,
     stream: int = 0,
 ) -> ExperimentData:
-    """Acquire ``n_shots`` pump-on/pump-off shot pairs.
+    """Acquire ``n_shots`` pump-on/pump-off shot pairs at ``detuning`` (Hz).
 
-    Each shot synthesizes both channel traces, scales them by the square root
-    of the per-channel chain gain, adds white detection noise at trace level
-    (sized so it demodulates to ``chain_gain * added_noise_quanta / 4`` per
-    quadrature), and demodulates with the channel LO phases. All of that is
-    linear in the shot's draws, so it runs as one matrix product per chunk of
-    shots (``_SynthesisKernel.linear_map``); the traces are never formed.
+    The detuning is the only frequency read. Each shot synthesizes both
+    channel traces, scales them by the square root of the per-channel chain
+    gain, adds white detection noise at trace level (sized so it demodulates
+    to ``chain_gain * added_noise_quanta / 4`` per quadrature), and
+    demodulates with the channel LO phases. All of that is linear in the
+    shot's draws, so it runs as one matrix product per chunk of shots
+    (``_SynthesisKernel.linear_map``); the traces are never formed.
     With unit chain gains and no added noise, shot k's pump-on row is the
     ``demodulate``d trace that ``synthesize_baseband_pair`` draws from
     ``shot_rng(seed, k, "pump_on", stream)``, so the traces that
@@ -463,7 +429,7 @@ def run_experiment(
     ``stream`` selects an independent substream family so sweep points stay
     independent under a common master seed.
     """
-    kernel = _SynthesisKernel(band, plan, config.window, config.sample_rate)
+    kernel = _SynthesisKernel(band, detuning, config.window, config.sample_rate)
     maps = {stage: kernel.linear_map(stage, config) for stage in _STAGE_CODES}
 
     n = config.n_shots

@@ -20,7 +20,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .acquisition import FrequencyPlan, run_experiment, synthesize_baseband_pair, shot_rng
+from .acquisition import run_experiment, synthesize_baseband_pair, shot_rng
 from .config import ConfigError, ExperimentConfig, load_config
 from .estimators import estimate_covariance, infer_tmsvs, phase_sweep
 from .gaussian import (
@@ -185,7 +185,7 @@ def simulate(config_path, out, seed, dump_traces) -> None:
             f"{dump_traces} traces asked, but acquisition.n_shots is {acq.n_shots}",
             param_hint="'--dump-traces'",
         )
-    data = run_experiment(config.plan(), config.band, acq)
+    data = run_experiment(config.detuning, config.band, acq)
     on = estimate_covariance(data.on)
     off = estimate_covariance(data.off)
     inferred = infer_tmsvs(on, off, acq.chain_gain_signal, acq.chain_gain_idler)
@@ -203,7 +203,7 @@ def simulate(config_path, out, seed, dump_traces) -> None:
     try:
         summary = {
             "n_shots": acq.n_shots,
-            "detuning_hz": config.plan().detuning,
+            "detuning_hz": config.detuning,
             "rho_xx": pearson_xx(inferred),
             "squeezing_db": squeezing_db(inferred),
             "physicality_min_eigenvalue": physicality_min_eigenvalue(inferred),
@@ -219,7 +219,7 @@ def simulate(config_path, out, seed, dump_traces) -> None:
         shots = range(dump_traces)
         traces_s, traces_i = synthesize_baseband_pair(
             config.band,
-            config.plan(),
+            config.detuning,
             acq.window,
             "pump_on",
             (shot_rng(acq.seed, shot, "pump_on") for shot in shots),
@@ -275,7 +275,7 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
     config = _load(config_path, out, {"seed": seed, "phase_sweep.points": points}, sweep=False)
     acq = config.acquisition
     alphas_deg = _phase_grid_deg(config)
-    data = run_experiment(config.plan(), config.band, acq)
+    data = run_experiment(config.detuning, config.band, acq)
     result = phase_sweep(
         data.on,
         data.off,
@@ -314,21 +314,18 @@ def _case_label(window) -> str:
 
 
 def _run_linewidth_cases(config: ExperimentConfig, strict):
-    """Run every configured (window, tau) case; returns (fits, sweeps)."""
-    span = config.linewidth_span
-    detunings = np.linspace(-span / 2.0, span / 2.0, config.linewidth_points)
+    """Run every configured (window, tau) case; returns the fitted cases' comparisons."""
+    detunings = config.detunings()
     alpha_grid = np.radians(_phase_grid_deg(config))
-    plan = FrequencyPlan.for_detuning(config.f_pump, config.f_idler_demod, 0.0)
     meta = _metadata(config)
 
     fit_rows = []
-    fits = []
-    sweeps = []
+    comparisons = []
     for window in config.cases:
         label = _case_label(window)
         acq = replace(config.acquisition, window=window)
         try:
-            sweep = sweep_detuning(plan, config.band, acq, detunings, alpha_grid=alpha_grid)
+            sweep = sweep_detuning(config.band, acq, detunings, alpha_grid=alpha_grid)
             fit = fit_model(sweep)
         except ValueError as err:
             click.echo(f"case {label}: numerical failure: {err}", err=True)
@@ -363,11 +360,10 @@ def _run_linewidth_cases(config: ExperimentConfig, strict):
                 fit.n_iterations,
             )
         )
-        fits.append(fit)
-        sweeps.append(sweep)
+        comparisons.append(comparison)
 
     _write_csv(config.output_dir / "fits.csv", meta, FITS_COLUMNS, fit_rows)
-    return fits, sweeps
+    return comparisons
 
 
 @main.command()
@@ -385,7 +381,6 @@ def cmd_compare_windows(config_path, out, seed, points, span, strict) -> None:
     """Run the linewidth cases and emit the cross-window comparison table."""
     overrides = {"seed": seed, "linewidth.points": points, "linewidth.span": span}
     config = _load(config_path, out, overrides, sweep=True)
-    fits, sweeps = _run_linewidth_cases(config, strict)
     rows = [
         (
             row.window,
@@ -397,7 +392,7 @@ def cmd_compare_windows(config_path, out, seed, points, span, strict) -> None:
             row.sidelobe_se,
             row.n_sidelobe_points,
         )
-        for row in compare_windows(fits, sweeps)
+        for row in _run_linewidth_cases(config, strict)
     ]
     _write_csv(
         config.output_dir / "comparison.csv", _metadata(config), COMPARISON_COLUMNS, rows

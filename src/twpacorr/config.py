@@ -20,9 +20,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional
 
+import numpy as np
 import yaml
 
-from .acquisition import AcquisitionConfig, EmissionBandModel, FrequencyPlan, WindowSpec
+from .acquisition import AcquisitionConfig, EmissionBandModel, WindowSpec
 from .estimators import DEFAULT_PHASE_POINTS
 from .gaussian import TwpaParams
 
@@ -33,6 +34,9 @@ DEFAULT_CASES = tuple(
     for shape in ("rectangular", "gaussian")
     for tau in (3e-6, 4e-6, 5e-6, 6e-6)
 )
+
+#: Largest |detuning| in Hz that any command acquires.
+MAX_DETUNING = 10e6
 
 
 class ConfigError(Exception):
@@ -90,11 +94,13 @@ REQUIRED = object()
 
 #: Every config field by dotted path: (reader, default). ``[]`` stands for
 #: the index of an entry in a list of mappings. Ranges that an object the
-#: value goes into checks are noted in brackets.
+#: value goes into checks are noted in brackets; the frequencies are checked
+#: by ``_check_frequencies``, on loading and, for sweeps, in ``check_coverage``.
 FIELDS: dict[str, tuple[Callable[[Any, str], Any], Any]] = {
     "frequency.f_pump": (_number, REQUIRED),  # Hz
-    "frequency.f_idler_demod": (_number, REQUIRED),  # Hz
-    "frequency.detuning": (_number, 0.0),  # Hz, 2 f_pump - f_signal - f_idler [|detuning| <= 10 MHz]
+    # Hz; the signal demodulates at 2 f_pump - f_idler_demod - detuning [!= f_idler_demod]
+    "frequency.f_idler_demod": (_number, REQUIRED),
+    "frequency.detuning": (_number, 0.0),  # Hz, the only frequency acquisition reads [|detuning| <= 10 MHz]
     "twpa.gain_signal": (_number, REQUIRED),  # linear power gain [>= 1]
     "twpa.gain_idler": (_number, REQUIRED),  # linear power gain [>= 1]
     "twpa.phase_mismatch_deg": (_number, 0.0),  # deg
@@ -176,6 +182,26 @@ def _checked(paths: dict, build: Callable, *args, **kwargs):
         raise ConfigError(f"field '{paths.get(name, name)}': {err}") from None
 
 
+def _check_frequencies(f_pump: float, f_idler_demod: float, detunings, path: str) -> None:
+    """Refuse acquiring at any of ``detunings`` (Hz), whose field is ``path``.
+
+    The detuning must lie within +/-MAX_DETUNING, and the signal
+    demodulation frequency it puts at ``2 f_pump - f_idler_demod - detuning``
+    must differ from the idler's.
+    """
+    for detuning in detunings:
+        if 2.0 * f_pump - f_idler_demod - detuning == f_idler_demod:
+            raise ConfigError(
+                f"field 'frequency.f_idler_demod': f_signal_demod equals f_idler_demod "
+                f"({f_idler_demod:.6g} Hz) at detuning {detuning:.6g} Hz"
+            )
+        if abs(detuning) > MAX_DETUNING:
+            raise ConfigError(
+                f"field '{path}': detuning {detuning:.6g} Hz outside the supported "
+                f"+/-{MAX_DETUNING:.0f} Hz range"
+            )
+
+
 def _window(values: dict, path: str, shape_key: str) -> WindowSpec:
     shape, tau = f"{path}.{shape_key}", f"{path}.tau"
     return _checked({"shape": shape, "tau": tau}, WindowSpec, values[shape], values[tau])
@@ -197,24 +223,26 @@ class ExperimentConfig:
     cases: tuple[WindowSpec, ...]
     output_dir: Path
 
-    def plan(self) -> FrequencyPlan:
-        return FrequencyPlan.for_detuning(self.f_pump, self.f_idler_demod, self.detuning)
+    def detunings(self) -> np.ndarray:
+        """The linewidth sweeps' detuning grid in Hz: ``points`` over ``span`` about 0."""
+        edge = self.linewidth_span / 2.0
+        return np.linspace(-edge, edge, self.linewidth_points)
 
     def check_coverage(self, sweep: bool) -> None:
         """Refuse, before any shot is drawn, an acquisition the band cannot simulate.
 
-        A single run acquires ``acquisition.window`` at ``frequency.detuning``;
-        a sweep acquires every linewidth case from detuning 0 to ``span / 2``
-        either side, so only sweeps need linewidth cases that suit the band.
+        A single run acquires ``acquisition.window`` at ``frequency.detuning``,
+        which loading has checked; a sweep acquires every linewidth case at
+        detuning 0 and at every point of ``detunings()``, so only sweeps need
+        linewidth cases that suit the band.
         """
         if not sweep:
             paths = {"tau": "acquisition.window.tau", "detuning": "frequency.detuning"}
             _checked(paths, self.band.validate_for, self.acquisition.window.tau, self.detuning)
             return
+        grid = self.detunings()
+        _check_frequencies(self.f_pump, self.f_idler_demod, [0.0, *grid], "linewidth.span")
         edge = self.linewidth_span / 2.0
-        plan_paths = {"detuning": "linewidth.span", "f_signal_demod": "frequency.f_idler_demod"}
-        for detuning in (0.0, edge):
-            _checked(plan_paths, FrequencyPlan.for_detuning, self.f_pump, self.f_idler_demod, detuning)
         for index, case in enumerate(self.cases):
             paths = {"tau": f"linewidth.cases[{index}].tau", "detuning": "linewidth.span"}
             _checked(paths, self.band.validate_for, case.tau, edge)
@@ -306,17 +334,12 @@ def parse_config(
     )
     n_cases = flat.get("linewidth.cases", 0)
     cases = tuple(_window(values, f"linewidth.cases[{i}]", "window") for i in range(n_cases))
+    f_pump, f_idler_demod = values["frequency.f_pump"], values["frequency.f_idler_demod"]
     detuning = values["frequency.detuning"]
-    _checked(
-        {"detuning": "frequency.detuning", "f_signal_demod": "frequency.f_idler_demod"},
-        FrequencyPlan.for_detuning,
-        values["frequency.f_pump"],
-        values["frequency.f_idler_demod"],
-        detuning,
-    )
+    _check_frequencies(f_pump, f_idler_demod, [detuning], "frequency.detuning")
     return ExperimentConfig(
-        f_pump=values["frequency.f_pump"],
-        f_idler_demod=values["frequency.f_idler_demod"],
+        f_pump=f_pump,
+        f_idler_demod=f_idler_demod,
         detuning=detuning,
         twpa=twpa,
         band=band,

@@ -18,13 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .acquisition import (
-    AcquisitionConfig,
-    EmissionBandModel,
-    FrequencyPlan,
-    WindowSpec,
-    run_experiment,
-)
+from .acquisition import AcquisitionConfig, EmissionBandModel, WindowSpec, run_experiment
 from .estimators import DEFAULT_PHASE_POINTS, inferred_pearson, phase_sweep
 
 #: The response model fitted to a sweep, by its window's shape.
@@ -137,25 +131,24 @@ def fwhm_from_scale(model: str, scale_xi: float) -> float:
 
 
 def sweep_detuning(
-    plan: FrequencyPlan,
     band: EmissionBandModel,
     config: AcquisitionConfig,
     detunings: Sequence[float],
     alpha_grid: Optional[Sequence[float]] = None,
 ) -> DetuningSweep:
-    """Run the correlation experiment across a detuning grid.
+    """Run the correlation experiment across a grid of detunings in Hz.
 
-    The relative LO phase is calibrated once with a phase sweep at zero
-    detuning, then held fixed while the signal demodulation frequency walks
-    the grid (substream 0 is the calibration run; point k uses substream
-    k + 1, so points are independent and order-insensitive).
+    The detuning is the only frequency the simulation reads. The relative LO
+    phase is calibrated once with a phase sweep at zero detuning, then held
+    fixed while the detuning walks the grid (substream 0 is the calibration
+    run; point k runs at ``detunings[k]`` on substream k + 1, so points are
+    independent and order-insensitive).
     """
     detunings = np.asarray(detunings, dtype=float)
     if alpha_grid is None:
         alpha_grid = np.linspace(0.0, 2.0 * math.pi, DEFAULT_PHASE_POINTS)
 
-    calibration_plan = FrequencyPlan.for_detuning(plan.f_pump, plan.f_idler_demod, 0.0)
-    calibration = run_experiment(calibration_plan, band, config, stream=0)
+    calibration = run_experiment(0.0, band, config, stream=0)
     swept = phase_sweep(
         calibration.on,
         calibration.off,
@@ -168,8 +161,7 @@ def sweep_detuning(
     rho_values = np.empty(detunings.size)
     rho_errors = np.empty(detunings.size)
     for index, detuning in enumerate(detunings):
-        point_plan = FrequencyPlan.for_detuning(plan.f_pump, plan.f_idler_demod, detuning)
-        data = run_experiment(point_plan, band, config, stream=index + 1)
+        data = run_experiment(detuning, band, config, stream=index + 1)
         rho_values[index], rho_errors[index] = inferred_pearson(
             data.on,
             data.off,

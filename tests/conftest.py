@@ -9,7 +9,6 @@ from scipy.integrate import quad
 from twpacorr import (
     AcquisitionConfig,
     EmissionBandModel,
-    FrequencyPlan,
     TwpaParams,
     WindowSpec,
 )
@@ -84,15 +83,10 @@ def make_acquisition(
 
 
 @pytest.fixture(scope="session")
-def plan_matched() -> FrequencyPlan:
-    return FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.0)
-
-
-@pytest.fixture(scope="session")
-def ideal_experiment(plan_matched):
+def ideal_experiment():
     """One noiseless matched-detuning experiment at G=2, reused across tests."""
     from twpacorr import run_experiment
 
     band = make_band()
     acq = make_acquisition(n_shots=4000, seed=7001)
-    return run_experiment(plan_matched, band, acq)
+    return run_experiment(0.0, band, acq)

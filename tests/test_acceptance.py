@@ -20,7 +20,6 @@ from click.testing import CliRunner
 from twpacorr import (
     AcquisitionConfig,
     EmissionBandModel,
-    FrequencyPlan,
     TwpaParams,
     WindowSpec,
     estimate_covariance,
@@ -54,7 +53,6 @@ N_SHOTS = 10_000
 
 TWPA = TwpaParams(2.0, 2.0, 0.0)
 BAND = EmissionBandModel(per_bin_params=TWPA, band_halfwidth=4.4e6, bin_spacing=50e3)
-PLAN = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.0)
 
 
 def _acquisition(tau: float, shape: str, seed: int = ACCEPT_SEED) -> AcquisitionConfig:
@@ -76,14 +74,14 @@ def _finish(criterion: int, name: str, failures: list) -> None:
 
 def _run_sweep_case(shape: str, tau: float, seed: int = ACCEPT_SEED):
     detunings = np.linspace(-SWEEP_SPAN / 2.0, SWEEP_SPAN / 2.0, SWEEP_POINTS)
-    sweep = sweep_detuning(PLAN, BAND, _acquisition(tau, shape, seed), detunings)
+    sweep = sweep_detuning(BAND, _acquisition(tau, shape, seed), detunings)
     return sweep, fit_model(sweep)
 
 
 @pytest.fixture(scope="session")
 def recovery_experiment():
     start = time.perf_counter()
-    data = run_experiment(PLAN, BAND, _acquisition(6e-6, "rectangular"))
+    data = run_experiment(0.0, BAND, _acquisition(6e-6, "rectangular"))
     return data, time.perf_counter() - start
 
 
@@ -111,7 +109,7 @@ def _kernel_agreement_failures(shape: str, seed: int = ACCEPT_SEED) -> list:
         chain_gain_idler=1.0,
         added_noise_quanta=0.0,
     )
-    sweep = sweep_detuning(PLAN, BAND, acq, detunings)
+    sweep = sweep_detuning(BAND, acq, detunings)
     kernel = overlap_kernel(window, detunings)
     center = detunings.size // 2
     rho0, se0 = sweep.rho_values[center], sweep.rho_errors[center]
@@ -318,7 +316,7 @@ def test_criterion_8_determinism_and_seed_independence(tmp_path):
 
     # The statistical criteria must hold at the new seed too: covariance
     # recovery, the rectangular FWHM law, and kernel agreement.
-    data = run_experiment(PLAN, BAND, _acquisition(6e-6, "rectangular", seed=ALT_SEED))
+    data = run_experiment(0.0, BAND, _acquisition(6e-6, "rectangular", seed=ALT_SEED))
     on = estimate_covariance(data.on)
     off = estimate_covariance(data.off)
     inferred = infer_tmsvs(on, off, 1.0, 1.0)

@@ -8,7 +8,6 @@ import pytest
 from twpacorr import (
     AcquisitionConfig,
     EmissionBandModel,
-    FrequencyPlan,
     TwpaParams,
     WindowSpec,
     demodulate,
@@ -19,7 +18,7 @@ from twpacorr import (
 )
 from twpacorr.acquisition import _CHUNK_SHOTS, GAUSSIAN_FLOOR, MAX_BINS, _StreamCursor
 
-from conftest import F_IDLER, F_PUMP, make_acquisition, make_band, overlap_kernel
+from conftest import make_acquisition, make_band, overlap_kernel
 
 
 class TestWindowSpec:
@@ -43,24 +42,6 @@ class TestWindowSpec:
             WindowSpec("hann", 1e-6)
         with pytest.raises(ValueError):
             WindowSpec("rectangular", 0.0)
-
-
-class TestFrequencyPlan:
-    def test_detuning_is_derived(self):
-        plan = FrequencyPlan(f_pump=F_PUMP, f_idler_demod=F_IDLER, f_signal_demod=6.1809e9)
-        assert plan.detuning == pytest.approx(2 * F_PUMP - 6.1809e9 - F_IDLER)
-
-    def test_for_detuning_roundtrip(self):
-        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 250e3)
-        assert plan.detuning == pytest.approx(250e3)
-
-    def test_rejects_degenerate_demodulation(self):
-        with pytest.raises(ValueError):
-            FrequencyPlan(f_pump=F_PUMP, f_idler_demod=F_PUMP, f_signal_demod=F_PUMP)
-
-    def test_rejects_detuning_outside_supported_range(self):
-        with pytest.raises(ValueError):
-            FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 11e6)
 
 
 class TestEmissionBandModel:
@@ -160,41 +141,38 @@ class TestSynthesize:
         # i.e. tau/2 for a flat window; the per-shot mean power integrates
         # that over the band. Checked to 3 sigma across shots.
         band = make_band()
-        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.0)
         window = WindowSpec("rectangular", 6e-6)
         rate = 100.0 / window.tau
         density = window.tau / 2.0
         expected = 2.0 * band.band_halfwidth * density
         rngs = (shot_rng(11, shot, "pump_off") for shot in range(1000))
-        traces_s, _ = synthesize_baseband_pair(band, plan, window, "pump_off", rngs, rate)
+        traces_s, _ = synthesize_baseband_pair(band, 0.0, window, "pump_off", rngs, rate)
         powers = np.mean(np.abs(traces_s) ** 2, axis=1)
         se = powers.std(ddof=1) / math.sqrt(powers.size)
         assert abs(powers.mean() - expected) <= 3.0 * se
 
     def test_band_coverage_error_names_frequency(self):
         band = make_band(halfwidth=2.0e6, spacing=50e3)
-        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.5e6)
+        detuning = 0.5e6
         window = WindowSpec("rectangular", 6e-6)
         with pytest.raises(ValueError, match="detuning 500000 Hz"):
             synthesize_baseband_pair(
-                band, plan, window, "pump_on", [shot_rng(1, 0, "pump_on")], 100.0 / window.tau
+                band, detuning, window, "pump_on", [shot_rng(1, 0, "pump_on")], 100.0 / window.tau
             )
 
     def test_rejects_unknown_stage(self):
         band = make_band()
-        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.0)
         with pytest.raises(ValueError, match="stage"):
             synthesize_baseband_pair(
-                band, plan, WindowSpec("rectangular", 6e-6), "idle", [shot_rng(1, 0, "pump_on")], 1e7
+                band, 0.0, WindowSpec("rectangular", 6e-6), "idle", [shot_rng(1, 0, "pump_on")], 1e7
             )
 
     def test_trace_length(self):
         band = make_band()
-        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.0)
         window = WindowSpec("gaussian", 4e-6)
         rate = 80.0 / window.tau
         traces_s, traces_i = synthesize_baseband_pair(
-            band, plan, window, "pump_on", [shot_rng(1, 0, "pump_on")], rate
+            band, 0.0, window, "pump_on", [shot_rng(1, 0, "pump_on")], rate
         )
         assert traces_s.shape == traces_i.shape == (1, 80)
 
@@ -202,15 +180,15 @@ class TestSynthesize:
         # One kernel for several shots gives each shot's own traces and
         # leaves each generator just after its bin draws.
         band = make_band()
-        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.2e6)
+        detuning = 0.2e6
         window = WindowSpec("gaussian", 6e-6)
         rate = 100.0 / window.tau
         shots = (0, 5, 9)
         batched = [shot_rng(3, shot, "pump_on", 1) for shot in shots]
-        traces = np.stack(synthesize_baseband_pair(band, plan, window, "pump_on", batched, rate))
+        traces = np.stack(synthesize_baseband_pair(band, detuning, window, "pump_on", batched, rate))
         for row, (shot, rng) in enumerate(zip(shots, batched)):
             single = shot_rng(3, shot, "pump_on", 1)
-            expected = np.stack(synthesize_baseband_pair(band, plan, window, "pump_on", [single], rate))
+            expected = np.stack(synthesize_baseband_pair(band, detuning, window, "pump_on", [single], rate))
             np.testing.assert_allclose(
                 traces[:, row], expected[:, 0], rtol=0.0, atol=1e-12 * np.abs(expected).max()
             )
@@ -218,9 +196,8 @@ class TestSynthesize:
 
     def test_no_generators_give_no_traces(self):
         band = make_band()
-        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.0)
         window = WindowSpec("rectangular", 6e-6)
-        traces_s, traces_i = synthesize_baseband_pair(band, plan, window, "pump_on", [], 100.0 / window.tau)
+        traces_s, traces_i = synthesize_baseband_pair(band, 0.0, window, "pump_on", [], 100.0 / window.tau)
         assert traces_s.shape == traces_i.shape == (0, 100)
 
 
@@ -256,24 +233,24 @@ class TestStreams:
 
 
 class TestRunExperiment:
-    def test_same_seed_is_bit_identical(self, plan_matched):
+    def test_same_seed_is_bit_identical(self):
         band = make_band()
         acq = make_acquisition(n_shots=50, seed=31)
-        first = run_experiment(plan_matched, band, acq)
-        second = run_experiment(plan_matched, band, acq)
+        first = run_experiment(0.0, band, acq)
+        second = run_experiment(0.0, band, acq)
         assert np.array_equal(first.on, second.on)
         assert np.array_equal(first.off, second.off)
 
-    def test_matches_per_shot_operations(self, plan_matched):
+    def test_matches_per_shot_operations(self):
         # The batched runner must reproduce what the public per-shot ops give.
         band = make_band()
         window = WindowSpec("gaussian", 6e-6)
         acq = make_acquisition(window=window, n_shots=5, seed=77)
-        data = run_experiment(plan_matched, band, acq)
+        data = run_experiment(0.0, band, acq)
         for shot in (0, 3):
             rng = shot_rng(acq.seed, shot, "pump_on")
             (trace_s,), (trace_i,) = synthesize_baseband_pair(
-                band, plan_matched, window, "pump_on", [rng], acq.sample_rate
+                band, 0.0, window, "pump_on", [rng], acq.sample_rate
             )
             x_s, p_s = demodulate(trace_s, window, acq.lo_phase_signal, acq.sample_rate)
             x_i, p_i = demodulate(trace_i, window, acq.lo_phase_idler, acq.sample_rate)
@@ -286,7 +263,7 @@ class TestRunExperiment:
         # substream, root chain gain, white noise from the next 4 n_samples
         # normals (real and imaginary parts interleaved), demodulation.
         band = make_band()
-        plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, 0.3e6)
+        detuning = 0.3e6
         window = WindowSpec("gaussian", 6e-6)
         gains = (4.0, 0.25)
         lo_phases = (0.4, -1.1)
@@ -300,7 +277,7 @@ class TestRunExperiment:
             chain_gain_idler=gains[1],
             added_noise_quanta=3.0,
         )
-        data = run_experiment(plan, band, acq, stream=2)
+        data = run_experiment(detuning, band, acq, stream=2)
 
         rate = acq.sample_rate
         n_samples = round(rate * window.tau)
@@ -317,7 +294,7 @@ class TestRunExperiment:
             expected = []
             for shot in shots:
                 rng = shot_rng(acq.seed, shot, stage, stream=2)
-                traces = [t[0] for t in synthesize_baseband_pair(band, plan, window, stage, [rng], rate)]
+                traces = [t[0] for t in synthesize_baseband_pair(band, detuning, window, stage, [rng], rate)]
                 noise = rng.standard_normal(4 * n_samples).reshape(2, 2 * n_samples)
                 row = []
                 for trace, gain, sigma, lo_phase, n in zip(traces, gains, sigmas, lo_phases, noise):
@@ -337,30 +314,30 @@ class TestRunExperiment:
             np.abs(est.matrix[off_diagonal]) <= 3.0 * est.standard_errors[off_diagonal]
         )
 
-    def test_unit_gain_pump_matches_off_stage(self, plan_matched):
+    def test_unit_gain_pump_matches_off_stage(self):
         band = make_band(twpa=TwpaParams(1.0, 1.0, 0.0))
         acq = make_acquisition(n_shots=3000, seed=91)
-        data = run_experiment(plan_matched, band, acq)
+        data = run_experiment(0.0, band, acq)
         on = estimate_covariance(data.on)
         off = estimate_covariance(data.off)
         tol = 3.0 * np.sqrt(on.standard_errors**2 + off.standard_errors**2)
         assert np.all(np.abs(on.matrix - off.matrix) <= tol)
 
-    def test_added_noise_raises_both_stages_equally(self, plan_matched):
+    def test_added_noise_raises_both_stages_equally(self):
         band = make_band()
         noisy = make_acquisition(n_shots=4000, seed=13, added_noise=8.0)
-        data = run_experiment(plan_matched, band, noisy)
+        data = run_experiment(0.0, band, noisy)
         off = estimate_covariance(data.off)
         # OFF variance should sit at vacuum + noise quanta (chain gain 1).
         expected = 0.25 + 8.0 / 4.0
         assert np.all(np.abs(np.diag(off.matrix) - expected) <= 3.0 * np.diag(off.standard_errors))
 
-    def test_refinement_invariance(self, plan_matched):
+    def test_refinement_invariance(self):
         # Halving the bin spacing must not move the demodulated covariance
         # beyond the combined Monte-Carlo error.
         acq = make_acquisition(n_shots=10_000, seed=101)
-        coarse = run_experiment(plan_matched, make_band(spacing=60e3), acq)
-        fine = run_experiment(plan_matched, make_band(spacing=30e3), acq)
+        coarse = run_experiment(0.0, make_band(spacing=60e3), acq)
+        fine = run_experiment(0.0, make_band(spacing=30e3), acq)
         est_coarse = estimate_covariance(coarse.on)
         est_fine = estimate_covariance(fine.on)
         tol = 3.0 * np.sqrt(est_coarse.standard_errors**2 + est_fine.standard_errors**2)
@@ -368,7 +345,7 @@ class TestRunExperiment:
 
 
 class TestDetuningKernel:
-    def test_cross_covariance_follows_window_overlap(self, plan_matched):
+    def test_cross_covariance_follows_window_overlap(self):
         # cov(X_s, X_i) versus detuning should be proportional to the
         # quadrature-integrated overlap kernel of the two window envelopes.
         band = make_band(halfwidth=4.4e6, spacing=50e3)
@@ -379,8 +356,7 @@ class TestDetuningKernel:
         covariances = np.empty(detunings.size)
         errors = np.empty(detunings.size)
         for k, detuning in enumerate(detunings):
-            plan = FrequencyPlan.for_detuning(F_PUMP, F_IDLER, detuning)
-            data = run_experiment(plan, band, acq, stream=k)
+            data = run_experiment(detuning, band, acq, stream=k)
             est = estimate_covariance(data.on)
             covariances[k] = est.matrix[0, 2]
             errors[k] = est.standard_errors[0, 2]

@@ -121,7 +121,7 @@ class TestCsvFormat:
         acq = config.acquisition
         rngs = (shot_rng(acq.seed, shot, "pump_on") for shot in range(3))
         signal, idler = synthesize_baseband_pair(
-            config.band, config.plan(), acq.window, "pump_on", rngs, acq.sample_rate
+            config.band, config.detuning, acq.window, "pump_on", rngs, acq.sample_rate
         )
         expected = [
             f"# config_hash={config.hash()}\n",
@@ -257,6 +257,13 @@ class TestSimulate:
         assert summary["seed"] == 42
         assert 0.5 < summary["rho_xx"] <= 1.05
 
+    def test_summary_reports_the_configured_detuning(self, tmp_path):
+        path = write_config(tmp_path, overrides={"frequency.detuning": 123456.789})
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+        assert summary["detuning_hz"] == 123456.789
+
     def test_headers_carry_hash_seed_version(self, tmp_path):
         path = write_config(tmp_path)
         CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
@@ -321,7 +328,7 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         config = load_config(path)
         acq = config.acquisition
-        shots = run_experiment(config.plan(), config.band, acq).on
+        shots = run_experiment(config.detuning, config.band, acq).on
         rows = read_csv_rows(tmp_path / "run" / "traces_pump_on.csv")[1:]
         table = np.array([[float(x) for x in row.split(",")] for row in rows])
         traces = table[:, 2:].reshape(3, 100, 4)

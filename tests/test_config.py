@@ -17,6 +17,9 @@ SWEEPS = ("linewidth", "compare-windows")
 
 NAN, INF = float("nan"), float("inf")
 RECTANGULAR_6US = {"window": "rectangular", "tau": 6.0e-6}
+#: Puts the signal demodulation frequency at the idler's at the -150 kHz
+#: point of BASE_CONFIG's linewidth grid, and at no other detuning acquired.
+DEGENERATE_SWEEP_POINT = {"frequency.f_idler_demod": 6.331075e9}
 
 #: (case id, {dotted path: value} written into BASE_CONFIG, field the error must name).
 #: Every command loads the whole config, so each of these must fail in all of them.
@@ -113,6 +116,7 @@ UNCOVERED = [
         "linewidth.cases[1].tau",
     ),
     ("default-cases-off-band", {"linewidth": None}, [], SWEEPS, "linewidth.cases[0].tau"),
+    ("interior-degenerate-point", DEGENERATE_SWEEP_POINT, [], SWEEPS, "frequency.f_idler_demod"),
 ]
 
 
@@ -179,9 +183,17 @@ def test_every_field_has_a_bad_value_case():
 
 
 @pytest.mark.parametrize("command", SINGLE_RUNS)
-def test_single_runs_need_no_linewidth_section(tmp_path, command):
-    # The default linewidth cases do not suit this band, but single runs never use them.
-    config = write_config(tmp_path, overrides={"linewidth": None})
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # The default linewidth cases do not suit this band, but single runs never use them.
+        pytest.param({"linewidth": None}, id="no-linewidth-section"),
+        # Single runs acquire frequency.detuning alone, where the frequencies differ.
+        pytest.param(DEGENERATE_SWEEP_POINT, id="degenerate-sweep-point"),
+    ],
+)
+def test_single_runs_accept_what_only_sweeps_refuse(tmp_path, command, changes):
+    config = write_config(tmp_path, overrides=changes)
     result = CliRunner().invoke(main, [command, "--config", str(config), "--out", str(tmp_path / "run")])
     assert result.exit_code == 0, result.output
 

@@ -7,7 +7,6 @@ import pytest
 
 from twpacorr import (
     AcquisitionConfig,
-    FrequencyPlan,
     TwpaParams,
     WindowSpec,
     estimate_covariance,
@@ -21,7 +20,7 @@ from twpacorr import (
 )
 from twpacorr.estimators import CovarianceEstimate
 
-from conftest import F_IDLER, F_PUMP, gaussian_shots, make_acquisition, make_band
+from conftest import gaussian_shots, make_acquisition, make_band
 
 
 class TestEstimateCovariance:
@@ -100,7 +99,7 @@ class TestInferTmsvs:
             inferred[:2, 2:], matrix[:2, 2:] / math.sqrt(g_s * g_i), rtol=1e-12
         )
 
-    def test_end_to_end_recovery_against_analytic(self, plan_matched, ideal_experiment):
+    def test_end_to_end_recovery_against_analytic(self, ideal_experiment):
         analytic = tmsvs_covariance(TwpaParams(2.0, 2.0, 0.0))
         on = estimate_covariance(ideal_experiment.on)
         off = estimate_covariance(ideal_experiment.off)
@@ -108,14 +107,14 @@ class TestInferTmsvs:
         tol = 3.0 * np.sqrt(on.standard_errors**2 + off.standard_errors**2)
         assert np.all(np.abs(inferred - analytic) <= tol)
 
-    def test_common_chain_gain_cancels(self, plan_matched):
+    def test_common_chain_gain_cancels(self):
         # A noiseless chain with equal gain on both channels must infer the
         # same state as unit gain, shot for shot.
         band = make_band()
         unit = make_acquisition(n_shots=400, seed=55, chain_gain=1.0)
         amplified = make_acquisition(n_shots=400, seed=55, chain_gain=4000.0)
-        data_unit = run_experiment(plan_matched, band, unit)
-        data_amp = run_experiment(plan_matched, band, amplified)
+        data_unit = run_experiment(0.0, band, unit)
+        data_amp = run_experiment(0.0, band, amplified)
         inferred_unit = infer_tmsvs(
             estimate_covariance(data_unit.on), estimate_covariance(data_unit.off), 1.0, 1.0
         )
@@ -176,13 +175,13 @@ class TestPhaseSweep:
         with pytest.raises(ValueError):
             phase_sweep(ideal_experiment.on, ideal_experiment.off, 1.0, 1.0, [])
 
-    def test_refinement_beats_grid_resolution(self, plan_matched):
+    def test_refinement_beats_grid_resolution(self):
         # With a deliberate phase mismatch the true optimum falls between
         # grid points; the parabolic estimate should land within a fraction
         # of a step from it.
         band = make_band(twpa=TwpaParams(2.0, 2.0, 0.45))
         acq = make_acquisition(n_shots=8000, seed=500)
-        data = run_experiment(plan_matched, band, acq)
+        data = run_experiment(0.0, band, acq)
         alphas = np.linspace(0.0, 2.0 * math.pi, 37)
         result = phase_sweep(data.on, data.off, 1.0, 1.0, alphas)
         assert result.refined
@@ -240,7 +239,7 @@ class TestAgainstShotDefinition:
     GAINS = (250.0, 9.0)
 
     @pytest.fixture(scope="class")
-    def noisy(self, plan_matched):
+    def noisy(self):
         band = make_band(twpa=TwpaParams(2.0, 2.0, 0.45))
         acq = AcquisitionConfig(
             window=WindowSpec("gaussian", 6e-6),
@@ -250,7 +249,7 @@ class TestAgainstShotDefinition:
             chain_gain_idler=self.GAINS[1],
             added_noise_quanta=2.0,
         )
-        return run_experiment(plan_matched, band, acq)
+        return run_experiment(0.0, band, acq)
 
     @pytest.fixture(scope="class")
     def reference(self, noisy):

@@ -7,7 +7,6 @@ import pytest
 
 from twpacorr import (
     DetuningSweep,
-    FrequencyPlan,
     WindowSpec,
     compare_windows,
     fit_model,
@@ -23,7 +22,7 @@ from twpacorr.linewidth import (
     _model_jacobian,
 )
 
-from conftest import F_IDLER, F_PUMP, make_acquisition, make_band
+from conftest import make_acquisition, make_band
 
 TAU = 6e-6
 XI_RECT = math.pi * TAU
@@ -168,20 +167,20 @@ class TestCompareWindows:
 
 
 @pytest.fixture(scope="module")
-def small_sweep(plan_matched):
+def small_sweep():
     band = make_band(halfwidth=2.2e6, spacing=80e3)
     acq = make_acquisition(n_shots=2500, seed=606)
     detunings = np.linspace(-0.3e6, 0.3e6, 13)
-    return sweep_detuning(plan_matched, band, acq, detunings)
+    return sweep_detuning(band, acq, detunings)
 
 
 class TestSweepDetuning:
-    def test_center_matches_phase_optimized_maximum(self, small_sweep, plan_matched):
+    def test_center_matches_phase_optimized_maximum(self, small_sweep):
         from twpacorr import phase_sweep, run_experiment
 
         band = make_band(halfwidth=2.2e6, spacing=80e3)
         acq = make_acquisition(n_shots=2500, seed=606)
-        calibration = run_experiment(plan_matched, band, acq, stream=0)
+        calibration = run_experiment(0.0, band, acq, stream=0)
         swept = phase_sweep(
             calibration.on, calibration.off, 1.0, 1.0, np.linspace(0, 2 * math.pi, 73)
         )
@@ -198,13 +197,13 @@ class TestSweepDetuning:
             tol = 3.0 * math.hypot(err[k], err[mirrored])
             assert abs(rho[k] - rho[mirrored]) <= tol
 
-    def test_first_zero_near_reciprocal_window_time(self, plan_matched):
+    def test_first_zero_near_reciprocal_window_time(self):
         # For a flat 6 us window the fitted kernel's first zero should land
         # near 1/tau ~ 166.7 kHz.
         band = make_band(halfwidth=2.6e6, spacing=80e3)
         acq = make_acquisition(n_shots=4000, seed=909)
         detunings = np.linspace(-0.4e6, 0.4e6, 17)
-        sweep = sweep_detuning(plan_matched, band, acq, detunings)
+        sweep = sweep_detuning(band, acq, detunings)
         fit = fit_model(sweep)
         first_zero = math.pi / fit.scale_xi
         assert first_zero == pytest.approx(1.0 / TAU, rel=0.05)
@@ -213,16 +212,16 @@ class TestSweepDetuning:
         distance = math.degrees(small_sweep.alpha_star) % 360.0
         assert min(distance, 360.0 - distance) < 10.0
 
-    def test_detuning_outside_band_is_rejected(self, plan_matched):
+    def test_detuning_outside_band_is_rejected(self):
         band = make_band(halfwidth=2.2e6, spacing=80e3)
         acq = make_acquisition(n_shots=100, seed=2)
         detunings = np.linspace(-1.5e6, 1.5e6, 7)
         with pytest.raises(ValueError, match="band"):
-            sweep_detuning(plan_matched, band, acq, detunings)
+            sweep_detuning(band, acq, detunings)
 
 
 class TestSnrGrowth:
-    def test_snr_nondecreasing_with_shots(self, plan_matched):
+    def test_snr_nondecreasing_with_shots(self):
         # More shots shrink the residual RMS, so SNR = A / RMS must grow
         # (up to a one-sigma-scale slack).
         band = make_band(halfwidth=2.2e6, spacing=80e3)
@@ -230,7 +229,7 @@ class TestSnrGrowth:
         snrs = []
         for n_shots in (10**3, 10**4, 10**5):
             acq = make_acquisition(n_shots=n_shots, seed=112)
-            sweep = sweep_detuning(plan_matched, band, acq, detunings)
+            sweep = sweep_detuning(band, acq, detunings)
             snrs.append(fit_model(sweep).snr)
         assert snrs[1] >= snrs[0] * 0.9
         assert snrs[2] >= snrs[1] * 0.9
