@@ -22,10 +22,14 @@ it is what ``simulate --dump-traces`` writes out.
 
 Conventions baked in here:
 
-* Time samples sit at interval midpoints, and the synthesis phase reference
-  is the window center, which makes the detuning kernel of a symmetric
-  window purely real (a start-referenced phase would tilt it by a linear
-  spectral phase and shift the kernel zeros).
+* Every window is sampled the same way, by ``WindowSpec.samples``:
+  ``SAMPLES_PER_WINDOW`` = 100 samples at the midpoints of [0, tau), at
+  ``(k + 0.5) / rate`` with ``rate = SAMPLES_PER_WINDOW / tau`` and
+  ``dt = 1 / rate``. Every trace has that many samples, and demodulation
+  is the midpoint rule on that grid.
+* The synthesis phase reference is the window center, which makes the
+  detuning kernel of a symmetric window purely real (a start-referenced
+  phase would tilt it by a linear spectral phase and shift the kernel zeros).
 * Bin amplitudes carry ``sqrt(bin_spacing)`` so band statistics are invariant
   under bin refinement, times a window calibration factor chosen so that the
   windowed-mean demodulation below returns exactly vacuum variance 1/4 per
@@ -51,6 +55,9 @@ from .gaussian import TwpaParams, tmsvs_covariance
 GAUSSIAN_FLOOR = math.exp(-2.0) / (1.0 - math.exp(-2.0))
 
 WINDOW_SHAPES = ("rectangular", "gaussian")
+
+#: Trace samples per acquisition window, whatever its shape and tau.
+SAMPLES_PER_WINDOW = 100
 
 #: Half-width of the window kernel support assumed when checking that the
 #: emission band covers a demodulation offset, as a multiple of 1/tau.
@@ -94,6 +101,18 @@ class WindowSpec:
             return np.ones_like(times)
         u = 2.0 * times / self.tau - 1.0
         return (1.0 + GAUSSIAN_FLOOR) * np.exp(-2.0 * u * u) - GAUSSIAN_FLOOR
+
+    def samples(self) -> tuple[np.ndarray, np.ndarray, float, float]:
+        """The sampled window: midpoint times, E(t) at them, dt and int E = sum E dt.
+
+        The ``SAMPLES_PER_WINDOW`` times are measured from the window start.
+        A trace demodulates to ``sum(trace * E) * dt * exp(-i lo_phase) / int E``.
+        """
+        rate = SAMPLES_PER_WINDOW / self.tau
+        times = (np.arange(SAMPLES_PER_WINDOW) + 0.5) / rate
+        envelope = self.envelope(times)
+        dt = 1.0 / rate
+        return times, envelope, dt, float(np.sum(envelope) * dt)
 
 
 @dataclass(frozen=True)
@@ -180,8 +199,8 @@ class AcquisitionConfig:
 
     @property
     def sample_rate(self) -> float:
-        """Trace sample rate in Hz: 100 samples per window."""
-        return 100.0 / self.window.tau
+        """Trace sample rate in Hz: ``SAMPLES_PER_WINDOW`` samples per window."""
+        return SAMPLES_PER_WINDOW / self.window.tau
 
 
 @dataclass(frozen=True)
@@ -244,25 +263,6 @@ class _StreamCursor:
         return self.generator
 
 
-def _midpoint_times(n_samples: int, sample_rate: float) -> np.ndarray:
-    """Sample times measured from the window start: midpoints of [0, tau)."""
-    return (np.arange(n_samples) + 0.5) / sample_rate
-
-
-def _trace_length(window: WindowSpec, sample_rate: float) -> int:
-    return round(sample_rate * window.tau)
-
-
-def _window_weights(window: WindowSpec, sample_rate: float) -> tuple[np.ndarray, float, float]:
-    """The sampled window integral: E(t) at the sample midpoints, dt, and int E = sum E dt.
-
-    A trace demodulates to ``sum(trace * E) * dt * exp(-i lo_phase) / int E``.
-    """
-    dt = 1.0 / sample_rate
-    envelope = window.envelope(_midpoint_times(_trace_length(window, sample_rate), sample_rate))
-    return envelope, dt, float(np.sum(envelope) * dt)
-
-
 def _complex_rows(coefficients: np.ndarray) -> np.ndarray:
     """(n, 2, 2) real blocks mapping the row (Re u, Im u) to (Re, Im) of ``c u``."""
     re, im = coefficients.real, coefficients.imag
@@ -277,20 +277,17 @@ class _SynthesisKernel:
         band: EmissionBandModel,
         detuning: float,
         window: WindowSpec,
-        sample_rate: float,
     ) -> None:
         tau = window.tau
         band.validate_for(tau, detuning)
-        self.envelope, self.dt, self.norm = _window_weights(window, sample_rate)
+        times, self.envelope, self.dt, self.norm = window.samples()
         self.n_samples = self.envelope.size
-        if self.n_samples < 1:
-            raise ValueError("window shorter than one sample at this rate")
         self.power = float(np.sum(self.envelope**2) * self.dt)
 
         offsets = band.offsets()
         # Phase evolution is referenced to the window center; bins beat at
         # their offset from each channel's demodulation frequency.
-        centered = _midpoint_times(self.n_samples, sample_rate) - tau / 2.0
+        centered = times - tau / 2.0
         self.phases_signal = np.exp(2j * np.pi * np.outer(detuning - offsets, centered))
         self.phases_idler = np.exp(2j * np.pi * np.outer(offsets, centered))
         self.n_bins = offsets.size
@@ -358,7 +355,6 @@ def synthesize_baseband_pair(
     window: WindowSpec,
     stage: str,
     rngs: Iterable[np.random.Generator],
-    sample_rate: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Complex baseband (signal, idler) traces, one shot per generator in ``rngs``.
 
@@ -372,7 +368,7 @@ def synthesize_baseband_pair(
     """
     if stage not in _STAGE_CODES:
         raise ValueError(f"stage must be 'pump_on' or 'pump_off', got {stage!r}")
-    kernel = _SynthesisKernel(band, detuning, window, sample_rate)
+    kernel = _SynthesisKernel(band, detuning, window)
     draws = np.array([rng.standard_normal((kernel.n_bins, 4)) for rng in rngs])
     return kernel.traces(draws.reshape(-1, kernel.n_bins, 4), stage)
 
@@ -381,23 +377,19 @@ def demodulate(
     trace: np.ndarray,
     window: WindowSpec,
     lo_phase: float,
-    sample_rate: float,
 ) -> tuple[float, float]:
     """Window-weighted IQ integration of a complex baseband trace.
 
-    Computes ``z = sum(trace * E * dt) * exp(-i lo_phase) / integral(E)`` so
-    a constant unit trace demodulates to ``exp(-i lo_phase)``; the trace is
-    already at baseband, so LO multiplication is just the phase factor.
-    Returns (Re z, Im z).
+    Computes ``z = sum(trace * E * dt) * exp(-i lo_phase) / integral(E)`` on
+    the window's samples (``WindowSpec.samples``), so a constant unit trace
+    demodulates to ``exp(-i lo_phase)``; the trace is already at baseband,
+    so LO multiplication is just the phase factor. Returns (Re z, Im z).
     """
     trace = np.asarray(trace)
-    if trace.size == 0:
-        raise ValueError("cannot demodulate an empty trace")
-    envelope, dt, norm = _window_weights(window, sample_rate)
+    _, envelope, dt, norm = window.samples()
     if trace.size != envelope.size:
         raise ValueError(
-            f"trace length {trace.size} does not match window tau {window.tau:.3g} s "
-            f"at sample rate {sample_rate:.6g} Hz (expected {envelope.size})"
+            f"trace length {trace.size} does not match the {envelope.size} samples of a window"
         )
     z = np.sum(trace * envelope) * dt * np.exp(-1j * lo_phase) / norm
     return float(z.real), float(z.imag)
@@ -429,7 +421,7 @@ def run_experiment(
     ``stream`` selects an independent substream family so sweep points stay
     independent under a common master seed.
     """
-    kernel = _SynthesisKernel(band, detuning, config.window, config.sample_rate)
+    kernel = _SynthesisKernel(band, detuning, config.window)
     maps = {stage: kernel.linear_map(stage, config) for stage in _STAGE_CODES}
 
     n = config.n_shots

@@ -128,6 +128,8 @@ def _load(config_path: str, out: str | None, overrides: dict, sweep: bool) -> Ex
     try:
         config = load_config(config_path, fields)
         config.check_coverage(sweep)
+        if sweep:
+            _check_case_labels(config)
         if out is not None:
             config = replace(config, output_dir=Path(out))
         _check_output_dir(config.output_dir)
@@ -223,7 +225,6 @@ def simulate(config_path, out, seed, dump_traces) -> None:
             acq.window,
             "pump_on",
             (shot_rng(acq.seed, shot, "pump_on") for shot in shots),
-            acq.sample_rate,
         )
         table = np.stack([traces_s.real, traces_s.imag, traces_i.real, traces_i.imag], axis=-1)
         _write_csv(
@@ -310,7 +311,21 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
 
 
 def _case_label(window) -> str:
+    """A linewidth case's name in messages and in its file, ``linewidth_<label>.csv``."""
     return f"{window.shape}_{window.tau * 1e6:g}us"
+
+
+def _check_case_labels(config: ExperimentConfig) -> None:
+    """Refuse two linewidth cases that would write the same file."""
+    first_case = {}
+    for index, window in enumerate(config.cases):
+        label = _case_label(window)
+        if label in first_case:
+            raise ConfigError(
+                f"field 'linewidth.cases[{index}]': cases [{first_case[label]}] and "
+                f"[{index}] both write linewidth_{label}.csv"
+            )
+        first_case[label] = index
 
 
 def _run_linewidth_cases(config: ExperimentConfig, strict):
@@ -345,7 +360,7 @@ def _run_linewidth_cases(config: ExperimentConfig, strict):
             LINEWIDTH_COLUMNS,
             list(zip(sweep.detunings, np.abs(sweep.rho_values), sweep.rho_errors)),
         )
-        comparison = compare_windows([fit], [sweep])[0]
+        comparison = compare_windows(fit, sweep)
         fit_rows.append(
             (
                 window.shape,

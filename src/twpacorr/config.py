@@ -24,7 +24,6 @@ import numpy as np
 import yaml
 
 from .acquisition import AcquisitionConfig, EmissionBandModel, WindowSpec
-from .estimators import DEFAULT_PHASE_POINTS
 from .gaussian import TwpaParams
 
 #: Linewidth cases of a config that lists none: both window families at the
@@ -34,6 +33,9 @@ DEFAULT_CASES = tuple(
     for shape in ("rectangular", "gaussian")
     for tau in (3e-6, 4e-6, 5e-6, 6e-6)
 )
+
+#: Angles of a phase grid over [0, 360] degrees when ``phase_sweep.points`` is unset.
+DEFAULT_PHASE_POINTS = 73
 
 #: Largest |detuning| in Hz that any command acquires.
 MAX_DETUNING = 10e6

@@ -18,8 +18,6 @@ from .gaussian import VACUUM_VARIANCE, pearson_xx, rotate_quadrature_array
 
 #: Contiguous blocks of the leave-one-block-out jackknife (one shot each below 50 shots).
 JACKKNIFE_BLOCKS = 50
-#: Default number of angles in a phase grid over [0, 2 pi].
-DEFAULT_PHASE_POINTS = 73
 
 
 @dataclass(frozen=True)
@@ -34,11 +32,11 @@ class CovarianceEstimate:
 class PhaseSweepResult:
     """Pearson correlation versus relative LO phase, with its maximizer.
 
+    ``rho_values`` and ``rho_errors`` follow the angles given to ``phase_sweep``.
     ``refined`` reports whether ``alpha_star`` came from parabolic
     interpolation around the grid maximum or is a bare grid point.
     """
 
-    alphas: np.ndarray
     rho_values: np.ndarray
     rho_errors: np.ndarray
     alpha_star: float
@@ -209,7 +207,6 @@ def phase_sweep(
 
     alpha_star, rho_max, refined = _refine_maximum(alphas, rho_values)
     return PhaseSweepResult(
-        alphas=alphas,
         rho_values=rho_values,
         rho_errors=rho_errors,
         alpha_star=alpha_star,

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .acquisition import AcquisitionConfig, EmissionBandModel, WindowSpec, run_experiment
-from .estimators import DEFAULT_PHASE_POINTS, inferred_pearson, phase_sweep
+from .estimators import inferred_pearson, phase_sweep
 
 #: The response model fitted to a sweep, by its window's shape.
 MODEL_FOR_SHAPE = {"rectangular": "abs_sinc", "gaussian": "gaussian"}
@@ -134,19 +134,17 @@ def sweep_detuning(
     band: EmissionBandModel,
     config: AcquisitionConfig,
     detunings: Sequence[float],
-    alpha_grid: Optional[Sequence[float]] = None,
+    alpha_grid: Sequence[float],
 ) -> DetuningSweep:
     """Run the correlation experiment across a grid of detunings in Hz.
 
     The detuning is the only frequency the simulation reads. The relative LO
-    phase is calibrated once with a phase sweep at zero detuning, then held
-    fixed while the detuning walks the grid (substream 0 is the calibration
-    run; point k runs at ``detunings[k]`` on substream k + 1, so points are
-    independent and order-insensitive).
+    phase is calibrated once with a phase sweep over ``alpha_grid`` (radians)
+    at zero detuning, then held fixed while the detuning walks the grid
+    (substream 0 is the calibration run; point k runs at ``detunings[k]`` on
+    substream k + 1, so points are independent and order-insensitive).
     """
     detunings = np.asarray(detunings, dtype=float)
-    if alpha_grid is None:
-        alpha_grid = np.linspace(0.0, 2.0 * math.pi, DEFAULT_PHASE_POINTS)
 
     calibration = run_experiment(0.0, band, config, stream=0)
     swept = phase_sweep(
@@ -293,25 +291,16 @@ def _sidelobe(sweep: DetuningSweep, fit: LinewidthFit) -> tuple[float, float, in
     )
 
 
-def compare_windows(
-    fits: Sequence[LinewidthFit], sweeps: Sequence[DetuningSweep]
-) -> list[WindowComparison]:
-    """Per-case FWHM / SNR / side-lobe / FWHM*tau summary across windows."""
-    if len(fits) != len(sweeps):
-        raise ValueError("need one fit per sweep")
-    rows = []
-    for fit, sweep in zip(fits, sweeps):
-        sidelobe, sidelobe_se, count = _sidelobe(sweep, fit)
-        rows.append(
-            WindowComparison(
-                window=sweep.window.shape,
-                tau=sweep.window.tau,
-                fwhm=fit.fwhm,
-                snr=fit.snr,
-                fwhm_tau=fit.fwhm * sweep.window.tau,
-                sidelobe=sidelobe,
-                sidelobe_se=sidelobe_se,
-                n_sidelobe_points=count,
-            )
-        )
-    return rows
+def compare_windows(fit: LinewidthFit, sweep: DetuningSweep) -> WindowComparison:
+    """One case's FWHM / SNR / side-lobe / FWHM*tau figures for the window comparison."""
+    sidelobe, sidelobe_se, count = _sidelobe(sweep, fit)
+    return WindowComparison(
+        window=sweep.window.shape,
+        tau=sweep.window.tau,
+        fwhm=fit.fwhm,
+        snr=fit.snr,
+        fwhm_tau=fit.fwhm * sweep.window.tau,
+        sidelobe=sidelobe,
+        sidelobe_se=sidelobe_se,
+        n_sidelobe_points=count,
+    )

@@ -53,6 +53,8 @@ N_SHOTS = 10_000
 
 TWPA = TwpaParams(2.0, 2.0, 0.0)
 BAND = EmissionBandModel(per_bin_params=TWPA, band_halfwidth=4.4e6, bin_spacing=50e3)
+#: The calibration phase grid of every sweep, in radians.
+ALPHA_GRID = np.linspace(0.0, 2.0 * math.pi, 73)
 
 
 def _acquisition(tau: float, shape: str, seed: int = ACCEPT_SEED) -> AcquisitionConfig:
@@ -74,7 +76,7 @@ def _finish(criterion: int, name: str, failures: list) -> None:
 
 def _run_sweep_case(shape: str, tau: float, seed: int = ACCEPT_SEED):
     detunings = np.linspace(-SWEEP_SPAN / 2.0, SWEEP_SPAN / 2.0, SWEEP_POINTS)
-    sweep = sweep_detuning(BAND, _acquisition(tau, shape, seed), detunings)
+    sweep = sweep_detuning(BAND, _acquisition(tau, shape, seed), detunings, ALPHA_GRID)
     return sweep, fit_model(sweep)
 
 
@@ -109,7 +111,7 @@ def _kernel_agreement_failures(shape: str, seed: int = ACCEPT_SEED) -> list:
         chain_gain_idler=1.0,
         added_noise_quanta=0.0,
     )
-    sweep = sweep_detuning(BAND, acq, detunings)
+    sweep = sweep_detuning(BAND, acq, detunings, ALPHA_GRID)
     kernel = overlap_kernel(window, detunings)
     center = detunings.size // 2
     rho0, se0 = sweep.rho_values[center], sweep.rho_errors[center]
@@ -213,14 +215,14 @@ def test_criterion_5_window_comparison(rect_cases, gauss_cases):
                 f"tau={tau*1e6:g}us: gaussian FWHM {gauss_fit.fwhm:.0f} <= "
                 f"rectangular {rect_fit.fwhm:.0f}"
             )
-        rect_row = compare_windows([rect_fit], [rect_sweep])[0]
+        rect_row = compare_windows(rect_fit, rect_sweep)
         expected_lobe = SINC_FIRST_LOBE_LEVEL * rect_fit.amplitude
         if not (0.7 * expected_lobe <= rect_row.sidelobe <= 1.3 * expected_lobe):
             failures.append(
                 f"tau={tau*1e6:g}us: rectangular side lobe {rect_row.sidelobe:.4f} outside "
                 f"{expected_lobe:.4f}+-30%"
             )
-        gauss_row = compare_windows([gauss_fit], [gauss_sweep])[0]
+        gauss_row = compare_windows(gauss_fit, gauss_sweep)
         if gauss_row.n_sidelobe_points > 0 and gauss_row.sidelobe > 3.0 * gauss_row.sidelobe_se:
             failures.append(
                 f"tau={tau*1e6:g}us: gaussian tail {gauss_row.sidelobe:.4f} exceeds "

@@ -16,7 +16,13 @@ from twpacorr import (
     shot_rng,
     synthesize_baseband_pair,
 )
-from twpacorr.acquisition import _CHUNK_SHOTS, GAUSSIAN_FLOOR, MAX_BINS, _StreamCursor
+from twpacorr.acquisition import (
+    _CHUNK_SHOTS,
+    GAUSSIAN_FLOOR,
+    MAX_BINS,
+    SAMPLES_PER_WINDOW,
+    _StreamCursor,
+)
 
 from conftest import make_acquisition, make_band, overlap_kernel
 
@@ -68,57 +74,54 @@ class TestEmissionBandModel:
             band.validate_for(6e-6)
 
 
+def midpoints(tau: float) -> np.ndarray:
+    """The window's sample times, written out longhand: midpoints of N equal steps."""
+    return (np.arange(SAMPLES_PER_WINDOW) + 0.5) * tau / SAMPLES_PER_WINDOW
+
+
 class TestDemodulate:
     def test_constant_trace_is_normalization_anchor(self):
         window = WindowSpec("rectangular", 2e-6)
-        rate = 50e6
-        trace = np.ones(round(rate * window.tau), dtype=complex)
-        assert demodulate(trace, window, 0.0, rate) == (1.0, 0.0)
+        trace = np.ones(SAMPLES_PER_WINDOW, dtype=complex)
+        assert demodulate(trace, window, 0.0) == (1.0, 0.0)
 
     def test_lo_phase_rotates_output(self):
         window = WindowSpec("rectangular", 2e-6)
-        rate = 50e6
-        trace = np.ones(round(rate * window.tau), dtype=complex)
-        x, p = demodulate(trace, window, math.pi / 2.0, rate)
+        trace = np.ones(SAMPLES_PER_WINDOW, dtype=complex)
+        x, p = demodulate(trace, window, math.pi / 2.0)
         assert x == pytest.approx(0.0, abs=1e-15)
         assert p == pytest.approx(-1.0, abs=1e-15)
 
     @pytest.mark.parametrize("m", [1, 3, 10])
     def test_integer_cycle_orthogonality(self, m):
         window = WindowSpec("rectangular", 2e-6)
-        rate = 100e6
-        n = round(rate * window.tau)
-        t = (np.arange(n) + 0.5) / rate
-        trace = np.exp(2j * np.pi * (m / window.tau) * t)
-        x, p = demodulate(trace, window, 0.0, rate)
+        trace = np.exp(2j * np.pi * (m / window.tau) * midpoints(window.tau))
+        x, p = demodulate(trace, window, 0.0)
         assert math.hypot(x, p) < 1e-10
 
     @pytest.mark.parametrize("cycles", [0.5, 2.5, 4.8])
-    def test_rectangular_response_is_sinc(self, cycles):
-        # Closed-form oracle: |z| for e^{i 2 pi f t} under a flat window is
-        # |sin(pi f tau) / (pi f tau)|; needs a dense grid to beat the
-        # midpoint-rule discretization error.
+    def test_rectangular_response_is_dirichlet_kernel(self, cycles):
+        # Closed-form oracle: the midpoint sum of e^{i 2 pi f t} over N
+        # samples of a flat window has magnitude
+        # |sin(pi f tau) / (N sin(pi f tau / N))|, the sampled sinc.
         tau = 2e-6
         window = WindowSpec("rectangular", tau)
         f = cycles / tau
-        rate = 8192 / tau
-        t = (np.arange(8192) + 0.5) / rate
-        trace = np.exp(2j * np.pi * f * t)
-        x, p = demodulate(trace, window, 0.0, rate)
-        expected = abs(math.sin(math.pi * f * tau) / (math.pi * f * tau))
-        assert math.hypot(x, p) == pytest.approx(expected, rel=1e-6)
+        trace = np.exp(2j * np.pi * f * midpoints(tau))
+        x, p = demodulate(trace, window, 0.0)
+        n = SAMPLES_PER_WINDOW
+        expected = abs(math.sin(math.pi * f * tau) / (n * math.sin(math.pi * f * tau / n)))
+        assert math.hypot(x, p) == pytest.approx(expected, rel=1e-12)
 
     def test_linearity(self):
         window = WindowSpec("gaussian", 2e-6)
-        rate = 64e6
-        n = round(rate * window.tau)
         rng = np.random.default_rng(5)
-        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u = rng.standard_normal(SAMPLES_PER_WINDOW) + 1j * rng.standard_normal(SAMPLES_PER_WINDOW)
+        v = rng.standard_normal(SAMPLES_PER_WINDOW) + 1j * rng.standard_normal(SAMPLES_PER_WINDOW)
         a, b = 0.7 - 0.2j, -1.1 + 0.5j
 
         def z(trace):
-            x, p = demodulate(trace, window, 0.3, rate)
+            x, p = demodulate(trace, window, 0.3)
             return complex(x, p)
 
         combined = z(a * u + b * v)
@@ -127,11 +130,11 @@ class TestDemodulate:
 
     def test_empty_trace_raises(self):
         with pytest.raises(ValueError):
-            demodulate(np.array([]), WindowSpec("rectangular", 1e-6), 0.0, 100e6)
+            demodulate(np.array([]), WindowSpec("rectangular", 1e-6), 0.0)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="length"):
-            demodulate(np.ones(10), WindowSpec("rectangular", 1e-6), 0.0, 100e6)
+            demodulate(np.ones(10), WindowSpec("rectangular", 1e-6), 0.0)
 
 
 class TestSynthesize:
@@ -142,11 +145,10 @@ class TestSynthesize:
         # that over the band. Checked to 3 sigma across shots.
         band = make_band()
         window = WindowSpec("rectangular", 6e-6)
-        rate = 100.0 / window.tau
         density = window.tau / 2.0
         expected = 2.0 * band.band_halfwidth * density
         rngs = (shot_rng(11, shot, "pump_off") for shot in range(1000))
-        traces_s, _ = synthesize_baseband_pair(band, 0.0, window, "pump_off", rngs, rate)
+        traces_s, _ = synthesize_baseband_pair(band, 0.0, window, "pump_off", rngs)
         powers = np.mean(np.abs(traces_s) ** 2, axis=1)
         se = powers.std(ddof=1) / math.sqrt(powers.size)
         assert abs(powers.mean() - expected) <= 3.0 * se
@@ -156,25 +158,22 @@ class TestSynthesize:
         detuning = 0.5e6
         window = WindowSpec("rectangular", 6e-6)
         with pytest.raises(ValueError, match="detuning 500000 Hz"):
-            synthesize_baseband_pair(
-                band, detuning, window, "pump_on", [shot_rng(1, 0, "pump_on")], 100.0 / window.tau
-            )
+            synthesize_baseband_pair(band, detuning, window, "pump_on", [shot_rng(1, 0, "pump_on")])
 
     def test_rejects_unknown_stage(self):
         band = make_band()
         with pytest.raises(ValueError, match="stage"):
             synthesize_baseband_pair(
-                band, 0.0, WindowSpec("rectangular", 6e-6), "idle", [shot_rng(1, 0, "pump_on")], 1e7
+                band, 0.0, WindowSpec("rectangular", 6e-6), "idle", [shot_rng(1, 0, "pump_on")]
             )
 
     def test_trace_length(self):
         band = make_band()
         window = WindowSpec("gaussian", 4e-6)
-        rate = 80.0 / window.tau
         traces_s, traces_i = synthesize_baseband_pair(
-            band, 0.0, window, "pump_on", [shot_rng(1, 0, "pump_on")], rate
+            band, 0.0, window, "pump_on", [shot_rng(1, 0, "pump_on")]
         )
-        assert traces_s.shape == traces_i.shape == (1, 80)
+        assert traces_s.shape == traces_i.shape == (1, SAMPLES_PER_WINDOW)
 
     def test_one_call_matches_one_call_per_generator(self):
         # One kernel for several shots gives each shot's own traces and
@@ -182,13 +181,12 @@ class TestSynthesize:
         band = make_band()
         detuning = 0.2e6
         window = WindowSpec("gaussian", 6e-6)
-        rate = 100.0 / window.tau
         shots = (0, 5, 9)
         batched = [shot_rng(3, shot, "pump_on", 1) for shot in shots]
-        traces = np.stack(synthesize_baseband_pair(band, detuning, window, "pump_on", batched, rate))
+        traces = np.stack(synthesize_baseband_pair(band, detuning, window, "pump_on", batched))
         for row, (shot, rng) in enumerate(zip(shots, batched)):
             single = shot_rng(3, shot, "pump_on", 1)
-            expected = np.stack(synthesize_baseband_pair(band, detuning, window, "pump_on", [single], rate))
+            expected = np.stack(synthesize_baseband_pair(band, detuning, window, "pump_on", [single]))
             np.testing.assert_allclose(
                 traces[:, row], expected[:, 0], rtol=0.0, atol=1e-12 * np.abs(expected).max()
             )
@@ -197,7 +195,7 @@ class TestSynthesize:
     def test_no_generators_give_no_traces(self):
         band = make_band()
         window = WindowSpec("rectangular", 6e-6)
-        traces_s, traces_i = synthesize_baseband_pair(band, 0.0, window, "pump_on", [], 100.0 / window.tau)
+        traces_s, traces_i = synthesize_baseband_pair(band, 0.0, window, "pump_on", [])
         assert traces_s.shape == traces_i.shape == (0, 100)
 
 
@@ -249,11 +247,9 @@ class TestRunExperiment:
         data = run_experiment(0.0, band, acq)
         for shot in (0, 3):
             rng = shot_rng(acq.seed, shot, "pump_on")
-            (trace_s,), (trace_i,) = synthesize_baseband_pair(
-                band, 0.0, window, "pump_on", [rng], acq.sample_rate
-            )
-            x_s, p_s = demodulate(trace_s, window, acq.lo_phase_signal, acq.sample_rate)
-            x_i, p_i = demodulate(trace_i, window, acq.lo_phase_idler, acq.sample_rate)
+            (trace_s,), (trace_i,) = synthesize_baseband_pair(band, 0.0, window, "pump_on", [rng])
+            x_s, p_s = demodulate(trace_s, window, acq.lo_phase_signal)
+            x_i, p_i = demodulate(trace_i, window, acq.lo_phase_idler)
             np.testing.assert_allclose(
                 data.on[shot], [x_s, p_s, x_i, p_i], rtol=0.0, atol=1e-12
             )
@@ -294,12 +290,12 @@ class TestRunExperiment:
             expected = []
             for shot in shots:
                 rng = shot_rng(acq.seed, shot, stage, stream=2)
-                traces = [t[0] for t in synthesize_baseband_pair(band, detuning, window, stage, [rng], rate)]
+                traces = [t[0] for t in synthesize_baseband_pair(band, detuning, window, stage, [rng])]
                 noise = rng.standard_normal(4 * n_samples).reshape(2, 2 * n_samples)
                 row = []
                 for trace, gain, sigma, lo_phase, n in zip(traces, gains, sigmas, lo_phases, noise):
                     trace = math.sqrt(gain) * trace + sigma * (n[0::2] + 1j * n[1::2])
-                    row.extend(demodulate(trace, window, lo_phase, rate))
+                    row.extend(demodulate(trace, window, lo_phase))
                 expected.append(row)
             expected = np.array(expected)
             np.testing.assert_allclose(

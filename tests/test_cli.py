@@ -121,7 +121,7 @@ class TestCsvFormat:
         acq = config.acquisition
         rngs = (shot_rng(acq.seed, shot, "pump_on") for shot in range(3))
         signal, idler = synthesize_baseband_pair(
-            config.band, config.detuning, acq.window, "pump_on", rngs, acq.sample_rate
+            config.band, config.detuning, acq.window, "pump_on", rngs
         )
         expected = [
             f"# config_hash={config.hash()}\n",
@@ -334,8 +334,8 @@ class TestSimulate:
         traces = table[:, 2:].reshape(3, 100, 4)
         for shot, trace in enumerate(traces):
             assert np.array_equal(table[100 * shot : 100 * (shot + 1), :2].T, [[shot] * 100, range(100)])
-            x_s, p_s = demodulate(trace[:, 0] + 1j * trace[:, 1], acq.window, 0.0, acq.sample_rate)
-            x_i, p_i = demodulate(trace[:, 2] + 1j * trace[:, 3], acq.window, 0.0, acq.sample_rate)
+            x_s, p_s = demodulate(trace[:, 0] + 1j * trace[:, 1], acq.window, 0.0)
+            x_i, p_i = demodulate(trace[:, 2] + 1j * trace[:, 3], acq.window, 0.0)
             np.testing.assert_allclose(
                 [x_s, p_s, x_i, p_i], shots[shot], rtol=0.0, atol=1e-8 * np.abs(trace).max()
             )

@@ -20,6 +20,11 @@ RECTANGULAR_6US = {"window": "rectangular", "tau": 6.0e-6}
 #: Puts the signal demodulation frequency at the idler's at the -150 kHz
 #: point of BASE_CONFIG's linewidth grid, and at no other detuning acquired.
 DEGENERATE_SWEEP_POINT = {"frequency.f_idler_demod": 6.331075e9}
+#: Linewidth cases that would both write linewidth_rectangular_6us.csv.
+SHARED_FILE_CASES = {
+    "6-digits": [RECTANGULAR_6US, {"window": "rectangular", "tau": 6.0000001e-6}],
+    "repeat": [RECTANGULAR_6US, RECTANGULAR_6US],
+}
 
 #: (case id, {dotted path: value} written into BASE_CONFIG, field the error must name).
 #: Every command loads the whole config, so each of these must fail in all of them.
@@ -129,6 +134,7 @@ def assert_refused(tmp_path, changes, options, command, field):
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
     assert not out.exists()
+    return result
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -149,6 +155,13 @@ def test_bad_value_is_refused_by_field(tmp_path, command, changes, field):
 )
 def test_uncovered_acquisition_is_refused_before_any_shot(tmp_path, changes, options, command, field):
     assert_refused(tmp_path, changes, options, command, field)
+
+
+@pytest.mark.parametrize("command", SWEEPS)
+@pytest.mark.parametrize("cases", SHARED_FILE_CASES.values(), ids=SHARED_FILE_CASES.keys())
+def test_cases_sharing_a_file_are_refused(tmp_path, command, cases):
+    result = assert_refused(tmp_path, {"linewidth.cases": cases}, [], command, "linewidth.cases[1]")
+    assert "linewidth_rectangular_6us.csv" in result.output
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -190,6 +203,8 @@ def test_every_field_has_a_bad_value_case():
         pytest.param({"linewidth": None}, id="no-linewidth-section"),
         # Single runs acquire frequency.detuning alone, where the frequencies differ.
         pytest.param(DEGENERATE_SWEEP_POINT, id="degenerate-sweep-point"),
+        # Single runs write no linewidth files.
+        pytest.param({"linewidth.cases": SHARED_FILE_CASES["repeat"]}, id="cases-sharing-a-file"),
     ],
 )
 def test_single_runs_accept_what_only_sweeps_refuse(tmp_path, command, changes):

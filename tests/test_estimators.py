@@ -124,20 +124,22 @@ class TestInferTmsvs:
         np.testing.assert_allclose(inferred_amp, inferred_unit, atol=1e-12)
 
 
+SWEPT_ALPHAS = np.linspace(0.0, 2.0 * math.pi, 73)
+
+
 @pytest.fixture(scope="module")
 def swept(ideal_experiment):
-    alphas = np.linspace(0.0, 2.0 * math.pi, 73)
-    return phase_sweep(ideal_experiment.on, ideal_experiment.off, 1.0, 1.0, alphas)
+    return phase_sweep(ideal_experiment.on, ideal_experiment.off, 1.0, 1.0, SWEPT_ALPHAS)
 
 
 class TestPhaseSweep:
     def test_maximum_at_zero_rotation_for_matched_phase(self, swept):
-        step = math.degrees(swept.alphas[1] - swept.alphas[0])
+        step = math.degrees(SWEPT_ALPHAS[1] - SWEPT_ALPHAS[0])
         distance = math.degrees(swept.alpha_star) % 360.0
         assert min(distance, 360.0 - distance) <= step
 
     def test_opposite_signs_half_turn_apart(self, swept):
-        quarter = len(swept.alphas) // 2
+        quarter = len(SWEPT_ALPHAS) // 2
         for k in range(quarter):
             a, b = swept.rho_values[k], swept.rho_values[k + quarter]
             tol = 3.0 * math.hypot(swept.rho_errors[k], swept.rho_errors[k + quarter])
@@ -146,7 +148,7 @@ class TestPhaseSweep:
     def test_curve_is_cosine(self, swept):
         # Linear LSQ on (cos, sin) basis; residual RMS should be at the
         # Monte-Carlo noise level.
-        basis = np.column_stack([np.cos(swept.alphas), np.sin(swept.alphas)])
+        basis = np.column_stack([np.cos(SWEPT_ALPHAS), np.sin(SWEPT_ALPHAS)])
         coefficients, *_ = np.linalg.lstsq(basis, swept.rho_values, rcond=None)
         residuals = swept.rho_values - basis @ coefficients
         rms = float(np.sqrt(np.mean(residuals**2)))

@@ -64,3 +64,13 @@ def test_benchmark_counters_still_read_the_package(tmp_path, monkeypatch):
         "linewidth.fit_nfev",
     ):
         assert tracer.counts[counter] > 0, counter
+
+
+def test_benchmark_samples_per_window_match_the_package(monkeypatch):
+    # The benchmark's trace check reshapes the dumped traces by its own
+    # SAMPLES_PER_WINDOW; it must be the package's.
+    from twpacorr import acquisition
+
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    workloads = importlib.import_module("workloads")
+    assert workloads.SAMPLES_PER_WINDOW == acquisition.SAMPLES_PER_WINDOW
