@@ -13,12 +13,14 @@ which shifts the signal channel's bins against the idler's. The pump and
 demodulation frequencies are checked where the configuration is read.
 
 Synthesis and demodulation are linear in a shot's standard-normal draws, so
-``run_experiment`` folds them, with the chain gains, the LO phases and the
-detection noise, into one real matrix per stage and maps each shot's draws to
-its four quadratures with one matrix product. ``synthesize_baseband_pair``
-forms the traces themselves, for any number of shots from one synthesis
-kernel; with ``demodulate`` it is the per-shot reference for that map, and
-it is what ``simulate --dump-traces`` writes out.
+``run_experiment`` folds them, with the chain gains and the LO phases, into
+one real matrix per stage and maps each shot's draws to its four quadratures
+with one matrix product. The detection chain's added noise is added after
+demodulation, where it is measured: four more normals per shot and stage,
+one per quadrature. ``synthesize_baseband_pair`` forms the traces
+themselves, for any number of shots from one synthesis kernel; with
+``demodulate`` it is the per-shot reference for that map, and it is what
+``simulate --dump-traces`` writes out.
 
 Conventions baked in here:
 
@@ -72,8 +74,8 @@ MIN_SHOTS = 3
 #: Seeds key a Philox generator, whose key is 128 bits wide.
 MAX_SEED = 2**128
 
-#: Most comb bins one band may hold; each bin costs two rows of n_samples
-#: complex phases in every synthesis kernel.
+#: Most comb bins one band may hold; each bin costs two rows of
+#: SAMPLES_PER_WINDOW complex phases in every synthesis kernel.
 MAX_BINS = 10_000
 
 # Every ValueError that the dataclasses below and validate_for raise begins
@@ -133,9 +135,11 @@ class EmissionBandModel:
             raise ValueError(f"band_halfwidth must be positive, got {self.band_halfwidth}")
         if not 0.0 < self.bin_spacing <= self.band_halfwidth:
             raise ValueError(f"bin_spacing must lie in (0, band_halfwidth], got {self.bin_spacing}")
-        if self.n_bins > MAX_BINS:
+        # round(ratio) > MAX_BINS, tested before rounding: the ratio can overflow to inf.
+        ratio = 2.0 * self.band_halfwidth / self.bin_spacing
+        if ratio > MAX_BINS + 0.5:
             raise ValueError(
-                f"band_halfwidth {self.band_halfwidth:.6g} Hz holds {self.n_bins} bins of "
+                f"band_halfwidth {self.band_halfwidth:.6g} Hz holds {ratio:.6g} bins of "
                 f"{self.bin_spacing:.6g} Hz, more than the {MAX_BINS} allowed"
             )
 
@@ -281,8 +285,7 @@ class _SynthesisKernel:
         tau = window.tau
         band.validate_for(tau, detuning)
         times, self.envelope, self.dt, self.norm = window.samples()
-        self.n_samples = self.envelope.size
-        self.power = float(np.sum(self.envelope**2) * self.dt)
+        power = float(np.sum(self.envelope**2) * self.dt)
 
         offsets = band.offsets()
         # Phase evolution is referenced to the window center; bins beat at
@@ -294,7 +297,7 @@ class _SynthesisKernel:
         # sqrt(bin_spacing) keeps band statistics invariant under refinement;
         # norm/sqrt(power) calibrates the windowed-mean demodulation so that
         # pump-off input lands exactly at vacuum variance 1/4 per quadrature.
-        self.amplitude_scale = math.sqrt(band.bin_spacing) * self.norm / math.sqrt(self.power)
+        self.amplitude_scale = math.sqrt(band.bin_spacing) * self.norm / math.sqrt(power)
         self.cholesky_on = np.linalg.cholesky(tmsvs_covariance(band.per_bin_params))
         self.cholesky_off = 0.5 * np.eye(4)
 
@@ -302,7 +305,7 @@ class _SynthesisKernel:
         """Complex (signal, idler) traces of a (..., n_bins, 4) stack of bin draws.
 
         The stage's Cholesky factor mixes each bin pair's four draws into its
-        quadratures; the traces have shape (..., n_samples).
+        quadratures; the traces have shape (..., SAMPLES_PER_WINDOW).
         """
         factor = self.cholesky_on if stage == "pump_on" else self.cholesky_off
         quads = draws @ factor.T
@@ -315,13 +318,13 @@ class _SynthesisKernel:
 
         The rows follow the draw order of one (shot, stage) substream: four
         per bin pair, which the stage's Cholesky factor mixes, then, with
-        added noise, the signal and the idler trace noise, real and imaginary
-        parts interleaved per sample. The shape is (4 n_bins, 4), or
-        (4 n_bins + 4 n_samples, 4) with noise.
+        added noise, one per quadrature (X_s, P_s, X_i, P_i): the noise is
+        added after demodulation, with variance
+        ``chain_gain * added_noise_quanta / 4`` per quadrature. The shape is
+        (4 n_bins, 4), or (4 n_bins + 4, 4) with noise.
         """
         factor = self.cholesky_on if stage == "pump_on" else self.cholesky_off
         bins = np.zeros((self.n_bins, 4, 4))
-        noise = np.zeros((2, 2 * self.n_samples, 4))
         channels = (
             (self.phases_signal, config.lo_phase_signal, config.chain_gain_signal),
             (self.phases_idler, config.lo_phase_idler, config.chain_gain_idler),
@@ -332,21 +335,12 @@ class _SynthesisKernel:
             # Bin b reaches the demodulated channel through sum_t phases[b, t] weights[t].
             gain = self.amplitude_scale * math.sqrt(chain_gain)
             bins[:, columns, columns] = _complex_rows(gain * (phases @ weights))
-            # Per-sample noise sized so the demodulated added-noise variance
-            # per quadrature equals chain_gain * added_noise_quanta / 4.
-            sigma = math.sqrt(
-                chain_gain
-                * config.added_noise_quanta
-                / 4.0
-                * self.norm**2
-                / (self.power * self.dt)
-            )
-            noise[index, :, columns] = _complex_rows(sigma * weights).reshape(-1, 2)
         # Bin rows act on the draws before the Cholesky mix: W_b = L^T M_b.
         rows = (factor.T @ bins).reshape(-1, 4)
         if config.added_noise_quanta == 0.0:
             return rows
-        return np.concatenate([rows, noise.reshape(-1, 4)])
+        gains = np.repeat([config.chain_gain_signal, config.chain_gain_idler], 2)
+        return np.concatenate([rows, np.diag(np.sqrt(gains * config.added_noise_quanta / 4.0))])
 
 
 def synthesize_baseband_pair(
@@ -409,11 +403,12 @@ def run_experiment(
 
     The detuning is the only frequency read. Each shot synthesizes both
     channel traces, scales them by the square root of the per-channel chain
-    gain, adds white detection noise at trace level (sized so it demodulates
-    to ``chain_gain * added_noise_quanta / 4`` per quadrature), and
-    demodulates with the channel LO phases. All of that is linear in the
-    shot's draws, so it runs as one matrix product per chunk of shots
-    (``_SynthesisKernel.linear_map``); the traces are never formed.
+    gain and demodulates them with the channel LO phases; the detection
+    noise is then added after demodulation, four more normals of the shot's
+    substream with variance ``chain_gain * added_noise_quanta / 4`` per
+    quadrature. All of that is linear in the shot's draws, so it runs as
+    one matrix product per chunk of shots (``_SynthesisKernel.linear_map``);
+    the traces are never formed.
     With unit chain gains and no added noise, shot k's pump-on row is the
     ``demodulate``d trace that ``synthesize_baseband_pair`` draws from
     ``shot_rng(seed, k, "pump_on", stream)``, so the traces that

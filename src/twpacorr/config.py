@@ -216,7 +216,6 @@ class ExperimentConfig:
     f_pump: float
     f_idler_demod: float
     detuning: float
-    twpa: TwpaParams
     band: EmissionBandModel
     acquisition: AcquisitionConfig
     phase_points: int
@@ -255,6 +254,7 @@ class ExperimentConfig:
         Used for hashing; deliberately excludes the output directory, which
         has no bearing on the data.
         """
+        twpa = self.band.per_bin_params
         return {
             "frequency": {
                 "f_pump": self.f_pump,
@@ -262,9 +262,9 @@ class ExperimentConfig:
                 "detuning": self.detuning,
             },
             "twpa": {
-                "gain_signal": self.twpa.gain_signal,
-                "gain_idler": self.twpa.gain_idler,
-                "phase_mismatch_deg": math.degrees(self.twpa.phase_mismatch),
+                "gain_signal": twpa.gain_signal,
+                "gain_idler": twpa.gain_idler,
+                "phase_mismatch_deg": math.degrees(twpa.phase_mismatch),
             },
             "band": {
                 "halfwidth": self.band.band_halfwidth,
@@ -343,7 +343,6 @@ def parse_config(
         f_pump=f_pump,
         f_idler_demod=f_idler_demod,
         detuning=detuning,
-        twpa=twpa,
         band=band,
         acquisition=acquisition,
         phase_points=values["phase_sweep.points"],

@@ -256,8 +256,8 @@ class TestRunExperiment:
 
     def test_noise_and_both_stages_match_per_shot_operations(self):
         # Each shot is rebuilt trace by trace: synthesis from the shot's
-        # substream, root chain gain, white noise from the next 4 n_samples
-        # normals (real and imaginary parts interleaved), demodulation.
+        # substream, root chain gain and demodulation, then the added noise
+        # from the next four normals, one per quadrature (X_s, P_s, X_i, P_i).
         band = make_band()
         detuning = 0.3e6
         window = WindowSpec("gaussian", 6e-6)
@@ -275,15 +275,7 @@ class TestRunExperiment:
         )
         data = run_experiment(detuning, band, acq, stream=2)
 
-        rate = acq.sample_rate
-        n_samples = round(rate * window.tau)
-        envelope = window.envelope((np.arange(n_samples) + 0.5) / rate)
-        norm = envelope.sum() / rate
-        power = (envelope**2).sum() / rate
-        sigmas = [
-            math.sqrt(gain * acq.added_noise_quanta / 4.0 * norm**2 * rate / power)
-            for gain in gains
-        ]
+        sigmas = np.sqrt(np.repeat(gains, 2) * acq.added_noise_quanta / 4.0)
         # The last two shots sit in a second chunk of the batched runner.
         shots = (0, 1, _CHUNK_SHOTS, _CHUNK_SHOTS + 1)
         for stage, quadratures in (("pump_on", data.on), ("pump_off", data.off)):
@@ -291,12 +283,10 @@ class TestRunExperiment:
             for shot in shots:
                 rng = shot_rng(acq.seed, shot, stage, stream=2)
                 traces = [t[0] for t in synthesize_baseband_pair(band, detuning, window, stage, [rng])]
-                noise = rng.standard_normal(4 * n_samples).reshape(2, 2 * n_samples)
                 row = []
-                for trace, gain, sigma, lo_phase, n in zip(traces, gains, sigmas, lo_phases, noise):
-                    trace = math.sqrt(gain) * trace + sigma * (n[0::2] + 1j * n[1::2])
-                    row.extend(demodulate(trace, window, lo_phase))
-                expected.append(row)
+                for trace, gain, lo_phase in zip(traces, gains, lo_phases):
+                    row.extend(demodulate(math.sqrt(gain) * trace, window, lo_phase))
+                expected.append(np.array(row) + sigmas * rng.standard_normal(4))
             expected = np.array(expected)
             np.testing.assert_allclose(
                 quadratures[list(shots)], expected, rtol=0.0, atol=1e-12 * np.abs(expected).max()

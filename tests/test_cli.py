@@ -10,7 +10,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from twpacorr import __version__, demodulate, run_experiment, shot_rng
+from twpacorr import ExperimentData, __version__, demodulate, run_experiment, shot_rng
 from twpacorr.acquisition import synthesize_baseband_pair
 from twpacorr.cli import COMPARISON_COLUMNS, _write_csv, main
 from twpacorr.config import ConfigError, load_config
@@ -340,17 +340,19 @@ class TestSimulate:
                 [x_s, p_s, x_i, p_i], shots[shot], rtol=0.0, atol=1e-8 * np.abs(trace).max()
             )
 
-    def test_unphysical_inference_is_numerical_failure(self, tmp_path):
-        # Ten quanta of added noise at 400 shots leave the inferred
-        # X_s - X_i variance below zero on this seed.
+    def test_unphysical_inference_is_numerical_failure(self, tmp_path, monkeypatch):
+        # Constant ON shots against unit-variance OFF shots, at unit chain
+        # gains, infer X variances of 0 - 1 + 1/4 < 0.
+        import twpacorr.cli as cli_module
+
+        n_shots = BASE_CONFIG["acquisition"]["n_shots"]
+        column = np.linspace(-1.0, 1.0, n_shots)
+        off = np.repeat((column / column.std(ddof=1))[:, None], 4, axis=1)
+        data = ExperimentData(on=np.ones((n_shots, 4)), off=off)
+        monkeypatch.setattr(cli_module, "run_experiment", lambda *args, **kwargs: data)
         path = write_config(
             tmp_path,
-            overrides={
-                "acquisition.chain_gain_signal": 1e6,
-                "acquisition.chain_gain_idler": 1e6,
-                "acquisition.added_noise_quanta": 10.0,
-                "seed": 1,
-            },
+            overrides={"acquisition.chain_gain_signal": 1.0, "acquisition.chain_gain_idler": 1.0},
         )
         result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
         assert result.exit_code == 3, result.output

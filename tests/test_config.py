@@ -50,6 +50,8 @@ BAD_VALUES = [
     ("halfwidth-nan", {"band.halfwidth": NAN}, "band.halfwidth"),
     ("halfwidth-zero", {"band.halfwidth": 0.0}, "band.halfwidth"),
     ("halfwidth-too-many-bins", {"band.halfwidth": 1e12}, "band.halfwidth"),
+    ("bin-count-overflow", {"band.halfwidth": 1e300, "band.bin_spacing": 1e-300}, "band.halfwidth"),
+    ("halfwidth-overflow", {"band.halfwidth": 1e308, "band.bin_spacing": 1e308}, "band.halfwidth"),
     ("bin_spacing-list", {"band.bin_spacing": [60e3]}, "band.bin_spacing"),
     ("bin_spacing-inf", {"band.bin_spacing": INF}, "band.bin_spacing"),
     ("bin_spacing-negative", {"band.bin_spacing": -60e3}, "band.bin_spacing"),
