@@ -145,7 +145,7 @@ class EmissionBandModel:
 
     @property
     def n_bins(self) -> int:
-        return max(1, round(2.0 * self.band_halfwidth / self.bin_spacing))
+        return round(2.0 * self.band_halfwidth / self.bin_spacing)
 
     def offsets(self) -> np.ndarray:
         """Bin-center offsets from the idler demodulation frequency."""

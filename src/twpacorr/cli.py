@@ -5,7 +5,8 @@ Every output file embeds the config hash, master seed and tool version in
 template, built from its first row: integers in full, floats with 9
 significant digits, strings as they are. Re-running a command with an
 identical config and seed reproduces byte-identical files. Angles are
-degrees at this boundary, radians inside.
+degrees at this boundary, radians inside. Bad input exits with code 2; a
+numerical failure exits with code 3, after the sweep commands write every table.
 """
 
 from __future__ import annotations
@@ -161,12 +162,7 @@ def _sweep_options(fn):
     fn = _config_options(fn)
     fn = click.option("--points", default=None, type=int, help="Detuning grid points per sweep.")(fn)
     fn = click.option("--span", default=None, type=float, help="Total detuning span in Hz.")(fn)
-    fn = click.option("--strict", is_flag=True, help="Exit with code 3 on any numerical failure.")(fn)
     return fn
-
-
-def _phase_grid_deg(config: ExperimentConfig) -> np.ndarray:
-    return np.linspace(0.0, 360.0, config.phase_points)
 
 
 @click.group()
@@ -272,18 +268,22 @@ def _parse_angle_list(ctx, param, raw: str | None) -> list[float]:
     help="Comma-separated angles (deg) whose rotated (X_s, X_i) shots are dumped for histograms.",
 )
 def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
-    """Sweep the relative LO phase and locate the correlation maximum."""
+    """Sweep the relative LO phase and locate the correlation maximum.
+
+    The curve is sampled at ``phase_sweep.points`` angles; the maximum and
+    its angle are exact, not read off that grid.
+    """
     config = _load(config_path, out, {"seed": seed, "phase_sweep.points": points}, sweep=False)
     acq = config.acquisition
-    alphas_deg = _phase_grid_deg(config)
+    alphas_deg = np.linspace(0.0, 360.0, config.phase_points)
     data = run_experiment(config.detuning, config.band, acq)
-    result = phase_sweep(
-        data.on,
-        data.off,
-        acq.chain_gain_signal,
-        acq.chain_gain_idler,
-        np.radians(alphas_deg),
-    )
+    try:
+        result = phase_sweep(
+            data.on, data.off, acq.chain_gain_signal, acq.chain_gain_idler, np.radians(alphas_deg)
+        )
+    except ValueError as err:
+        click.echo(f"numerical failure: {err}", err=True)
+        sys.exit(EXIT_NUMERICAL_FAILURE)
     meta = _metadata(config)
     rows = zip(alphas_deg, result.rho_values, result.rho_errors)
     _write_csv(config.output_dir / "phase_sweep.csv", meta, PHASE_SWEEP_COLUMNS, rows)
@@ -293,7 +293,6 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
         {
             "alpha_star_deg": math.degrees(result.alpha_star),
             "rho_max": result.rho_max,
-            "refined": result.refined,
             "n_points": config.phase_points,
         },
     )
@@ -328,32 +327,36 @@ def _check_case_labels(config: ExperimentConfig) -> None:
         first_case[label] = index
 
 
-def _run_linewidth_cases(config: ExperimentConfig, strict):
-    """Run every configured (window, tau) case; returns the fitted cases' comparisons."""
+def _run_linewidth_cases(config: ExperimentConfig) -> tuple[list, bool]:
+    """Run every configured (window, tau) case and write its tables.
+
+    A case that fails gets a NaN row in ``fits.csv``, with converged=false.
+    Returns the fitted cases' comparisons, and whether every case was fitted
+    and converged.
+    """
     detunings = config.detunings()
-    alpha_grid = np.radians(_phase_grid_deg(config))
     meta = _metadata(config)
 
     fit_rows = []
     comparisons = []
+    all_converged = True
     for window in config.cases:
         label = _case_label(window)
         acq = replace(config.acquisition, window=window)
         try:
-            sweep = sweep_detuning(config.band, acq, detunings, alpha_grid=alpha_grid)
+            sweep = sweep_detuning(config.band, acq, detunings)
             fit = fit_model(sweep)
         except ValueError as err:
             click.echo(f"case {label}: numerical failure: {err}", err=True)
-            if strict:
-                sys.exit(EXIT_NUMERICAL_FAILURE)
+            all_converged = False
             fit_rows.append(
                 (window.shape, window.tau * 1e6, math.nan, math.nan, math.nan,
                  math.nan, math.nan, math.nan, "false", 0)
             )
             continue
-        if strict and not fit.converged:
+        if not fit.converged:
             click.echo(f"case {label}: fit did not converge", err=True)
-            sys.exit(EXIT_NUMERICAL_FAILURE)
+            all_converged = False
         _write_csv(
             config.output_dir / f"linewidth_{label}.csv",
             meta,
@@ -378,24 +381,27 @@ def _run_linewidth_cases(config: ExperimentConfig, strict):
         comparisons.append(comparison)
 
     _write_csv(config.output_dir / "fits.csv", meta, FITS_COLUMNS, fit_rows)
-    return comparisons
+    return comparisons, all_converged
 
 
 @main.command()
 @_sweep_options
-def linewidth(config_path, out, seed, points, span, strict) -> None:
+def linewidth(config_path, out, seed, points, span) -> None:
     """Sweep detuning for every configured (window, tau) case and fit linewidths."""
     overrides = {"seed": seed, "linewidth.points": points, "linewidth.span": span}
     config = _load(config_path, out, overrides, sweep=True)
-    _run_linewidth_cases(config, strict)
+    _, all_converged = _run_linewidth_cases(config)
+    if not all_converged:
+        sys.exit(EXIT_NUMERICAL_FAILURE)
 
 
 @main.command("compare-windows")
 @_sweep_options
-def cmd_compare_windows(config_path, out, seed, points, span, strict) -> None:
+def cmd_compare_windows(config_path, out, seed, points, span) -> None:
     """Run the linewidth cases and emit the cross-window comparison table."""
     overrides = {"seed": seed, "linewidth.points": points, "linewidth.span": span}
     config = _load(config_path, out, overrides, sweep=True)
+    comparisons, all_converged = _run_linewidth_cases(config)
     rows = [
         (
             row.window,
@@ -407,11 +413,13 @@ def cmd_compare_windows(config_path, out, seed, points, span, strict) -> None:
             row.sidelobe_se,
             row.n_sidelobe_points,
         )
-        for row in _run_linewidth_cases(config, strict)
+        for row in comparisons
     ]
     _write_csv(
         config.output_dir / "comparison.csv", _metadata(config), COMPARISON_COLUMNS, rows
     )
+    if not all_converged:
+        sys.exit(EXIT_NUMERICAL_FAILURE)
 
 
 if __name__ == "__main__":

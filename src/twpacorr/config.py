@@ -34,7 +34,8 @@ DEFAULT_CASES = tuple(
     for tau in (3e-6, 4e-6, 5e-6, 6e-6)
 )
 
-#: Angles of a phase grid over [0, 360] degrees when ``phase_sweep.points`` is unset.
+#: Angles of the phase-sweep curve over [0, 360] degrees when ``phase_sweep.points``
+#: is unset. No calibration reads a grid: its best idler phase is exact.
 DEFAULT_PHASE_POINTS = 73
 
 #: Largest |detuning| in Hz that any command acquires.
@@ -116,7 +117,7 @@ FIELDS: dict[str, tuple[Callable[[Any, str], Any], Any]] = {
     "acquisition.chain_gain_signal": (_number, 1e6),  # linear power gain [> 0]
     "acquisition.chain_gain_idler": (_number, 1e6),  # linear power gain [> 0]
     "acquisition.added_noise_quanta": (_number, 10.0),  # quanta at the chain input [>= 0]
-    "phase_sweep.points": (_above(0, _integer), DEFAULT_PHASE_POINTS),  # angles over [0, 360] deg
+    "phase_sweep.points": (_above(0, _integer), DEFAULT_PHASE_POINTS),  # curve angles over [0, 360] deg
     "linewidth.points": (_above(4, _integer), 201),  # detunings per case
     "linewidth.span": (_above(0.0, _number), 2e6),  # Hz, whole detuning grid
     # Without a list of cases, the linewidth sweeps run DEFAULT_CASES.

@@ -3,7 +3,8 @@
 Turns (n, 4) quadrature arrays from the ON and OFF acquisition stages into
 the inferred two-mode squeezed covariance (background subtraction plus
 vacuum restoration) and its Pearson correlation, with standard errors from
-a leave-one-block-out jackknife that sees the full inference chain.
+a leave-one-block-out jackknife that sees the full inference chain. The
+idler rotation that maximizes that correlation has a closed form.
 """
 
 from __future__ import annotations
@@ -33,15 +34,14 @@ class PhaseSweepResult:
     """Pearson correlation versus relative LO phase, with its maximizer.
 
     ``rho_values`` and ``rho_errors`` follow the angles given to ``phase_sweep``.
-    ``refined`` reports whether ``alpha_star`` came from parabolic
-    interpolation around the grid maximum or is a bare grid point.
+    ``alpha_star`` in [0, 2 pi) and ``rho_max`` are the exact maximizer and
+    maximum of rho over all idler rotations, not read off those angles.
     """
 
     rho_values: np.ndarray
     rho_errors: np.ndarray
     alpha_star: float
     rho_max: float
-    refined: bool
 
 
 def _as_shot_array(shots) -> np.ndarray:
@@ -187,68 +187,40 @@ def phase_sweep(
     chain_gain_idler: float,
     alphas: Sequence[float],
 ) -> PhaseSweepResult:
-    """Pearson correlation versus idler rotation angle.
+    """Pearson correlation versus idler rotation angle, and its maximum.
 
     The moment sums of each stage are built once. For every alpha the
     inferred covariance and its jackknife replicates are rotated as
     R C R^T, which equals rotating the idler quadratures of both stages
     before estimation, and rho is recorded. The OFF stage is thereby rotated
-    too: a no-op for an isotropic background but bias-free if it is not. The
-    maximizer is refined by a three-point parabola around the grid maximum
-    when possible.
+    too: a no-op for an isotropic background but bias-free if it is not.
+    The maximum comes from the inferred covariance of all shots in closed
+    form (``_best_rotation``), whatever the angles; ``alphas`` may be empty.
     """
-    alphas = np.asarray(alphas, dtype=float)
-    if alphas.size == 0:
-        raise ValueError("phase grid must contain at least one angle")
     stack = _inferred_stack(shots_on, shots_off, chain_gain_signal, chain_gain_idler)
-    rho_values, rho_errors = np.array(
-        [_pearson_with_jackknife(_rotate_idler(stack, alpha)) for alpha in alphas]
-    ).T
-
-    alpha_star, rho_max, refined = _refine_maximum(alphas, rho_values)
+    curve = [_pearson_with_jackknife(_rotate_idler(stack, alpha)) for alpha in alphas]
+    rho_values, rho_errors = np.array(curve).reshape(-1, 2).T
+    alpha_star, rho_max = _best_rotation(stack[0])
     return PhaseSweepResult(
-        rho_values=rho_values,
-        rho_errors=rho_errors,
-        alpha_star=alpha_star,
-        rho_max=rho_max,
-        refined=refined,
+        rho_values=rho_values, rho_errors=rho_errors, alpha_star=alpha_star, rho_max=rho_max
     )
 
 
-def _refine_maximum(alphas: np.ndarray, rho_values: np.ndarray) -> tuple[float, float, bool]:
-    """Parabolic refinement of the grid maximum; falls back to the grid point."""
-    peak = int(np.argmax(rho_values))
-    alpha_star = float(alphas[peak])
-    rho_max = float(rho_values[peak])
-    if alphas.size < 3:
-        return alpha_star, rho_max, False
+def _best_rotation(cov: np.ndarray) -> tuple[float, float]:
+    """The idler rotation in [0, 2 pi) that maximizes rho of ``cov``, and that rho.
 
-    span = alphas[-1] - alphas[0]
-    step = span / (alphas.size - 1)
-    wraps = span >= 2.0 * math.pi - 1.5 * step
-    # A full-circle grid listing both endpoints repeats one sample; wrap
-    # around the distinct points only.
-    period = alphas.size
-    if wraps and abs(span - 2.0 * math.pi) < 1e-9:
-        period = alphas.size - 1
-
-    def neighbor(index: int) -> float | None:
-        if 0 <= index < alphas.size:
-            return float(rho_values[index])
-        if wraps:
-            return float(rho_values[index % period])
-        return None
-
-    left = neighbor(peak - 1)
-    right = neighbor(peak + 1)
-    if left is None or right is None:
-        return alpha_star, rho_max, False
-    denom = left - 2.0 * rho_max + right
-    if denom >= 0.0 or not math.isfinite(denom):
-        return alpha_star, rho_max, False
-    shift = 0.5 * (left - right) / denom
-    if abs(shift) > 1.0:
-        return alpha_star, rho_max, False
-    refined_alpha = alpha_star + shift * step
-    refined_rho = rho_max - 0.25 * (left - right) * shift
-    return float(refined_alpha), float(refined_rho), True
+    With w = (cos a, sin a), u = (C_02, C_03) and S the idler block, the
+    rotated rho is w.u / sqrt(C_00 w^T S w). It is largest at w along
+    S^-1 u, where it equals sqrt(u^T S^-1 u / C_00): the multiple
+    correlation of X_s on (X_i, P_i) (Hotelling, Biometrika 28, 321, 1936).
+    """
+    u, idler = cov[0, 2:], cov[2:, 2:]
+    if not (cov[0, 0] > 0.0 and idler[0, 0] > 0.0 and np.linalg.det(idler) > 0.0):
+        raise ValueError(
+            f"X_s variance and idler block must be positive definite, got "
+            f"{cov[0, 0]} and {idler.tolist()}"
+        )
+    direction = np.linalg.solve(idler, u)
+    alpha = math.atan2(direction[1], direction[0]) % math.tau
+    # A tiny negative angle rounds up to a full turn, which is the angle 0.
+    return (alpha if alpha < math.tau else 0.0), math.sqrt(float(u @ direction) / cov[0, 0])

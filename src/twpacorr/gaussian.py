@@ -82,8 +82,6 @@ def tmsvs_covariance(params: TwpaParams) -> np.ndarray:
     """
     g_s = float(params.gain_signal)
     g_i = float(params.gain_idler)
-    if g_s < 1.0 or g_i < 1.0:
-        raise ValueError(f"gains must be >= 1, got ({g_s}, {g_i})")
     theta = params.phase_mismatch
 
     diag = (g_s + g_i - 1.0) / 4.0

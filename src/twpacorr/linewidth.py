@@ -1,6 +1,7 @@
 """Detuning sweeps and linewidth extraction.
 
-Runs the two-mode correlation experiment across a detuning grid, fits the
+Runs the two-mode correlation experiment across a detuning grid, at the
+idler phase that maximizes rho in a zero-detuning calibration, fits the
 frequency-domain response with the model its window shape fixes,
 ``|A sinc(xi df)|`` for rectangular windows and ``A exp(-(xi df)^2 / 2)``
 for gaussian ones (:data:`MODEL_FOR_SHAPE`), and reduces fits to FWHM, SNR
@@ -134,27 +135,22 @@ def sweep_detuning(
     band: EmissionBandModel,
     config: AcquisitionConfig,
     detunings: Sequence[float],
-    alpha_grid: Sequence[float],
 ) -> DetuningSweep:
     """Run the correlation experiment across a grid of detunings in Hz.
 
     The detuning is the only frequency the simulation reads. The relative LO
-    phase is calibrated once with a phase sweep over ``alpha_grid`` (radians)
-    at zero detuning, then held fixed while the detuning walks the grid
-    (substream 0 is the calibration run; point k runs at ``detunings[k]`` on
-    substream k + 1, so points are independent and order-insensitive).
+    phase is calibrated once at zero detuning, to the idler rotation that
+    maximizes rho there (``phase_sweep`` with no angles gives it in closed
+    form), then held fixed while the detuning walks the grid (substream 0
+    is the calibration run; point k runs at ``detunings[k]`` on substream
+    k + 1, so points are independent and order-insensitive).
     """
     detunings = np.asarray(detunings, dtype=float)
 
     calibration = run_experiment(0.0, band, config, stream=0)
-    swept = phase_sweep(
-        calibration.on,
-        calibration.off,
-        config.chain_gain_signal,
-        config.chain_gain_idler,
-        alpha_grid,
-    )
-    alpha_star = swept.alpha_star
+    alpha_star = phase_sweep(
+        calibration.on, calibration.off, config.chain_gain_signal, config.chain_gain_idler, ()
+    ).alpha_star
 
     rho_values = np.empty(detunings.size)
     rho_errors = np.empty(detunings.size)

@@ -53,8 +53,6 @@ N_SHOTS = 10_000
 
 TWPA = TwpaParams(2.0, 2.0, 0.0)
 BAND = EmissionBandModel(per_bin_params=TWPA, band_halfwidth=4.4e6, bin_spacing=50e3)
-#: The calibration phase grid of every sweep, in radians.
-ALPHA_GRID = np.linspace(0.0, 2.0 * math.pi, 73)
 
 
 def _acquisition(tau: float, shape: str, seed: int = ACCEPT_SEED) -> AcquisitionConfig:
@@ -76,7 +74,7 @@ def _finish(criterion: int, name: str, failures: list) -> None:
 
 def _run_sweep_case(shape: str, tau: float, seed: int = ACCEPT_SEED):
     detunings = np.linspace(-SWEEP_SPAN / 2.0, SWEEP_SPAN / 2.0, SWEEP_POINTS)
-    sweep = sweep_detuning(BAND, _acquisition(tau, shape, seed), detunings, ALPHA_GRID)
+    sweep = sweep_detuning(BAND, _acquisition(tau, shape, seed), detunings)
     return sweep, fit_model(sweep)
 
 
@@ -111,7 +109,7 @@ def _kernel_agreement_failures(shape: str, seed: int = ACCEPT_SEED) -> list:
         chain_gain_idler=1.0,
         added_noise_quanta=0.0,
     )
-    sweep = sweep_detuning(BAND, acq, detunings, ALPHA_GRID)
+    sweep = sweep_detuning(BAND, acq, detunings)
     kernel = overlap_kernel(window, detunings)
     center = detunings.size // 2
     rho0, se0 = sweep.rho_values[center], sweep.rho_errors[center]

@@ -207,28 +207,21 @@ class TestCommandLineOverrides:
         with pytest.raises(ConfigError, match="frequency.f_pump"):
             load_config(path)
 
-    def test_linewidth_calibration_uses_phase_points(self, tmp_path):
+    def test_linewidth_calibration_reads_no_phase_grid(self, tmp_path):
         rows = []
-        for points in (5, 73):
+        for points in (13, 721):
             path = write_config(tmp_path, overrides={"phase_sweep.points": points})
             out = tmp_path / f"run_{points}"
             result = CliRunner().invoke(main, ["linewidth", "--config", str(path), "--out", str(out)])
             assert result.exit_code == 0, result.output
             rows.append(read_csv_rows(out / "linewidth_rectangular_6us.csv"))
-        assert rows[0] != rows[1]
+        assert rows[0] == rows[1]
 
-    @pytest.mark.parametrize("command", ["simulate", "phase-sweep"])
+    @pytest.mark.parametrize("command", ["simulate", "phase-sweep", "linewidth", "compare-windows"])
     @pytest.mark.parametrize("option", ["--jobs=2", "--strict"])
-    def test_sweep_options_only_on_sweep_commands(self, tmp_path, command, option):
+    def test_removed_options_are_refused(self, tmp_path, command, option):
         path = write_config(tmp_path)
         result = CliRunner().invoke(main, [command, "--config", str(path), option])
-        assert result.exit_code == 2
-        assert "No such option" in result.output
-
-    @pytest.mark.parametrize("command", ["linewidth", "compare-windows"])
-    def test_sweep_commands_have_no_jobs_option(self, tmp_path, command):
-        path = write_config(tmp_path)
-        result = CliRunner().invoke(main, [command, "--config", str(path), "--jobs=2"])
         assert result.exit_code == 2
         assert "No such option" in result.output
 
@@ -389,18 +382,42 @@ class TestPhaseSweepCommand:
         tol = 3.0 * np.hypot(values[peak, 2], values[anti, 2])
         assert abs(values[peak, 1] + values[anti, 1]) <= tol
 
-    def test_single_point_grid(self, tmp_path):
+    def test_maximum_does_not_depend_on_the_grid(self, tmp_path):
+        path = write_config(tmp_path, overrides={"twpa.phase_mismatch_deg": -20.0})
+        summaries = []
+        for points in ("1", "13"):
+            out = tmp_path / f"run_{points}"
+            result = CliRunner().invoke(
+                main, ["phase-sweep", "--config", str(path), "--out", str(out), "--points", points]
+            )
+            assert result.exit_code == 0, result.output
+            assert len(read_csv_rows(out / "phase_sweep.csv")) == 1 + int(points)
+            summary = json.loads((out / "phase_sweep_summary.json").read_text())
+            summaries.append({key: summary[key] for key in ("alpha_star_deg", "rho_max")})
+            assert "refined" not in summary
+        assert summaries[0] == summaries[1]
+        assert 330.0 < summaries[0]["alpha_star_deg"] < 350.0
+
+    def test_unphysical_inference_is_numerical_failure(self, tmp_path, monkeypatch):
+        # Constant ON shots against unit-variance OFF shots, at unit chain
+        # gains, infer X variances of 0 - 1 + 1/4 < 0.
+        import twpacorr.cli as cli_module
+
+        n_shots = BASE_CONFIG["acquisition"]["n_shots"]
+        column = np.linspace(-1.0, 1.0, n_shots)
+        off = np.repeat((column / column.std(ddof=1))[:, None], 4, axis=1)
+        data = ExperimentData(on=np.ones((n_shots, 4)), off=off)
+        monkeypatch.setattr(cli_module, "run_experiment", lambda *args, **kwargs: data)
         path = write_config(tmp_path)
+        out = tmp_path / "run"
         result = CliRunner().invoke(
-            main,
-            ["phase-sweep", "--config", str(path), "--out", str(tmp_path / "run"), "--points", "1"],
+            main, ["phase-sweep", "--config", str(path), "--out", str(out), "--dump-shots", "0"]
         )
-        assert result.exit_code == 0
-        rows = read_csv_rows(tmp_path / "run" / "phase_sweep.csv")
-        assert len(rows) == 2
-        summary = json.loads((tmp_path / "run" / "phase_sweep_summary.json").read_text())
-        assert summary["alpha_star_deg"] == 0.0
-        assert summary["refined"] is False
+        assert result.exit_code == 3, result.output
+        assert "numerical failure" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+        assert not out.exists()
 
     def test_dump_shots_writes_scatter_files(self, tmp_path):
         path = write_config(tmp_path)
@@ -476,20 +493,7 @@ class TestLinewidthCommand:
         detunings = [float(r.split(",")[0]) for r in rows]
         assert detunings[0] == -2e5 and detunings[-1] == 2e5
 
-    def test_strict_mode_exits_three_on_numerical_failure(self, tmp_path, monkeypatch):
-        import twpacorr.cli as cli_module
-
-        def explode(*args, **kwargs):
-            raise ValueError("synthetic failure")
-
-        monkeypatch.setattr(cli_module, "fit_model", explode)
-        path = write_config(tmp_path)
-        result = CliRunner().invoke(
-            main, ["linewidth", "--config", str(path), "--out", str(tmp_path / "run"), "--strict"]
-        )
-        assert result.exit_code == 3
-
-    def test_non_strict_records_nan_row_and_succeeds(self, tmp_path, monkeypatch):
+    def test_numerical_failure_writes_nan_row_and_exits_three(self, tmp_path, monkeypatch):
         import twpacorr.cli as cli_module
 
         def explode(*args, **kwargs):
@@ -500,7 +504,9 @@ class TestLinewidthCommand:
         result = CliRunner().invoke(
             main, ["linewidth", "--config", str(path), "--out", str(tmp_path / "run")]
         )
-        assert result.exit_code == 0
+        assert result.exit_code == 3, result.output
+        assert "case rectangular_6us: numerical failure: synthetic failure" in result.output
+        assert isinstance(result.exception, SystemExit)
         fits = read_csv_rows(tmp_path / "run" / "fits.csv")
         assert len(fits) == 2
         assert fits[1] == "rectangular,6,nan,nan,nan,nan,nan,nan,false,0"
@@ -515,7 +521,8 @@ class TestLinewidthCommand:
         result = CliRunner().invoke(
             main, ["linewidth", "--config", str(path), "--out", str(tmp_path / "run")]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == (0 if converged else 3), result.output
+        assert ("did not converge" in result.output) is not converged
         cells = read_csv_rows(tmp_path / "run" / "fits.csv")[1].split(",")
         assert cells[8] == ("true" if converged else "false")
         assert int(cells[9]) > 0
@@ -551,7 +558,8 @@ class TestCompareWindowsCommand:
         result = CliRunner().invoke(
             main, ["compare-windows", "--config", str(path), "--out", str(tmp_path / "run")]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 3, result.output
+        assert len(read_csv_rows(tmp_path / "run" / "fits.csv")) == 2
         lines = (tmp_path / "run" / "comparison.csv").read_text().splitlines()
         assert [line.split("=")[0] for line in lines] == [
             "# config_hash", "# seed", "# version", ",".join(COMPARISON_COLUMNS)

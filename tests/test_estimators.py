@@ -18,7 +18,7 @@ from twpacorr import (
     run_experiment,
     tmsvs_covariance,
 )
-from twpacorr.estimators import CovarianceEstimate
+from twpacorr.estimators import CovarianceEstimate, _best_rotation
 
 from conftest import gaussian_shots, make_acquisition, make_band
 
@@ -167,31 +167,33 @@ class TestPhaseSweep:
             powers.append(est.matrix[2, 2] + est.matrix[3, 3])
         assert max(powers) - min(powers) < 1e-10
 
-    def test_single_point_grid(self, ideal_experiment):
-        result = phase_sweep(ideal_experiment.on, ideal_experiment.off, 1.0, 1.0, [0.7])
-        assert result.alpha_star == 0.7
-        assert not result.refined
-        assert result.rho_values.shape == (1,)
-
-    def test_empty_grid_rejected(self, ideal_experiment):
-        with pytest.raises(ValueError):
-            phase_sweep(ideal_experiment.on, ideal_experiment.off, 1.0, 1.0, [])
-
-    def test_refinement_beats_grid_resolution(self):
-        # With a deliberate phase mismatch the true optimum falls between
-        # grid points; the parabolic estimate should land within a fraction
-        # of a step from it.
-        band = make_band(twpa=TwpaParams(2.0, 2.0, 0.45))
-        acq = make_acquisition(n_shots=8000, seed=500)
-        data = run_experiment(0.0, band, acq)
-        alphas = np.linspace(0.0, 2.0 * math.pi, 37)
-        result = phase_sweep(data.on, data.off, 1.0, 1.0, alphas)
-        assert result.refined
-        step = alphas[1] - alphas[0]
-        assert abs(result.alpha_star - 0.45) < 0.5 * step
+    def test_empty_grid_gives_the_maximum_alone(self, ideal_experiment, swept):
+        result = phase_sweep(ideal_experiment.on, ideal_experiment.off, 1.0, 1.0, [])
+        assert result.rho_values.shape == result.rho_errors.shape == (0,)
+        assert (result.alpha_star, result.rho_max) == (swept.alpha_star, swept.rho_max)
 
     def test_pearson_bound_with_statistical_slack(self, swept):
         assert np.all(np.abs(swept.rho_values) <= 1.0 + 5.0 * swept.rho_errors)
+
+
+class TestBestRotation:
+    @pytest.mark.parametrize(
+        "theta", [0.0, 0.45, -0.45, -2.0, math.pi, -1e-17, 1e-13, 2.0 * math.pi - 1e-9, 7.0]
+    )
+    def test_exact_for_the_amplifier_state(self, theta):
+        alpha_star, rho_max = _best_rotation(tmsvs_covariance(TwpaParams(2.0, 2.0, theta)))
+        assert 0.0 <= alpha_star < 2.0 * math.pi
+        assert abs(math.remainder(alpha_star - theta, 2.0 * math.pi)) <= 1e-12
+        assert rho_max == pytest.approx(2.0 * math.sqrt(2.0) / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "entry, value", [((0, 0), 0.0), ((2, 2), -0.1), ((3, 3), 0.0), ((2, 3), 0.8)]
+    )
+    def test_idler_block_not_positive_definite_is_refused(self, entry, value):
+        cov = tmsvs_covariance(TwpaParams(2.0, 2.0, 0.3))
+        cov[entry] = cov[entry[::-1]] = value
+        with pytest.raises(ValueError, match="positive definite"):
+            _best_rotation(cov)
 
 
 class TestInferredPearson:
@@ -268,6 +270,15 @@ class TestAgainstShotDefinition:
         for alpha, (rho, se) in zip(self.ALPHAS, reference):
             got = inferred_pearson(noisy.on, noisy.off, *self.GAINS, idler_rotation=alpha)
             np.testing.assert_allclose(got, (rho, se), rtol=0.0, atol=1e-12)
+
+    def test_maximum_is_the_rho_at_its_angle(self, noisy):
+        # Unequal chain gains and added noise leave the idler block
+        # anisotropic; the closed form must still be the curve's maximum.
+        result = phase_sweep(noisy.on, noisy.off, *self.GAINS, [])
+        rho, _ = inferred_pearson(noisy.on, noisy.off, *self.GAINS, idler_rotation=result.alpha_star)
+        assert rho == pytest.approx(result.rho_max, abs=1e-12)
+        grid = phase_sweep(noisy.on, noisy.off, *self.GAINS, np.linspace(0.0, 2.0 * math.pi, 3601))
+        assert np.max(grid.rho_values) <= result.rho_max
 
     def test_common_offset_leaves_rho_unchanged(self, ideal_experiment):
         # Raw moment sums lose the spread of shots sitting on a large common

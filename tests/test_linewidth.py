@@ -26,8 +26,6 @@ from conftest import make_acquisition, make_band
 
 TAU = 6e-6
 XI_RECT = math.pi * TAU
-#: The calibration phase grid of every sweep below, in radians.
-ALPHA_GRID = np.linspace(0.0, 2.0 * math.pi, 73)
 
 
 def synthetic_sweep(model, detunings, amplitude, scale, window=None, errors=None):
@@ -166,19 +164,23 @@ def small_sweep():
     band = make_band(halfwidth=2.2e6, spacing=80e3)
     acq = make_acquisition(n_shots=2500, seed=606)
     detunings = np.linspace(-0.3e6, 0.3e6, 13)
-    return sweep_detuning(band, acq, detunings, ALPHA_GRID)
+    return sweep_detuning(band, acq, detunings)
 
 
 class TestSweepDetuning:
     def test_center_matches_phase_optimized_maximum(self, small_sweep):
-        from twpacorr import phase_sweep, run_experiment
+        from twpacorr import inferred_pearson, phase_sweep, run_experiment
 
         band = make_band(halfwidth=2.2e6, spacing=80e3)
         acq = make_acquisition(n_shots=2500, seed=606)
         calibration = run_experiment(0.0, band, acq, stream=0)
-        swept = phase_sweep(calibration.on, calibration.off, 1.0, 1.0, ALPHA_GRID)
+        swept = phase_sweep(calibration.on, calibration.off, 1.0, 1.0, ())
+        assert swept.alpha_star == small_sweep.alpha_star
+        _, se_max = inferred_pearson(
+            calibration.on, calibration.off, 1.0, 1.0, idler_rotation=swept.alpha_star
+        )
         center = small_sweep.detunings.size // 2
-        tol = 3.0 * math.hypot(small_sweep.rho_errors[center], float(np.max(swept.rho_errors)))
+        tol = 3.0 * math.hypot(small_sweep.rho_errors[center], se_max)
         assert small_sweep.rho_values[center] == pytest.approx(swept.rho_max, abs=tol)
 
     def test_curve_is_even_within_errors(self, small_sweep):
@@ -196,7 +198,7 @@ class TestSweepDetuning:
         band = make_band(halfwidth=2.6e6, spacing=80e3)
         acq = make_acquisition(n_shots=4000, seed=909)
         detunings = np.linspace(-0.4e6, 0.4e6, 17)
-        sweep = sweep_detuning(band, acq, detunings, ALPHA_GRID)
+        sweep = sweep_detuning(band, acq, detunings)
         fit = fit_model(sweep)
         first_zero = math.pi / fit.scale_xi
         assert first_zero == pytest.approx(1.0 / TAU, rel=0.05)
@@ -210,7 +212,7 @@ class TestSweepDetuning:
         acq = make_acquisition(n_shots=100, seed=2)
         detunings = np.linspace(-1.5e6, 1.5e6, 7)
         with pytest.raises(ValueError, match="band"):
-            sweep_detuning(band, acq, detunings, ALPHA_GRID)
+            sweep_detuning(band, acq, detunings)
 
 
 class TestSnrGrowth:
@@ -222,7 +224,7 @@ class TestSnrGrowth:
         snrs = []
         for n_shots in (10**3, 10**4, 10**5):
             acq = make_acquisition(n_shots=n_shots, seed=112)
-            sweep = sweep_detuning(band, acq, detunings, ALPHA_GRID)
+            sweep = sweep_detuning(band, acq, detunings)
             snrs.append(fit_model(sweep).snr)
         assert snrs[1] >= snrs[0] * 0.9
         assert snrs[2] >= snrs[1] * 0.9
