@@ -38,11 +38,17 @@ Conventions baked in here:
   quadrature for pump-off input.
 * Every (shot, stage) pair draws from its own counter-derived Philox
   substream, so results are bit-reproducible and independent of scheduling.
+  ``run_experiment`` splits a run's shots over the CPUs in the process's
+  affinity, in forked worker processes, and its bytes do not depend on the
+  split.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -73,6 +79,10 @@ MIN_SHOTS = 3
 
 #: Seeds key a Philox generator, whose key is 128 bits wide.
 MAX_SEED = 2**128
+
+#: Most shots one experiment may acquire: its quadratures alone take
+#: 64 bytes per shot, 6.4 GB at this bound.
+MAX_SHOTS = 10**8
 
 #: Most comb bins one band may hold; each bin costs two rows of
 #: SAMPLES_PER_WINDOW complex phases in every synthesis kernel.
@@ -190,8 +200,8 @@ class AcquisitionConfig:
     added_noise_quanta: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.n_shots < MIN_SHOTS:
-            raise ValueError(f"n_shots must be >= {MIN_SHOTS}, got {self.n_shots}")
+        if not MIN_SHOTS <= self.n_shots <= MAX_SHOTS:
+            raise ValueError(f"n_shots must lie in [{MIN_SHOTS}, {MAX_SHOTS}], got {self.n_shots}")
         if not 0 <= self.seed < MAX_SEED:
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         if not self.chain_gain_signal > 0.0:
@@ -389,8 +399,163 @@ def demodulate(
     return float(z.real), float(z.imag)
 
 
-#: Shots whose draws are buffered before one matrix product maps them.
+#: Shots whose draws are buffered before one matrix product maps them; the
+#: processes of a split run take the shots this many at a time.
 _CHUNK_SHOTS = 256
+
+#: Most processes that share the shots of one run, the calling one included.
+_MAX_PROCESSES = 8
+
+#: Fewest shots per process: a smaller share does not repay sending its rows.
+_MIN_SHOTS_PER_PROCESS = 512
+
+#: Seconds a process waits for the shared chunk counter. A process holds it
+#: for microseconds, so only one killed while holding it makes others wait.
+_COUNTER_TIMEOUT_S = 60.0
+
+
+def _process_count(n_shots: int) -> int:
+    """Processes that acquire a run of ``n_shots``: one per affinity CPU, within bounds."""
+    if not hasattr(os, "sched_getaffinity"):
+        # Not Linux: no CPU affinity to read and no fork to rely on.
+        return 1
+    return min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), n_shots // _MIN_SHOTS_PER_PROCESS)
+
+
+def _acquire(maps: dict[str, np.ndarray], seed: int, stream: int, first: int, last: int) -> np.ndarray:
+    """(2, last - first, 4) quadratures of shots [first, last), pump-on then pump-off.
+
+    ``maps`` holds each stage's ``_SynthesisKernel.linear_map``. Each
+    (shot, stage) substream fills one row of a reusable draw buffer, and
+    each chunk of ``_CHUNK_SHOTS`` rows ends in one matrix product. ``first``
+    must be a multiple of ``_CHUNK_SHOTS``: every product then maps the same
+    rows as in a run over all shots, and the bytes do not depend on the
+    split. BLAS can round a row differently in a product of another shape.
+    """
+    draws = np.empty((min(last - first, _CHUNK_SHOTS), maps["pump_on"].shape[0]))
+    rows = list(draws)
+    cursor = _StreamCursor(seed)
+    out = np.empty((2, last - first, 4))
+    for block, (stage, linear_map) in zip(out, maps.items()):
+        for start in range(first, last, _CHUNK_SHOTS):
+            stop = min(start + _CHUNK_SHOTS, last)
+            for row, shot in zip(rows, range(start, stop)):
+                cursor.seek(shot, stage, stream).standard_normal(out=row)
+            np.matmul(draws[: stop - start], linear_map, out=block[start - first : stop - first])
+    return out
+
+
+def _claim(next_chunk, maps: dict[str, np.ndarray], seed: int, stream: int, n_shots: int) -> list:
+    """(first shot, ``_acquire`` rows) of each chunk this process takes.
+
+    Every process of a run takes its next chunk from the one shared counter
+    ``next_chunk``, so a process that the machine slows down takes fewer
+    chunks, and none waits long for another at the end of the run.
+    """
+    blocks = []
+    lock = next_chunk.get_lock()
+    while True:
+        if not lock.acquire(timeout=_COUNTER_TIMEOUT_S):
+            raise RuntimeError("the shot counter was never released: an acquisition process died holding it")
+        chunk = next_chunk.value
+        next_chunk.value = chunk + 1
+        lock.release()
+        first = chunk * _CHUNK_SHOTS
+        if first >= n_shots:
+            return blocks
+        blocks.append((first, _acquire(maps, seed, stream, first, min(first + _CHUNK_SHOTS, n_shots))))
+
+
+def _serve(connection, inherited: list, next_chunk) -> None:
+    """Worker loop: ``_claim`` chunks of each task received and send their rows back.
+
+    ``inherited`` are the parent's ends of the pipes, this worker's included,
+    which the fork copied; closing them here lets the worker see its pipe
+    reach end of file, and return, once the parent has gone.
+    """
+    import signal
+
+    # An interrupt is the parent's to handle; the parent then stops the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in inherited:
+        end.close()
+    with contextlib.suppress(EOFError, ConnectionError):
+        while True:
+            connection.send(_claim(next_chunk, *connection.recv()))
+
+
+class _Workers:
+    """Forked processes that help acquire a run, started when a run first needs them.
+
+    Each worker has its own pipe, and all share one chunk counter with the
+    parent. A task carries everything else the worker reads, since module
+    state in a worker may be older than the parent's. The workers are
+    daemons: they are stopped when the parent exits, and one whose parent
+    is killed sees its pipe reach end of file.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._started: list = []  # (process, the parent's end of its pipe)
+        self._next_chunk = None
+
+    def _connections(self, count: int) -> list:
+        """The parent's ends of the pipes to ``count`` workers, started as needed."""
+        if len(self._started) < count:
+            # Imported here, so that a run that is not split never pays for it.
+            import multiprocessing
+
+            # fork, not spawn: a worker starts in milliseconds with the
+            # parent's modules, where spawn would import numpy again.
+            context = multiprocessing.get_context("fork")
+            if not self._started:
+                self._next_chunk = context.Value("q", 0)
+            while len(self._started) < count:
+                ours, theirs = context.Pipe()
+                inherited = [end for _, end in self._started] + [ours]
+                process = context.Process(
+                    target=_serve, args=(theirs, inherited, self._next_chunk), daemon=True
+                )
+                process.start()
+                theirs.close()
+                self._started.append((process, ours))
+        return [end for _, end in self._started[:count]]
+
+    def close(self) -> None:
+        """Stop every worker; the next run that needs one starts it afresh."""
+        for process, end in self._started:
+            end.close()
+            process.terminate()
+            process.join()
+        self._started = []
+
+    def acquire(self, task: tuple, workers: int) -> np.ndarray:
+        """(2, n_shots, 4) rows of ``task`` = (maps, seed, stream, n_shots), with ``workers`` helping."""
+        maps, seed, stream, n_shots = task
+        if not workers:
+            return _acquire(maps, seed, stream, 0, n_shots)
+        with self._lock:
+            connections = self._connections(workers)
+            try:
+                self._next_chunk.value = 0
+                for end in connections:
+                    end.send(task)
+                blocks = _claim(self._next_chunk, *task)
+                for end in connections:
+                    blocks += end.recv()
+            except BaseException as error:
+                # Rows still in flight would answer the next run's tasks.
+                self.close()
+                if isinstance(error, (EOFError, ConnectionError)):
+                    raise RuntimeError("an acquisition worker process exited during a run") from error
+                raise
+        out = np.empty((2, n_shots, 4))
+        for first, rows in blocks:
+            out[:, first : first + rows.shape[1]] = rows
+        return out
+
+
+_WORKERS = _Workers()
 
 
 def run_experiment(
@@ -409,6 +574,12 @@ def run_experiment(
     quadrature. All of that is linear in the shot's draws, so it runs as
     one matrix product per chunk of shots (``_SynthesisKernel.linear_map``);
     the traces are never formed.
+    The shots are split over the CPUs in the process's affinity, with at
+    most ``_MAX_PROCESSES`` processes and at least ``_MIN_SHOTS_PER_PROCESS``
+    shots per process: this process and forked worker processes each take
+    the next chunk of ``_CHUNK_SHOTS`` shots whenever they finish one, until
+    none is left. Every shot draws from its own substream, and every chunk
+    is mapped alone, so the bytes do not depend on the split.
     With unit chain gains and no added noise, shot k's pump-on row is the
     ``demodulate``d trace that ``synthesize_baseband_pair`` draws from
     ``shot_rng(seed, k, "pump_on", stream)``, so the traces that
@@ -420,17 +591,5 @@ def run_experiment(
     maps = {stage: kernel.linear_map(stage, config) for stage in _STAGE_CODES}
 
     n = config.n_shots
-    chunk = min(n, _CHUNK_SHOTS)
-    draws = np.empty((chunk, maps["pump_on"].shape[0]))
-    rows = list(draws)
-    cursor = _StreamCursor(config.seed)
-    results = {}
-    for stage, linear_map in maps.items():
-        out = results[stage] = np.empty((n, 4))
-        for start in range(0, n, chunk):
-            stop = min(start + chunk, n)
-            for row, shot in zip(rows, range(start, stop)):
-                cursor.seek(shot, stage, stream).standard_normal(out=row)
-            np.matmul(draws[: stop - start], linear_map, out=out[start:stop])
-
-    return ExperimentData(on=results["pump_on"], off=results["pump_off"])
+    on, off = _WORKERS.acquire((maps, config.seed, stream, n), max(1, _process_count(n)) - 1)
+    return ExperimentData(on=on, off=off)

@@ -111,7 +111,7 @@ FIELDS: dict[str, tuple[Callable[[Any, str], Any], Any]] = {
     "band.bin_spacing": (_number, 25e3),  # Hz between comb bins [(0, halfwidth]]
     "acquisition.window.shape": (_text, REQUIRED),  # rectangular or gaussian
     "acquisition.window.tau": (_number, REQUIRED),  # s [> 0]
-    "acquisition.n_shots": (_integer, REQUIRED),  # shot pairs per experiment [>= 3]
+    "acquisition.n_shots": (_integer, REQUIRED),  # shot pairs per experiment [3, 10**8]
     "acquisition.lo_phase_signal_deg": (_number, 0.0),  # deg
     "acquisition.lo_phase_idler_deg": (_number, 0.0),  # deg
     "acquisition.chain_gain_signal": (_number, 1e6),  # linear power gain [> 0]

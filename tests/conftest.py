@@ -1,6 +1,8 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,15 @@ from twpacorr import (
 
 F_PUMP = 6.331e9
 F_IDLER = 6.481e9
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def source_env() -> dict:
+    """This environment, with the package sources first on PYTHONPATH, for subprocesses."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def gaussian_envelope(t: float, tau: float) -> float:

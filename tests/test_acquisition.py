@@ -1,6 +1,13 @@
 """Tests for trace synthesis, windowing and IQ demodulation."""
 
+import contextlib
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,15 +23,19 @@ from twpacorr import (
     shot_rng,
     synthesize_baseband_pair,
 )
+from twpacorr import acquisition
 from twpacorr.acquisition import (
     _CHUNK_SHOTS,
+    _MIN_SHOTS_PER_PROCESS,
     GAUSSIAN_FLOOR,
     MAX_BINS,
+    MAX_SHOTS,
     SAMPLES_PER_WINDOW,
     _StreamCursor,
 )
 
-from conftest import make_acquisition, make_band, overlap_kernel
+from conftest import make_acquisition, make_band, overlap_kernel, source_env
+from test_cli import write_config
 
 
 class TestWindowSpec:
@@ -362,7 +373,187 @@ class TestAcquisitionConfig:
             make_acquisition(n_shots=1)
         with pytest.raises(ValueError, match="n_shots"):
             make_acquisition(n_shots=2)
+        assert make_acquisition(n_shots=MAX_SHOTS).n_shots == MAX_SHOTS
+        with pytest.raises(ValueError, match="^n_shots"):
+            make_acquisition(n_shots=MAX_SHOTS + 1)
         with pytest.raises(ValueError):
             make_acquisition(chain_gain=0.0)
         with pytest.raises(ValueError):
             make_acquisition(added_noise=-1.0)
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def exited(pid: int) -> bool:
+    """Whether process ``pid`` has ended: gone, or a zombie left for its reaper."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+#: Starts two acquisition processes, prints the worker's pid, then acquires
+#: until it is killed.
+ACQUIRE_FOREVER = """
+from twpacorr import AcquisitionConfig, WindowSpec, acquisition, run_experiment
+from twpacorr import EmissionBandModel, TwpaParams
+
+acquisition._process_count = lambda n_shots: 2
+band = EmissionBandModel(TwpaParams(2.0, 2.0, 0.0), 2.7e6, 60e3)
+config = AcquisitionConfig(WindowSpec("rectangular", 6e-6), 20000, 1)
+run_experiment(0.0, band, config)
+print(*(process.pid for process, _ in acquisition._WORKERS._started), flush=True)
+while True:
+    run_experiment(0.0, band, config)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs stay in one process")
+class TestWorkers:
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """A pool of its own for the test, stopped after it."""
+        pool = acquisition._Workers()
+        monkeypatch.setattr(acquisition, "_WORKERS", pool)
+        yield pool
+        pool.close()
+
+    def test_split_run_equals_one_process_byte_for_byte(self, workers, monkeypatch):
+        # 1025 shots over three processes: five chunks, the last of one shot.
+        band = make_band()
+        acq = AcquisitionConfig(
+            window=WindowSpec("gaussian", 6e-6),
+            n_shots=4 * _CHUNK_SHOTS + 1,
+            seed=2024,
+            lo_phase_signal=0.4,
+            lo_phase_idler=-1.1,
+            chain_gain_signal=4.0,
+            chain_gain_idler=0.25,
+            added_noise_quanta=3.0,
+        )
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 1)
+        serial = run_experiment(0.3e6, band, acq, stream=2)
+        assert not workers._started
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
+        # The second run reuses the workers that the first started.
+        for _ in range(2):
+            with deadline(60):
+                split = run_experiment(0.3e6, band, acq, stream=2)
+            assert len(workers._started) == 2
+            assert np.array_equal(split.on, serial.on)
+            assert np.array_equal(split.off, serial.off)
+
+    @pytest.mark.parametrize(
+        "n_shots, cpus", [(2 * _MIN_SHOTS_PER_PROCESS - 1, 8), (4 * _MIN_SHOTS_PER_PROCESS, 1)]
+    )
+    def test_small_run_or_one_cpu_starts_no_worker(self, workers, monkeypatch, n_shots, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert acquisition._process_count(n_shots) <= 1
+        run_experiment(0.0, make_band(), make_acquisition(n_shots=n_shots))
+        assert not workers._started
+        assert acquisition._process_count(2 * _MIN_SHOTS_PER_PROCESS) == min(cpus, 2)
+
+    def test_slow_worker_leaves_its_chunks_to_the_others(self, workers, monkeypatch):
+        serve = acquisition._serve
+
+        def slow(*args):
+            # By the time a worker asks, the parent has taken every chunk.
+            time.sleep(0.5)
+            serve(*args)
+
+        band, acq = make_band(), make_acquisition(n_shots=4 * _MIN_SHOTS_PER_PROCESS + 3)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 1)
+        serial = run_experiment(0.2e6, band, acq, stream=4)
+        monkeypatch.setattr(acquisition, "_serve", slow)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
+        with deadline(60):
+            split = run_experiment(0.2e6, band, acq, stream=4)
+        assert np.array_equal(split.on, serial.on)
+        assert np.array_equal(split.off, serial.off)
+
+    def test_dead_worker_makes_the_run_raise(self, workers, monkeypatch):
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 2)
+        band, acq = make_band(), make_acquisition(n_shots=2 * _MIN_SHOTS_PER_PROCESS)
+        with deadline(60):
+            expected = run_experiment(0.0, band, acq)
+            ((process, _),) = workers._started
+            process.kill()
+            process.join(timeout=5)
+            assert not process.is_alive()
+            with pytest.raises(RuntimeError, match="worker"):
+                run_experiment(0.0, band, acq)
+            assert not workers._started
+            # The next run starts a new worker.
+            again = run_experiment(0.0, band, acq)
+        assert np.array_equal(again.on, expected.on)
+        assert np.array_equal(again.off, expected.off)
+
+    def test_worker_dying_mid_task_makes_the_run_raise(self, workers, monkeypatch):
+        def die(connection, *inherited):
+            connection.recv()
+            os._exit(1)
+
+        monkeypatch.setattr(acquisition, "_serve", die)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 2)
+        with deadline(60), pytest.raises(RuntimeError, match="worker"):
+            run_experiment(0.0, make_band(), make_acquisition(n_shots=2 * _MIN_SHOTS_PER_PROCESS))
+        assert not workers._started
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU starts no worker")
+    def test_no_worker_outlives_its_command(self, tmp_path):
+        config = write_config(tmp_path, {"acquisition.n_shots": 4 * _MIN_SHOTS_PER_PROCESS})
+        command = subprocess.Popen(
+            [sys.executable, "-m", "twpacorr.cli", "simulate", "--config", str(config), "--out", str(tmp_path / "out")],
+            env=source_env(),
+            stdout=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            assert command.wait(timeout=120) == 0
+            # The command led its own process group; nothing of it is left.
+            with pytest.raises(ProcessLookupError):
+                os.killpg(command.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(command.pid, signal.SIGKILL)
+            command.wait()
+
+    def test_worker_exits_when_its_parent_is_killed(self):
+        parent = subprocess.Popen(
+            [sys.executable, "-c", ACQUIRE_FOREVER],
+            env=source_env(),
+            stdout=subprocess.PIPE,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 1
+            time.sleep(0.3)  # into a later run's acquisition
+            assert not exited(pids[0])
+            parent.kill()
+            parent.wait(timeout=10)
+            give_up = time.monotonic() + 5.0
+            while not exited(pids[0]) and time.monotonic() < give_up:
+                time.sleep(0.05)
+            assert exited(pids[0])
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(parent.pid, signal.SIGKILL)
+            parent.wait()
+            parent.stdout.close()

@@ -65,6 +65,7 @@ BAD_VALUES = [
     ("n_shots-fraction", {"acquisition.n_shots": 400.5}, "acquisition.n_shots"),
     ("n_shots-inf", {"acquisition.n_shots": INF}, "acquisition.n_shots"),
     ("n_shots-two", {"acquisition.n_shots": 2}, "acquisition.n_shots"),
+    ("n_shots-huge", {"acquisition.n_shots": 10**12}, "acquisition.n_shots"),
     ("lo_signal-text", {"acquisition.lo_phase_signal_deg": "x"}, "acquisition.lo_phase_signal_deg"),
     ("lo_signal-nan", {"acquisition.lo_phase_signal_deg": NAN}, "acquisition.lo_phase_signal_deg"),
     ("lo_idler-list", {"acquisition.lo_phase_idler_deg": [0.0]}, "acquisition.lo_phase_idler_deg"),

@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import twpacorr
+
+from conftest import source_env
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -74,3 +78,18 @@ def test_benchmark_samples_per_window_match_the_package(monkeypatch):
     monkeypatch.syspath_prepend(str(SPANS.parent))
     workloads = importlib.import_module("workloads")
     assert workloads.SAMPLES_PER_WINDOW == acquisition.SAMPLES_PER_WINDOW
+
+
+def test_cli_import_loads_no_process_machinery():
+    # Acquisition imports multiprocessing when a run first splits its shots,
+    # so that starting a command does not pay for it.
+    code = (
+        "import sys\n"
+        "import twpacorr.cli\n"
+        "print(*(name for name in ('multiprocessing', 'concurrent.futures') if name in sys.modules))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
