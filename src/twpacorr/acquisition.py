@@ -15,7 +15,10 @@ demodulation frequencies are checked where the configuration is read.
 Synthesis and demodulation are linear in a shot's standard-normal draws, so
 ``run_experiment`` folds them, with the chain gains and the LO phases, into
 one real matrix per stage and maps each shot's draws to its four quadratures
-with one matrix product. The detection chain's added noise is added after
+with one matrix product. The window is a processing choice, as in the lab,
+where one digitized record is demodulated through each window: every window
+acquired in one ``run_experiment`` call demodulates the same draws, which
+are made once. The detection chain's added noise is added after
 demodulation, where it is measured: four more normals per shot and stage,
 one per quadrature. ``synthesize_baseband_pair`` forms the traces
 themselves, for any number of shots from one synthesis kernel; with
@@ -49,7 +52,7 @@ import contextlib
 import math
 import os
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -422,30 +425,37 @@ def _process_count(n_shots: int) -> int:
     return min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), n_shots // _MIN_SHOTS_PER_PROCESS)
 
 
-def _acquire(maps: dict[str, np.ndarray], seed: int, stream: int, first: int, last: int) -> np.ndarray:
-    """(2, last - first, 4) quadratures of shots [first, last), pump-on then pump-off.
+def _acquire(maps: list[dict[str, np.ndarray]], seed: int, stream: int, first: int, last: int) -> np.ndarray:
+    """(windows, 2, last - first, 4) quadratures of shots [first, last), pump-on then pump-off.
 
-    ``maps`` holds each stage's ``_SynthesisKernel.linear_map``. Each
-    (shot, stage) substream fills one row of a reusable draw buffer, and
-    each chunk of ``_CHUNK_SHOTS`` rows ends in one matrix product. ``first``
-    must be a multiple of ``_CHUNK_SHOTS``: every product then maps the same
-    rows as in a run over all shots, and the bytes do not depend on the
-    split. BLAS can round a row differently in a product of another shape.
+    ``maps`` holds one ``{stage: _SynthesisKernel.linear_map}`` per window.
+    Each (shot, stage) substream fills one row of a reusable draw buffer
+    once, and each chunk of ``_CHUNK_SHOTS`` rows ends in one matrix product
+    per window, so every window demodulates the same draws. ``first`` must
+    be a multiple of ``_CHUNK_SHOTS``: every product then maps the same rows
+    as in a run over all shots, and the bytes do not depend on the split.
+    BLAS can round a row differently in a product of another shape, so the
+    windows' maps are not stacked into one product either.
     """
-    draws = np.empty((min(last - first, _CHUNK_SHOTS), maps["pump_on"].shape[0]))
+    draws = np.empty((min(last - first, _CHUNK_SHOTS), maps[0]["pump_on"].shape[0]))
     rows = list(draws)
     cursor = _StreamCursor(seed)
-    out = np.empty((2, last - first, 4))
-    for block, (stage, linear_map) in zip(out, maps.items()):
+    out = np.empty((len(maps), 2, last - first, 4))
+    for index, stage in enumerate(_STAGE_CODES):
         for start in range(first, last, _CHUNK_SHOTS):
             stop = min(start + _CHUNK_SHOTS, last)
             for row, shot in zip(rows, range(start, stop)):
                 cursor.seek(shot, stage, stream).standard_normal(out=row)
-            np.matmul(draws[: stop - start], linear_map, out=block[start - first : stop - first])
+            for block, window_maps in zip(out, maps):
+                np.matmul(
+                    draws[: stop - start],
+                    window_maps[stage],
+                    out=block[index, start - first : stop - first],
+                )
     return out
 
 
-def _claim(next_chunk, maps: dict[str, np.ndarray], seed: int, stream: int, n_shots: int) -> list:
+def _claim(next_chunk, maps: list[dict[str, np.ndarray]], seed: int, stream: int, n_shots: int) -> list:
     """(first shot, ``_acquire`` rows) of each chunk this process takes.
 
     Every process of a run takes its next chunk from the one shared counter
@@ -500,8 +510,15 @@ class _Workers:
         self._next_chunk = None
 
     def _connections(self, count: int) -> list:
-        """The parent's ends of the pipes to ``count`` workers, started as needed."""
-        if len(self._started) < count:
+        """The parent's ends of the pipes to up to ``count`` workers, started as needed.
+
+        Workers are started only while the caller is the process's one
+        Python thread; those started before other threads are used as they
+        are. A fork copies the calling thread alone, and a thread that was
+        inside a multithreaded OpenBLAS product while the process forked was
+        seen to hang there for good.
+        """
+        if len(self._started) < count and threading.active_count() == 1:
             # Imported here, so that a run that is not split never pays for it.
             import multiprocessing
 
@@ -530,12 +547,14 @@ class _Workers:
         self._started = []
 
     def acquire(self, task: tuple, workers: int) -> np.ndarray:
-        """(2, n_shots, 4) rows of ``task`` = (maps, seed, stream, n_shots), with ``workers`` helping."""
+        """(windows, 2, n_shots, 4) rows of ``task`` = (maps, seed, stream, n_shots), with up to ``workers`` helping."""
         maps, seed, stream, n_shots = task
         if not workers:
             return _acquire(maps, seed, stream, 0, n_shots)
         with self._lock:
             connections = self._connections(workers)
+            if not connections:
+                return _acquire(maps, seed, stream, 0, n_shots)
             try:
                 self._next_chunk.value = 0
                 for end in connections:
@@ -549,9 +568,9 @@ class _Workers:
                 if isinstance(error, (EOFError, ConnectionError)):
                     raise RuntimeError("an acquisition worker process exited during a run") from error
                 raise
-        out = np.empty((2, n_shots, 4))
+        out = np.empty((len(maps), 2, n_shots, 4))
         for first, rows in blocks:
-            out[:, first : first + rows.shape[1]] = rows
+            out[:, :, first : first + rows.shape[2]] = rows
         return out
 
 
@@ -563,7 +582,9 @@ def run_experiment(
     band: EmissionBandModel,
     config: AcquisitionConfig,
     stream: int = 0,
-) -> ExperimentData:
+    *,
+    windows: Sequence[WindowSpec] | None = None,
+) -> ExperimentData | list[ExperimentData]:
     """Acquire ``n_shots`` pump-on/pump-off shot pairs at ``detuning`` (Hz).
 
     The detuning is the only frequency read. Each shot synthesizes both
@@ -574,6 +595,13 @@ def run_experiment(
     quadrature. All of that is linear in the shot's draws, so it runs as
     one matrix product per chunk of shots (``_SynthesisKernel.linear_map``);
     the traces are never formed.
+    With ``windows`` None the shots are demodulated through
+    ``config.window`` and one ``ExperimentData`` is returned. Given a
+    sequence of windows, every shot is drawn once and demodulated through
+    each of them, and one ``ExperimentData`` per window is returned, in
+    order: each is byte-identical to a run with that window as
+    ``config.window``, because a window's rows depend only on the shots'
+    draws and its own map.
     The shots are split over the CPUs in the process's affinity, with at
     most ``_MAX_PROCESSES`` processes and at least ``_MIN_SHOTS_PER_PROCESS``
     shots per process: this process and forked worker processes each take
@@ -587,9 +615,15 @@ def run_experiment(
     ``stream`` selects an independent substream family so sweep points stay
     independent under a common master seed.
     """
-    kernel = _SynthesisKernel(band, detuning, config.window)
-    maps = {stage: kernel.linear_map(stage, config) for stage in _STAGE_CODES}
+    targets = [config.window] if windows is None else list(windows)
+    maps = []
+    for window in targets:
+        kernel = _SynthesisKernel(band, detuning, window)
+        maps.append({stage: kernel.linear_map(stage, config) for stage in _STAGE_CODES})
+    if not maps:
+        return []
 
     n = config.n_shots
-    on, off = _WORKERS.acquire((maps, config.seed, stream, n), max(1, _process_count(n)) - 1)
-    return ExperimentData(on=on, off=off)
+    rows = _WORKERS.acquire((maps, config.seed, stream, n), max(1, _process_count(n)) - 1)
+    data = [ExperimentData(on=on, off=off) for on, off in rows]
+    return data[0] if windows is None else data

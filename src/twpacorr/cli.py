@@ -330,21 +330,25 @@ def _check_case_labels(config: ExperimentConfig) -> None:
 def _run_linewidth_cases(config: ExperimentConfig) -> tuple[list, bool]:
     """Run every configured (window, tau) case and write its tables.
 
-    A case that fails gets a NaN row in ``fits.csv``, with converged=false.
+    One sweep acquires every case: each run draws its shots once and
+    demodulates them through every case's window. A case that fails gets a
+    NaN row in ``fits.csv``, with converged=false, and the others go on.
     Returns the fitted cases' comparisons, and whether every case was fitted
     and converged.
     """
-    detunings = config.detunings()
+    sweeps = sweep_detuning(
+        config.band, config.acquisition, config.detunings(), windows=config.cases
+    )
     meta = _metadata(config)
 
     fit_rows = []
     comparisons = []
     all_converged = True
-    for window in config.cases:
+    for window, sweep in zip(config.cases, sweeps):
         label = _case_label(window)
-        acq = replace(config.acquisition, window=window)
         try:
-            sweep = sweep_detuning(config.band, acq, detunings)
+            if isinstance(sweep, ValueError):
+                raise sweep
             fit = fit_model(sweep)
         except ValueError as err:
             click.echo(f"case {label}: numerical failure: {err}", err=True)

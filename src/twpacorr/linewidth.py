@@ -135,7 +135,9 @@ def sweep_detuning(
     band: EmissionBandModel,
     config: AcquisitionConfig,
     detunings: Sequence[float],
-) -> DetuningSweep:
+    *,
+    windows: Sequence[WindowSpec] | None = None,
+) -> DetuningSweep | list[DetuningSweep | ValueError]:
     """Run the correlation experiment across a grid of detunings in Hz.
 
     The detuning is the only frequency the simulation reads. The relative LO
@@ -144,32 +146,59 @@ def sweep_detuning(
     form), then held fixed while the detuning walks the grid (substream 0
     is the calibration run; point k runs at ``detunings[k]`` on substream
     k + 1, so points are independent and order-insensitive).
+
+    With ``windows`` None the sweep runs through ``config.window``, returns
+    one ``DetuningSweep`` and raises the ``ValueError`` of a failed
+    calibration or estimate. Given a sequence of windows, each of the
+    ``points + 1`` runs acquires them all from one set of draws
+    (``run_experiment(..., windows=...)``), each window is calibrated on
+    its own stream-0 data, and one entry per window is returned, in order:
+    its ``DetuningSweep``, the same as a sweep with that window as
+    ``config.window``, or the ``ValueError`` that stopped it. A stopped
+    window is left out of the later runs; the others go on.
     """
     detunings = np.asarray(detunings, dtype=float)
+    targets = [config.window] if windows is None else list(windows)
+    gains = (config.chain_gain_signal, config.chain_gain_idler)
+    rho_values = np.empty((len(targets), detunings.size))
+    rho_errors = np.empty((len(targets), detunings.size))
+    alpha_stars = {}
+    errors = {}
 
-    calibration = run_experiment(0.0, band, config, stream=0)
-    alpha_star = phase_sweep(
-        calibration.on, calibration.off, config.chain_gain_signal, config.chain_gain_idler, ()
-    ).alpha_star
+    live = range(len(targets))
+    for stream, detuning in enumerate((0.0, *detunings)):
+        if not live:
+            break
+        runs = run_experiment(detuning, band, config, stream=stream, windows=[targets[i] for i in live])
+        for index, data in zip(live, runs):
+            try:
+                if stream == 0:
+                    alpha_stars[index] = phase_sweep(data.on, data.off, *gains, ()).alpha_star
+                else:
+                    rho_values[index, stream - 1], rho_errors[index, stream - 1] = inferred_pearson(
+                        data.on, data.off, *gains, idler_rotation=alpha_stars[index]
+                    )
+            except ValueError as error:
+                errors[index] = error
+        live = [index for index in live if index not in errors]
 
-    rho_values = np.empty(detunings.size)
-    rho_errors = np.empty(detunings.size)
-    for index, detuning in enumerate(detunings):
-        data = run_experiment(detuning, band, config, stream=index + 1)
-        rho_values[index], rho_errors[index] = inferred_pearson(
-            data.on,
-            data.off,
-            config.chain_gain_signal,
-            config.chain_gain_idler,
-            idler_rotation=alpha_star,
+    sweeps = [
+        errors[index]
+        if index in errors
+        else DetuningSweep(
+            detunings=detunings,
+            rho_values=rho_values[index],
+            rho_errors=rho_errors[index],
+            window=window,
+            alpha_star=alpha_stars[index],
         )
-    return DetuningSweep(
-        detunings=detunings,
-        rho_values=rho_values,
-        rho_errors=rho_errors,
-        window=config.window,
-        alpha_star=alpha_star,
-    )
+        for index, window in enumerate(targets)
+    ]
+    if windows is not None:
+        return sweeps
+    if errors:
+        raise errors[0]
+    return sweeps[0]
 
 
 def _initial_guess(model: str, detunings: np.ndarray, magnitudes: np.ndarray) -> tuple[float, float]:

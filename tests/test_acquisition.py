@@ -6,7 +6,9 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -407,6 +409,33 @@ def exited(pid: int) -> bool:
     return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
 
 
+@contextlib.contextmanager
+def busy_thread():
+    """A thread that holds a lock and multiplies matrices until the block ends.
+
+    Yields the lock; on leaving, the thread must finish within 10 s.
+    """
+    lock, holding, stop = threading.Lock(), threading.Event(), threading.Event()
+
+    def multiply():
+        matrix = np.random.default_rng(5).standard_normal((200, 200))
+        with lock:
+            holding.set()
+            while not stop.is_set():
+                matrix = matrix @ matrix.T
+                matrix /= np.linalg.norm(matrix)
+
+    thread = threading.Thread(target=multiply, daemon=True)
+    thread.start()
+    try:
+        assert holding.wait(10)
+        yield lock
+    finally:
+        stop.set()
+        thread.join(10)
+    assert not thread.is_alive()
+
+
 #: Starts two acquisition processes, prints the worker's pid, then acquires
 #: until it is killed.
 ACQUIRE_FOREVER = """
@@ -457,6 +486,73 @@ class TestWorkers:
             assert len(workers._started) == 2
             assert np.array_equal(split.on, serial.on)
             assert np.array_equal(split.off, serial.off)
+
+    def test_windows_of_one_run_equal_one_run_per_window_byte_for_byte(self, workers, monkeypatch):
+        # Three windows demodulate one set of draws, split over three processes.
+        band = make_band(halfwidth=4e6, spacing=80e3)
+        acq = AcquisitionConfig(
+            window=WindowSpec("gaussian", 4e-6),
+            n_shots=4 * _CHUNK_SHOTS + 1,
+            seed=2024,
+            lo_phase_signal=0.4,
+            lo_phase_idler=-1.1,
+            chain_gain_signal=4.0,
+            chain_gain_idler=0.25,
+            added_noise_quanta=3.0,
+        )
+        windows = [
+            WindowSpec("rectangular", 6e-6),
+            WindowSpec("gaussian", 6e-6),
+            WindowSpec("rectangular", 3e-6),
+        ]
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 1)
+        alone = [run_experiment(0.3e6, band, replace(acq, window=window), stream=2) for window in windows]
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
+        with deadline(60):
+            joint = run_experiment(0.3e6, band, acq, stream=2, windows=windows)
+        assert len(workers._started) == 2
+        assert len(joint) == len(windows)
+        for one, data in zip(alone, joint):
+            assert np.array_equal(data.on, one.on)
+            assert np.array_equal(data.off, one.off)
+
+    def test_no_windows_acquire_nothing(self, workers):
+        assert run_experiment(0.0, make_band(), make_acquisition(), windows=[]) == []
+        assert not workers._started
+
+    def test_threaded_caller_starts_no_worker(self, workers, monkeypatch):
+        # Forked under a thread that is inside a multithreaded BLAS product,
+        # that thread could hang for good; the run stays in this process.
+        band = make_band()
+        acq = make_acquisition(n_shots=4 * _MIN_SHOTS_PER_PROCESS + 3, added_noise=2.0)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 1)
+        serial = run_experiment(0.1e6, band, acq, stream=3)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
+        with busy_thread() as lock, deadline(60):
+            split = run_experiment(0.1e6, band, acq, stream=3)
+            assert lock.locked()
+        assert not workers._started
+        assert np.array_equal(split.on, serial.on)
+        assert np.array_equal(split.off, serial.off)
+
+    def test_workers_started_before_a_thread_still_help(self, workers, monkeypatch):
+        band = make_band()
+        acq = make_acquisition(n_shots=4 * _MIN_SHOTS_PER_PROCESS + 3, added_noise=2.0)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
+        with deadline(60):
+            before = run_experiment(0.1e6, band, acq, stream=3)
+        pids = [process.pid for process, _ in workers._started]
+        assert len(pids) == 2
+        workers._next_chunk.value = 0
+        with busy_thread(), deadline(60):
+            during = run_experiment(0.1e6, band, acq, stream=3)
+        # The run was split: its processes claimed chunks from the shared counter.
+        assert workers._next_chunk.value > 0
+        assert [process.pid for process, _ in workers._started] == pids
+        workers.close()
+        assert all(exited(pid) for pid in pids)
+        assert np.array_equal(during.on, before.on)
+        assert np.array_equal(during.off, before.off)
 
     @pytest.mark.parametrize(
         "n_shots, cpus", [(2 * _MIN_SHOTS_PER_PROCESS - 1, 8), (4 * _MIN_SHOTS_PER_PROCESS, 1)]

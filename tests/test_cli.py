@@ -547,6 +547,37 @@ class TestCompareWindowsCommand:
         assert rows[0].startswith("window,tau_us,fwhm_hz,snr,fwhm_tau")
         assert len(rows) == 3
 
+    def test_failed_calibration_stops_only_its_case(self, tmp_path, monkeypatch):
+        from twpacorr import linewidth
+
+        cases = [{"window": "rectangular", "tau": 6.0e-6}, {"window": "gaussian", "tau": 6.0e-6}]
+        path = write_config(tmp_path, overrides={"linewidth.cases": cases})
+        runner = CliRunner()
+        result = runner.invoke(main, ["compare-windows", "--config", str(path), "--out", str(tmp_path / "all")])
+        assert result.exit_code == 0, result.output
+
+        real_calibrate = linewidth.phase_sweep
+        calibrations = []
+
+        def calibrate(*args):
+            # The cases are calibrated in order: the gaussian one fails.
+            calibrations.append(args)
+            if len(calibrations) == 2:
+                raise ValueError("synthetic calibration failure")
+            return real_calibrate(*args)
+
+        monkeypatch.setattr(linewidth, "phase_sweep", calibrate)
+        result = runner.invoke(main, ["compare-windows", "--config", str(path), "--out", str(tmp_path / "one")])
+        assert result.exit_code == 3, result.output
+        assert "case gaussian_6us: numerical failure: synthetic calibration failure" in result.output
+        name = "linewidth_rectangular_6us.csv"
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+        assert not (tmp_path / "one" / "linewidth_gaussian_6us.csv").exists()
+        fits = read_csv_rows(tmp_path / "one" / "fits.csv")
+        assert fits[1] == read_csv_rows(tmp_path / "all" / "fits.csv")[1]
+        assert fits[2] == "gaussian,6,nan,nan,nan,nan,nan,nan,false,0"
+        assert len(read_csv_rows(tmp_path / "one" / "comparison.csv")) == 2
+
     def test_no_fitted_case_writes_the_header_alone(self, tmp_path, monkeypatch):
         import twpacorr.cli as cli_module
 

@@ -1,6 +1,7 @@
 """Tests for detuning sweeps, model fitting and window comparison."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,6 +207,64 @@ class TestSweepDetuning:
     def test_sweep_carries_calibrated_phase(self, small_sweep):
         distance = math.degrees(small_sweep.alpha_star) % 360.0
         assert min(distance, 360.0 - distance) < 10.0
+
+    def test_windows_of_one_sweep_equal_one_sweep_per_window(self):
+        band = make_band(halfwidth=4e6, spacing=80e3)
+        acq = make_acquisition(n_shots=600, seed=303, chain_gain=2.0, added_noise=1.0)
+        detunings = np.linspace(-0.3e6, 0.3e6, 7)
+        windows = [
+            WindowSpec("rectangular", 6e-6),
+            WindowSpec("gaussian", 6e-6),
+            WindowSpec("rectangular", 3e-6),
+        ]
+        joint = sweep_detuning(band, acq, detunings, windows=windows)
+        assert len(joint) == len(windows)
+        for window, sweep in zip(windows, joint):
+            alone = sweep_detuning(band, replace(acq, window=window), detunings)
+            assert sweep.window == window
+            assert sweep.alpha_star == alone.alpha_star
+            assert np.array_equal(sweep.rho_values, alone.rho_values)
+            assert np.array_equal(sweep.rho_errors, alone.rho_errors)
+
+    def test_failed_window_is_returned_and_left_out(self, monkeypatch):
+        from twpacorr import linewidth
+
+        band, acq = make_band(), make_acquisition(n_shots=300, seed=8)
+        detunings = np.linspace(-0.2e6, 0.2e6, 5)
+        windows = [WindowSpec("rectangular", 6e-6), WindowSpec("gaussian", 6e-6)]
+        expected = sweep_detuning(band, acq, detunings)
+        real_run, real_calibrate = linewidth.run_experiment, linewidth.phase_sweep
+        acquired, calibrations = [], []
+
+        def run(*args, windows, **kwargs):
+            acquired.append([window.shape for window in windows])
+            return real_run(*args, windows=windows, **kwargs)
+
+        def calibrate(*args):
+            # Windows are calibrated in order: the gaussian one fails.
+            calibrations.append(args)
+            if len(calibrations) == 2:
+                raise ValueError("synthetic calibration failure")
+            return real_calibrate(*args)
+
+        monkeypatch.setattr(linewidth, "run_experiment", run)
+        monkeypatch.setattr(linewidth, "phase_sweep", calibrate)
+        rectangular, failed = sweep_detuning(band, acq, detunings, windows=windows)
+        assert isinstance(failed, ValueError) and "synthetic" in str(failed)
+        assert rectangular.alpha_star == expected.alpha_star
+        assert np.array_equal(rectangular.rho_values, expected.rho_values)
+        assert np.array_equal(rectangular.rho_errors, expected.rho_errors)
+        assert acquired == [["rectangular", "gaussian"]] + [["rectangular"]] * detunings.size
+
+        # Alone, a window raises what stopped it, after its calibration run.
+        def fail(*args):
+            raise ValueError("synthetic calibration failure")
+
+        monkeypatch.setattr(linewidth, "phase_sweep", fail)
+        acquired.clear()
+        with pytest.raises(ValueError, match="synthetic"):
+            sweep_detuning(band, acq, detunings)
+        assert acquired == [["rectangular"]]
 
     def test_detuning_outside_band_is_rejected(self):
         band = make_band(halfwidth=2.2e6, spacing=80e3)

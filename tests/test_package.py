@@ -4,6 +4,7 @@ import ast
 import importlib
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import twpacorr
@@ -45,29 +46,42 @@ def test_benchmark_counters_still_read_the_package(tmp_path, monkeypatch):
     from click.testing import CliRunner
 
     from twpacorr import cli, estimators, linewidth
-    from test_cli import write_config
+    from test_cli import BASE_CONFIG, write_config
 
     monkeypatch.syspath_prepend(str(SPANS.parent))
-    tracer = importlib.import_module("spans").Tracer()
-    config = str(write_config(tmp_path))
+    spans = importlib.import_module("spans")
+    cases = [{"window": "rectangular", "tau": 6.0e-6}, {"window": "gaussian", "tau": 6.0e-6}]
+    config = str(write_config(tmp_path, overrides={"linewidth.cases": cases}))
     commands = (
         ["simulate", "--dump-traces", "2"],
         ["phase-sweep", "--dump-shots", "0"],
         ["compare-windows"],
     )
     modules = {"cli": cli, "linewidth": linewidth, "estimators": estimators}
-    with tracer.installed(modules):
-        for command in commands:
+    tracers = {}
+    for command in commands:
+        tracer = tracers[command[0]] = spans.Tracer()
+        with tracer.installed(modules):
             out = str(tmp_path / command[0])
             result = CliRunner().invoke(cli.main, [*command, "--config", config, "--out", out])
             assert result.exit_code == 0, result.output
+    counts = sum((tracer.counts for tracer in tracers.values()), Counter())
     for counter in (
         "acquisition.run_experiment_normals",
         "acquisition.synthesize_normals",
         "estimators.phase_sweep_angles",
         "linewidth.fit_nfev",
     ):
-        assert tracer.counts[counter] > 0, counter
+        assert counts[counter] > 0, counter
+
+    # compare-windows draws each of its P + 1 runs once for both cases, and
+    # the tracer counts the normals of each run once.
+    points, n_shots = BASE_CONFIG["linewidth"]["points"], BASE_CONFIG["acquisition"]["n_shots"]
+    band = BASE_CONFIG["band"]
+    n_bins = round(2 * band["halfwidth"] / band["bin_spacing"])
+    compare = tracers["compare-windows"]
+    assert compare.summary()[2]["acquisition.run_experiment"] == points + 1
+    assert compare.counts["acquisition.run_experiment_normals"] == (points + 1) * 2 * n_shots * 4 * n_bins
 
 
 def test_benchmark_samples_per_window_match_the_package(monkeypatch):
