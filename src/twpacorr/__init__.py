@@ -19,7 +19,6 @@ from .acquisition import (
     synthesize_baseband_pair,
 )
 from .estimators import (
-    CovarianceEstimate,
     PhaseSweepResult,
     estimate_covariance,
     infer_tmsvs,
@@ -51,7 +50,6 @@ from .linewidth import (
 __all__ = [
     "__version__",
     "AcquisitionConfig",
-    "CovarianceEstimate",
     "DetuningSweep",
     "EmissionBandModel",
     "ExperimentData",

@@ -106,8 +106,8 @@ class WindowSpec:
     def __post_init__(self) -> None:
         if self.shape not in WINDOW_SHAPES:
             raise ValueError(f"shape must be one of {WINDOW_SHAPES}, got {self.shape!r}")
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
     def envelope(self, times: np.ndarray) -> np.ndarray:
         """Envelope E(t) for ``times`` measured from the window start, in [0, tau]."""
@@ -207,12 +207,16 @@ class AcquisitionConfig:
             raise ValueError(f"n_shots must lie in [{MIN_SHOTS}, {MAX_SHOTS}], got {self.n_shots}")
         if not 0 <= self.seed < MAX_SEED:
             raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
-        if not self.chain_gain_signal > 0.0:
-            raise ValueError(f"chain_gain_signal must be positive, got {self.chain_gain_signal}")
-        if not self.chain_gain_idler > 0.0:
-            raise ValueError(f"chain_gain_idler must be positive, got {self.chain_gain_idler}")
-        if not self.added_noise_quanta >= 0.0:
-            raise ValueError(f"added_noise_quanta must be >= 0, got {self.added_noise_quanta}")
+        for name in ("lo_phase_signal", "lo_phase_idler"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("chain_gain_signal", "chain_gain_idler"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.added_noise_quanta < math.inf:
+            raise ValueError(
+                f"added_noise_quanta must be finite and >= 0, got {self.added_noise_quanta}"
+            )
 
     @property
     def sample_rate(self) -> float:
@@ -232,6 +236,14 @@ class ExperimentData:
     off: np.ndarray
 
 
+def _stage_code(stage: str) -> int:
+    """The Philox counter word of ``stage``, which must be 'pump_on' or 'pump_off'."""
+    try:
+        return _STAGE_CODES[stage]
+    except KeyError:
+        raise ValueError(f"stage must be 'pump_on' or 'pump_off', got {stage!r}") from None
+
+
 def shot_rng(seed: int, shot_index: int, stage: str, stream: int = 0) -> np.random.Generator:
     """Counter-derived random substream for one (shot, stage) of one experiment.
 
@@ -240,7 +252,7 @@ def shot_rng(seed: int, shot_index: int, stage: str, stream: int = 0) -> np.rand
     distinct experiments of a sweep use distinct ``stream`` values.
     """
     bit_generator = np.random.Philox(
-        key=seed, counter=[0, shot_index, _STAGE_CODES[stage], stream]
+        key=seed, counter=[0, shot_index, _stage_code(stage), stream]
     )
     return np.random.Generator(bit_generator)
 
@@ -373,8 +385,7 @@ def synthesize_baseband_pair(
     traces carry no detection-chain gain or added noise. One synthesis
     kernel serves every shot of the call.
     """
-    if stage not in _STAGE_CODES:
-        raise ValueError(f"stage must be 'pump_on' or 'pump_off', got {stage!r}")
+    _stage_code(stage)
     kernel = _SynthesisKernel(band, detuning, window)
     draws = np.array([rng.standard_normal((kernel.n_bins, 4)) for rng in rngs])
     return kernel.traces(draws.reshape(-1, kernel.n_bins, 4), stage)

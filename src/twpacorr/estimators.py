@@ -1,10 +1,12 @@
 """Covariance and correlation estimation from demodulated shot records.
 
 Turns (n, 4) quadrature arrays from the ON and OFF acquisition stages into
-the inferred two-mode squeezed covariance (background subtraction plus
-vacuum restoration) and its Pearson correlation, with standard errors from
-a leave-one-block-out jackknife that sees the full inference chain. The
-idler rotation that maximizes that correlation has a closed form.
+(4, 4) sample covariances, the inferred two-mode squeezed covariance
+(``infer_tmsvs``: background subtraction plus vacuum restoration) and its
+Pearson correlation, with standard errors from a leave-one-block-out
+jackknife that sees the full inference chain. Covariances are plain
+arrays. The idler rotation that maximizes that correlation has a closed
+form.
 """
 
 from __future__ import annotations
@@ -19,14 +21,6 @@ from .gaussian import VACUUM_VARIANCE, pearson_xx, rotate_quadrature_array
 
 #: Contiguous blocks of the leave-one-block-out jackknife (one shot each below 50 shots).
 JACKKNIFE_BLOCKS = 50
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    """Sample covariance with entrywise standard errors."""
-
-    matrix: np.ndarray
-    standard_errors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -79,45 +73,18 @@ def _covariance_stack(values: np.ndarray) -> np.ndarray:
         return (second - first[:, :, np.newaxis] * first[:, np.newaxis, :] / kept) / (kept - 1)
 
 
-def estimate_covariance(shots) -> CovarianceEstimate:
-    """Unbiased (n-1 divisor) sample covariance of the quadrature 4-vector.
-
-    Standard errors use the Gaussian-theory formula
-    ``SE(sigma_ij) = sqrt((sigma_ii sigma_jj + sigma_ij^2) / (n - 1))``.
-    Accepts an (n, 4) array of shots.
-    """
+def estimate_covariance(shots) -> np.ndarray:
+    """Unbiased (n-1 divisor) (4, 4) sample covariance of an (n, 4) array of shots."""
     values = _as_shot_array(shots)
     n = values.shape[0]
     if n < 2:
         raise ValueError(f"need at least 2 shots to estimate a covariance, got {n}")
-    matrix = _covariance_stack(values)[0]
-    diag = np.diag(matrix)
-    standard_errors = np.sqrt((np.outer(diag, diag) + matrix**2) / (n - 1))
-    return CovarianceEstimate(matrix=matrix, standard_errors=standard_errors)
-
-
-def _subtract_background(
-    cov_on: np.ndarray,
-    cov_off: np.ndarray,
-    chain_gain_signal: float,
-    chain_gain_idler: float,
-) -> np.ndarray:
-    """ON - OFF referred to the amplifier output, with vacuum restored.
-
-    Works entrywise on single matrices and on (..., 4, 4) stacks alike.
-    """
-    if chain_gain_signal <= 0.0 or chain_gain_idler <= 0.0:
-        raise ValueError(
-            f"chain gains must be positive, got ({chain_gain_signal}, {chain_gain_idler})"
-        )
-    gains = np.array([chain_gain_signal, chain_gain_signal, chain_gain_idler, chain_gain_idler])
-    scale = 1.0 / np.sqrt(np.outer(gains, gains))
-    return (cov_on - cov_off) * scale + VACUUM_VARIANCE * np.eye(4)
+    return _covariance_stack(values)[0]
 
 
 def infer_tmsvs(
-    on: CovarianceEstimate,
-    off: CovarianceEstimate,
+    cov_on: np.ndarray,
+    cov_off: np.ndarray,
     chain_gain_signal: float,
     chain_gain_idler: float,
 ) -> np.ndarray:
@@ -125,17 +92,24 @@ def infer_tmsvs(
 
     Scales signal rows/columns by 1/chain_gain_signal, idler ones by
     1/chain_gain_idler (cross blocks pick up the geometric mean), then
-    returns ON - OFF + I/4. No positivity projection is applied; physicality
-    is a downstream diagnostic.
+    returns ON - OFF + I/4. Works entrywise on (4, 4) matrices and on
+    (..., 4, 4) stacks alike. No positivity projection is applied;
+    physicality is a downstream diagnostic.
     """
-    return _subtract_background(on.matrix, off.matrix, chain_gain_signal, chain_gain_idler)
+    if not (0.0 < chain_gain_signal < math.inf and 0.0 < chain_gain_idler < math.inf):
+        raise ValueError(
+            f"chain gains must be positive and finite, got ({chain_gain_signal}, {chain_gain_idler})"
+        )
+    gains = np.array([chain_gain_signal, chain_gain_signal, chain_gain_idler, chain_gain_idler])
+    scale = 1.0 / np.sqrt(np.outer(gains, gains))
+    return (cov_on - cov_off) * scale + VACUUM_VARIANCE * np.eye(4)
 
 
 def _inferred_stack(
     shots_on, shots_off, chain_gain_signal: float, chain_gain_idler: float
 ) -> np.ndarray:
     """Inferred covariance of all shots, then of each leave-one-block-out subsample."""
-    return _subtract_background(
+    return infer_tmsvs(
         _covariance_stack(_as_shot_array(shots_on)),
         _covariance_stack(_as_shot_array(shots_off)),
         chain_gain_signal,

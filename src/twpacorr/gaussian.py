@@ -58,10 +58,12 @@ class TwpaParams:
     phase_mismatch: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.gain_signal >= 1.0:
-            raise ValueError(f"gain_signal must be >= 1, got {self.gain_signal}")
-        if not self.gain_idler >= 1.0:
-            raise ValueError(f"gain_idler must be >= 1, got {self.gain_idler}")
+        if not 1.0 <= self.gain_signal < math.inf:
+            raise ValueError(f"gain_signal must be finite and >= 1, got {self.gain_signal}")
+        if not 1.0 <= self.gain_idler < math.inf:
+            raise ValueError(f"gain_idler must be finite and >= 1, got {self.gain_idler}")
+        if not math.isfinite(self.phase_mismatch):
+            raise ValueError(f"phase_mismatch must be finite, got {self.phase_mismatch}")
         object.__setattr__(
             self, "phase_mismatch", _reduce_angle(float(self.phase_mismatch))
         )

@@ -42,6 +42,14 @@ FIT_MAX_EVALUATIONS = 200
 FIT_OBJECTIVE_TOLERANCE = 1e-9
 
 
+def _check_grid(detunings: np.ndarray) -> None:
+    """Refuse a detuning grid of fewer than 5 points or not strictly increasing."""
+    if detunings.size < 5:
+        raise ValueError(f"a sweep needs at least 5 points, got {detunings.size}")
+    if not np.all(np.diff(detunings) > 0.0):
+        raise ValueError("detunings must be strictly increasing")
+
+
 @dataclass(frozen=True)
 class DetuningSweep:
     """Pearson correlation versus detuning for one (window, tau) case."""
@@ -58,10 +66,7 @@ class DetuningSweep:
         err = np.asarray(self.rho_errors, dtype=float)
         if not (detunings.size == rho.size == err.size):
             raise ValueError("detunings, rho_values and rho_errors must match in length")
-        if detunings.size < 5:
-            raise ValueError(f"a sweep needs at least 5 points, got {detunings.size}")
-        if np.any(np.diff(detunings) <= 0.0):
-            raise ValueError("detunings must be strictly increasing")
+        _check_grid(detunings)
         object.__setattr__(self, "detunings", detunings)
         object.__setattr__(self, "rho_values", rho)
         object.__setattr__(self, "rho_errors", err)
@@ -155,9 +160,11 @@ def sweep_detuning(
     its own stream-0 data, and one entry per window is returned, in order:
     its ``DetuningSweep``, the same as a sweep with that window as
     ``config.window``, or the ``ValueError`` that stopped it. A stopped
-    window is left out of the later runs; the others go on.
+    window is left out of the later runs; the others go on. The grid is
+    checked, as ``DetuningSweep`` checks it, before anything is acquired.
     """
     detunings = np.asarray(detunings, dtype=float)
+    _check_grid(detunings)
     targets = [config.window] if windows is None else list(windows)
     gains = (config.chain_gain_signal, config.chain_gain_idler)
     rho_values = np.empty((len(targets), detunings.size))
@@ -276,7 +283,7 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
     )
 
     amplitude, scale = (float(v) for v in result.x)
-    converged = bool(result.success) and result.status != 0
+    converged = bool(result.success)
     fit_residuals = magnitudes - model_prediction(model, detunings, amplitude, scale)
     residual_rms = float(np.sqrt(np.mean(fit_residuals**2)))
     snr = amplitude / residual_rms if residual_rms > 0.0 else math.inf

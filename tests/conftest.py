@@ -64,6 +64,15 @@ def gaussian_shots(cov, n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal((n, 4)) @ np.linalg.cholesky(cov).T
 
 
+def gaussian_standard_errors(matrix, n: int) -> np.ndarray:
+    """Gaussian-theory entrywise SE of an n-shot sample covariance estimating ``matrix``.
+
+    ``SE(sigma_ij) = sqrt((sigma_ii sigma_jj + sigma_ij^2) / (n - 1))``.
+    """
+    diag = np.diag(matrix)
+    return np.sqrt((np.outer(diag, diag) + matrix**2) / (n - 1))
+
+
 def make_band(twpa=None, halfwidth=2.7e6, spacing=60e3) -> EmissionBandModel:
     if twpa is None:
         twpa = TwpaParams(2.0, 2.0, 0.0)

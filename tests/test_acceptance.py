@@ -35,7 +35,7 @@ from twpacorr.cli import main as cli_main
 from twpacorr.linewidth import compare_windows, fit_model, model_prediction, sweep_detuning
 from twpacorr.linewidth import SINC_FIRST_LOBE_LEVEL, _model_jacobian
 
-from conftest import F_IDLER, F_PUMP, overlap_kernel
+from conftest import F_IDLER, F_PUMP, gaussian_standard_errors, overlap_kernel
 
 # Deselect with -m "not acceptance" for a quick loop; tier-1 runs it.
 pytestmark = pytest.mark.acceptance
@@ -167,7 +167,9 @@ def test_criterion_2_end_to_end_covariance_recovery(recovery_experiment):
     off = estimate_covariance(data.off)
     inferred = infer_tmsvs(on, off, 1.0, 1.0)
     analytic = tmsvs_covariance(TWPA)
-    tolerance = 3.0 * np.sqrt(on.standard_errors**2 + off.standard_errors**2)
+    n = data.on.shape[0]
+    se_on, se_off = gaussian_standard_errors(on, n), gaussian_standard_errors(off, n)
+    tolerance = 3.0 * np.sqrt(se_on**2 + se_off**2)
     deviation = np.abs(inferred - analytic)
     if not np.all(deviation <= tolerance):
         worst = np.unravel_index(np.argmax(deviation - tolerance), deviation.shape)
@@ -338,7 +340,9 @@ def test_criterion_8_determinism_and_seed_independence(tmp_path):
     on = estimate_covariance(data.on)
     off = estimate_covariance(data.off)
     inferred = infer_tmsvs(on, off, 1.0, 1.0)
-    tolerance = 3.0 * np.sqrt(on.standard_errors**2 + off.standard_errors**2)
+    n = data.on.shape[0]
+    se_on, se_off = gaussian_standard_errors(on, n), gaussian_standard_errors(off, n)
+    tolerance = 3.0 * np.sqrt(se_on**2 + se_off**2)
     if not np.all(np.abs(inferred - tmsvs_covariance(TWPA)) <= tolerance):
         failures.append("alt seed: covariance recovery outside 3 se")
     rho = pearson_xx(inferred)

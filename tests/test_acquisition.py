@@ -36,7 +36,13 @@ from twpacorr.acquisition import (
     _StreamCursor,
 )
 
-from conftest import make_acquisition, make_band, overlap_kernel, source_env
+from conftest import (
+    gaussian_standard_errors,
+    make_acquisition,
+    make_band,
+    overlap_kernel,
+    source_env,
+)
 from test_cli import write_config
 
 
@@ -180,6 +186,10 @@ class TestSynthesize:
                 band, 0.0, WindowSpec("rectangular", 6e-6), "idle", [shot_rng(1, 0, "pump_on")]
             )
 
+    def test_shot_rng_rejects_unknown_stage(self):
+        with pytest.raises(ValueError, match="^stage"):
+            shot_rng(1, 0, "pump")
+
     def test_trace_length(self):
         band = make_band()
         window = WindowSpec("gaussian", 4e-6)
@@ -307,11 +317,10 @@ class TestRunExperiment:
 
     def test_off_stage_is_isotropic_vacuum(self, ideal_experiment):
         est = estimate_covariance(ideal_experiment.off)
-        assert np.all(np.abs(np.diag(est.matrix) - 0.25) <= 3.0 * np.diag(est.standard_errors))
+        se = gaussian_standard_errors(est, ideal_experiment.off.shape[0])
+        assert np.all(np.abs(np.diag(est) - 0.25) <= 3.0 * np.diag(se))
         off_diagonal = ~np.eye(4, dtype=bool)
-        assert np.all(
-            np.abs(est.matrix[off_diagonal]) <= 3.0 * est.standard_errors[off_diagonal]
-        )
+        assert np.all(np.abs(est[off_diagonal]) <= 3.0 * se[off_diagonal])
 
     def test_unit_gain_pump_matches_off_stage(self):
         band = make_band(twpa=TwpaParams(1.0, 1.0, 0.0))
@@ -319,8 +328,9 @@ class TestRunExperiment:
         data = run_experiment(0.0, band, acq)
         on = estimate_covariance(data.on)
         off = estimate_covariance(data.off)
-        tol = 3.0 * np.sqrt(on.standard_errors**2 + off.standard_errors**2)
-        assert np.all(np.abs(on.matrix - off.matrix) <= tol)
+        se_on, se_off = gaussian_standard_errors(on, 3000), gaussian_standard_errors(off, 3000)
+        tol = 3.0 * np.sqrt(se_on**2 + se_off**2)
+        assert np.all(np.abs(on - off) <= tol)
 
     def test_added_noise_raises_both_stages_equally(self):
         band = make_band()
@@ -329,7 +339,8 @@ class TestRunExperiment:
         off = estimate_covariance(data.off)
         # OFF variance should sit at vacuum + noise quanta (chain gain 1).
         expected = 0.25 + 8.0 / 4.0
-        assert np.all(np.abs(np.diag(off.matrix) - expected) <= 3.0 * np.diag(off.standard_errors))
+        se = gaussian_standard_errors(off, 4000)
+        assert np.all(np.abs(np.diag(off) - expected) <= 3.0 * np.diag(se))
 
     def test_refinement_invariance(self):
         # Halving the bin spacing must not move the demodulated covariance
@@ -339,8 +350,10 @@ class TestRunExperiment:
         fine = run_experiment(0.0, make_band(spacing=30e3), acq)
         est_coarse = estimate_covariance(coarse.on)
         est_fine = estimate_covariance(fine.on)
-        tol = 3.0 * np.sqrt(est_coarse.standard_errors**2 + est_fine.standard_errors**2)
-        assert np.all(np.abs(est_coarse.matrix - est_fine.matrix) <= tol)
+        se_coarse = gaussian_standard_errors(est_coarse, 10_000)
+        se_fine = gaussian_standard_errors(est_fine, 10_000)
+        tol = 3.0 * np.sqrt(se_coarse**2 + se_fine**2)
+        assert np.all(np.abs(est_coarse - est_fine) <= tol)
 
 
 class TestDetuningKernel:
@@ -357,8 +370,8 @@ class TestDetuningKernel:
         for k, detuning in enumerate(detunings):
             data = run_experiment(detuning, band, acq, stream=k)
             est = estimate_covariance(data.on)
-            covariances[k] = est.matrix[0, 2]
-            errors[k] = est.standard_errors[0, 2]
+            covariances[k] = est[0, 2]
+            errors[k] = gaussian_standard_errors(est, 10_000)[0, 2]
         # One free proportionality constant, fitted by weighted least squares.
         weight = 1.0 / errors**2
         scale = np.sum(weight * covariances * kernel) / np.sum(weight * kernel**2)
@@ -382,6 +395,29 @@ class TestAcquisitionConfig:
             make_acquisition(chain_gain=0.0)
         with pytest.raises(ValueError):
             make_acquisition(added_noise=-1.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("lo_phase_signal", math.nan),
+            ("lo_phase_idler", -math.inf),
+            ("chain_gain_signal", math.inf),
+            ("chain_gain_idler", math.inf),
+            ("added_noise_quanta", math.inf),
+            ("added_noise_quanta", math.nan),
+            ("gain_signal", math.inf),
+            ("gain_idler", math.inf),
+            ("phase_mismatch", math.nan),
+            ("phase_mismatch", math.inf),
+            ("tau", math.inf),
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, field, value):
+        valid = (make_acquisition(), TwpaParams(2.0, 2.0), WindowSpec("gaussian", 6e-6))
+        owner = next(instance for instance in valid if hasattr(instance, field))
+        # Each message begins with the field, which config._checked names.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            replace(owner, **{field: value})
 
 
 @contextlib.contextmanager

@@ -18,17 +18,15 @@ from twpacorr import (
     run_experiment,
     tmsvs_covariance,
 )
-from twpacorr.estimators import CovarianceEstimate, _best_rotation
+from twpacorr.estimators import _best_rotation
 
-from conftest import gaussian_shots, make_acquisition, make_band
+from conftest import gaussian_shots, gaussian_standard_errors, make_acquisition, make_band
 
 
 class TestEstimateCovariance:
     def test_constant_shots_give_zero_matrix(self):
         shots = np.tile([0.3, -0.2, 0.1, 0.5], (100, 1))
-        est = estimate_covariance(shots)
-        np.testing.assert_allclose(est.matrix, 0.0, atol=1e-16)
-        np.testing.assert_allclose(est.standard_errors, 0.0, atol=1e-16)
+        np.testing.assert_allclose(estimate_covariance(shots), 0.0, atol=1e-16)
 
     def test_rejects_single_shot(self):
         with pytest.raises(ValueError):
@@ -37,19 +35,13 @@ class TestEstimateCovariance:
     def test_vacuum_samples_within_three_se(self):
         shots = gaussian_shots(0.25 * np.eye(4), 10**6, seed=8)
         est = estimate_covariance(shots)
-        assert np.all(np.abs(est.matrix - 0.25 * np.eye(4)) <= 3.0 * est.standard_errors)
+        se = gaussian_standard_errors(est, 10**6)
+        assert np.all(np.abs(est - 0.25 * np.eye(4)) <= 3.0 * se)
 
     def test_known_covariance_within_three_se(self):
         cov = tmsvs_covariance(TwpaParams(2.0, 2.0, 0.0))
         est = estimate_covariance(gaussian_shots(cov, 10**5, seed=12))
-        assert np.all(np.abs(est.matrix - cov) <= 3.0 * est.standard_errors)
-
-    def test_standard_error_formula(self):
-        shots = gaussian_shots(tmsvs_covariance(TwpaParams(3.0, 2.0, 0.2)), 500, seed=4)
-        est = estimate_covariance(shots)
-        diag = np.diag(est.matrix)
-        expected = np.sqrt((np.outer(diag, diag) + est.matrix**2) / (500 - 1))
-        np.testing.assert_allclose(est.standard_errors, expected, rtol=1e-12)
+        assert np.all(np.abs(est - cov) <= 3.0 * gaussian_standard_errors(est, 10**5))
 
     def test_consistency_rate(self):
         # Entrywise error should shrink like n^(-1/2) across three decades.
@@ -58,7 +50,7 @@ class TestEstimateCovariance:
         for j, n in enumerate((10**3, 10**4, 10**5)):
             runs = [
                 np.linalg.norm(
-                    estimate_covariance(gaussian_shots(cov, n, seed=300 + 37 * j + k)).matrix - cov
+                    estimate_covariance(gaussian_shots(cov, n, seed=300 + 37 * j + k)) - cov
                 )
                 for k in range(10)
             ]
@@ -79,32 +71,39 @@ class TestInferTmsvs:
         inferred = infer_tmsvs(est, est, 250.0, 9.0)
         assert np.array_equal(inferred, 0.25 * np.eye(4))
 
-    def test_rejects_non_positive_gains(self):
+    @pytest.mark.parametrize("gains", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)])
+    def test_rejects_non_positive_or_non_finite_gains(self, gains):
         est = estimate_covariance(np.zeros((10, 4)))
-        with pytest.raises(ValueError):
-            infer_tmsvs(est, est, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            infer_tmsvs(est, est, 1.0, -2.0)
+        with pytest.raises(ValueError, match="chain gains"):
+            infer_tmsvs(est, est, *gains)
 
     def test_gain_normalization_uses_geometric_mean_cross_block(self):
         matrix = np.arange(16, dtype=float).reshape(4, 4)
         matrix = (matrix + matrix.T) / 2.0
-        on = CovarianceEstimate(matrix=matrix, standard_errors=np.zeros((4, 4)))
-        off = CovarianceEstimate(matrix=np.zeros((4, 4)), standard_errors=np.zeros((4, 4)))
         g_s, g_i = 4.0, 9.0
-        inferred = infer_tmsvs(on, off, g_s, g_i) - 0.25 * np.eye(4)
+        inferred = infer_tmsvs(matrix, np.zeros((4, 4)), g_s, g_i) - 0.25 * np.eye(4)
         np.testing.assert_allclose(inferred[:2, :2], matrix[:2, :2] / g_s, rtol=1e-12)
         np.testing.assert_allclose(inferred[2:, 2:], matrix[2:, 2:] / g_i, rtol=1e-12)
         np.testing.assert_allclose(
             inferred[:2, 2:], matrix[:2, 2:] / math.sqrt(g_s * g_i), rtol=1e-12
         )
 
+    def test_stack_is_inferred_matrix_by_matrix(self):
+        rng = np.random.default_rng(3)
+        on, off = rng.standard_normal((2, 3, 5, 4, 4))
+        inferred = infer_tmsvs(on, off, 4.0, 9.0)
+        assert inferred.shape == (3, 5, 4, 4)
+        for index in np.ndindex(3, 5):
+            assert np.array_equal(inferred[index], infer_tmsvs(on[index], off[index], 4.0, 9.0))
+
     def test_end_to_end_recovery_against_analytic(self, ideal_experiment):
         analytic = tmsvs_covariance(TwpaParams(2.0, 2.0, 0.0))
         on = estimate_covariance(ideal_experiment.on)
         off = estimate_covariance(ideal_experiment.off)
         inferred = infer_tmsvs(on, off, 1.0, 1.0)
-        tol = 3.0 * np.sqrt(on.standard_errors**2 + off.standard_errors**2)
+        n = ideal_experiment.on.shape[0]
+        se_on, se_off = gaussian_standard_errors(on, n), gaussian_standard_errors(off, n)
+        tol = 3.0 * np.sqrt(se_on**2 + se_off**2)
         assert np.all(np.abs(inferred - analytic) <= tol)
 
     def test_common_chain_gain_cancels(self):
@@ -164,7 +163,7 @@ class TestPhaseSweep:
         for alpha in (0.0, 0.9, 2.2):
             rotated = rotate_quadrature_array(ideal_experiment.on, alpha)
             est = estimate_covariance(rotated)
-            powers.append(est.matrix[2, 2] + est.matrix[3, 3])
+            powers.append(est[2, 2] + est[3, 3])
         assert max(powers) - min(powers) < 1e-10
 
     def test_empty_grid_gives_the_maximum_alone(self, ideal_experiment, swept):

@@ -266,6 +266,25 @@ class TestSweepDetuning:
             sweep_detuning(band, acq, detunings)
         assert acquired == [["rectangular"]]
 
+    @pytest.mark.parametrize(
+        "detunings,message",
+        [
+            ([0.0, 0.0, 1e5, 2e5, 3e5], "strictly increasing"),
+            ([0.0, 1e5, math.nan, 2e5, 3e5], "strictly increasing"),
+            ([0.0, 1e5, 2e5, 3e5], "at least 5 points"),
+        ],
+    )
+    def test_grid_is_checked_before_acquiring(self, monkeypatch, detunings, message):
+        from twpacorr import linewidth
+
+        def run(*args, **kwargs):
+            raise AssertionError("run_experiment called before the grid was checked")
+
+        monkeypatch.setattr(linewidth, "run_experiment", run)
+        acq = make_acquisition(n_shots=100, seed=2)
+        with pytest.raises(ValueError, match=message):
+            sweep_detuning(make_band(), acq, detunings)
+
     def test_detuning_outside_band_is_rejected(self):
         band = make_band(halfwidth=2.2e6, spacing=80e3)
         acq = make_acquisition(n_shots=100, seed=2)
