@@ -16,9 +16,10 @@ Synthesis and demodulation are linear in a shot's standard-normal draws, so
 ``run_experiment`` folds them, with the chain gains and the LO phases, into
 one real matrix per stage and maps each shot's draws to its four quadratures
 with one matrix product. The window is a processing choice, as in the lab,
-where one digitized record is demodulated through each window: every window
-acquired in one ``run_experiment`` call demodulates the same draws, which
-are made once. The detection chain's added noise is added after
+where one digitized record is demodulated through each window:
+``run_experiment`` returns one result per window it is given, all
+demodulated from the same draws, which are made once. The detection
+chain's added noise is added after
 demodulation, where it is measured: four more normals per shot and stage,
 one per quadrature. ``synthesize_baseband_pair`` forms the traces
 themselves, for any number of shots from one synthesis kernel; with
@@ -595,8 +596,8 @@ def run_experiment(
     stream: int = 0,
     *,
     windows: Sequence[WindowSpec] | None = None,
-) -> ExperimentData | list[ExperimentData]:
-    """Acquire ``n_shots`` pump-on/pump-off shot pairs at ``detuning`` (Hz).
+) -> list[ExperimentData]:
+    """Acquire ``n_shots`` pump-on/pump-off shot pairs at ``detuning`` (Hz), one result per window.
 
     The detuning is the only frequency read. Each shot synthesizes both
     channel traces, scales them by the square root of the per-channel chain
@@ -606,13 +607,10 @@ def run_experiment(
     quadrature. All of that is linear in the shot's draws, so it runs as
     one matrix product per chunk of shots (``_SynthesisKernel.linear_map``);
     the traces are never formed.
-    With ``windows`` None the shots are demodulated through
-    ``config.window`` and one ``ExperimentData`` is returned. Given a
-    sequence of windows, every shot is drawn once and demodulated through
-    each of them, and one ``ExperimentData`` per window is returned, in
-    order: each is byte-identical to a run with that window as
-    ``config.window``, because a window's rows depend only on the shots'
-    draws and its own map.
+    Every shot is drawn once and demodulated through each of ``windows``
+    (``config.window`` alone when None), and one ``ExperimentData`` per
+    window is returned, in order. A window's rows depend only on the
+    shots' draws and its own map, not on the other windows.
     The shots are split over the CPUs in the process's affinity, with at
     most ``_MAX_PROCESSES`` processes and at least ``_MIN_SHOTS_PER_PROCESS``
     shots per process: this process and forked worker processes each take
@@ -626,9 +624,8 @@ def run_experiment(
     ``stream`` selects an independent substream family so sweep points stay
     independent under a common master seed.
     """
-    targets = [config.window] if windows is None else list(windows)
     maps = []
-    for window in targets:
+    for window in [config.window] if windows is None else windows:
         kernel = _SynthesisKernel(band, detuning, window)
         maps.append({stage: kernel.linear_map(stage, config) for stage in _STAGE_CODES})
     if not maps:
@@ -636,5 +633,4 @@ def run_experiment(
 
     n = config.n_shots
     rows = _WORKERS.acquire((maps, config.seed, stream, n), max(1, _process_count(n)) - 1)
-    data = [ExperimentData(on=on, off=off) for on, off in rows]
-    return data[0] if windows is None else data
+    return [ExperimentData(on=on, off=off) for on, off in rows]

@@ -183,7 +183,7 @@ def simulate(config_path, out, seed, dump_traces) -> None:
             f"{dump_traces} traces asked, but acquisition.n_shots is {acq.n_shots}",
             param_hint="'--dump-traces'",
         )
-    data = run_experiment(config.detuning, config.band, acq)
+    (data,) = run_experiment(config.detuning, config.band, acq)
     on = estimate_covariance(data.on)
     off = estimate_covariance(data.off)
     inferred = infer_tmsvs(on, off, acq.chain_gain_signal, acq.chain_gain_idler)
@@ -276,7 +276,7 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
     config = _load(config_path, out, {"seed": seed, "phase_sweep.points": points}, sweep=False)
     acq = config.acquisition
     alphas_deg = np.linspace(0.0, 360.0, config.phase_points)
-    data = run_experiment(config.detuning, config.band, acq)
+    (data,) = run_experiment(config.detuning, config.band, acq)
     try:
         result = phase_sweep(
             data.on, data.off, acq.chain_gain_signal, acq.chain_gain_idler, np.radians(alphas_deg)

@@ -25,6 +25,7 @@ import yaml
 
 from .acquisition import AcquisitionConfig, EmissionBandModel, WindowSpec
 from .gaussian import TwpaParams
+from .linewidth import check_grid
 
 #: Linewidth cases of a config that lists none: both window families at the
 #: four standard times.
@@ -40,6 +41,11 @@ DEFAULT_PHASE_POINTS = 73
 
 #: Largest |detuning| in Hz that any command acquires.
 MAX_DETUNING = 10e6
+
+#: Most points of a phase-sweep curve or of a linewidth grid: the grid is
+#: built, and its frequencies checked, one point at a time before anything
+#: is acquired.
+MAX_POINTS = 100_000
 
 
 class ConfigError(Exception):
@@ -80,13 +86,17 @@ def _text(value: Any, path: str) -> str:
     return value
 
 
-def _above(low: float, read: Callable[[Any, str], Any]) -> Callable[[Any, str], Any]:
-    """``read``, refusing values at or below ``low``."""
+def _above(
+    low: float, read: Callable[[Any, str], Any], high: float = math.inf
+) -> Callable[[Any, str], Any]:
+    """``read``, refusing values at or below ``low`` and values above ``high``."""
 
     def bounded(value: Any, path: str):
         number = read(value, path)
         if not number > low:
             raise ConfigError(f"field '{path}' must be > {low}, got {number}")
+        if number > high:
+            raise ConfigError(f"field '{path}' must be <= {high}, got {number}")
         return number
 
     return bounded
@@ -104,8 +114,8 @@ FIELDS: dict[str, tuple[Callable[[Any, str], Any], Any]] = {
     # Hz; the signal demodulates at 2 f_pump - f_idler_demod - detuning [!= f_idler_demod]
     "frequency.f_idler_demod": (_number, REQUIRED),
     "frequency.detuning": (_number, 0.0),  # Hz, the only frequency acquisition reads [|detuning| <= 10 MHz]
-    "twpa.gain_signal": (_number, REQUIRED),  # linear power gain [>= 1]
-    "twpa.gain_idler": (_number, REQUIRED),  # linear power gain [>= 1]
+    "twpa.gain_signal": (_number, REQUIRED),  # linear power gain [1, 1e6]
+    "twpa.gain_idler": (_number, REQUIRED),  # linear power gain [1, 1e6]
     "twpa.phase_mismatch_deg": (_number, 0.0),  # deg
     "band.halfwidth": (_number, 5e6),  # Hz around each demodulation frequency [> 0]
     "band.bin_spacing": (_number, 25e3),  # Hz between comb bins [(0, halfwidth]]
@@ -117,9 +127,9 @@ FIELDS: dict[str, tuple[Callable[[Any, str], Any], Any]] = {
     "acquisition.chain_gain_signal": (_number, 1e6),  # linear power gain [> 0]
     "acquisition.chain_gain_idler": (_number, 1e6),  # linear power gain [> 0]
     "acquisition.added_noise_quanta": (_number, 10.0),  # quanta at the chain input [>= 0]
-    "phase_sweep.points": (_above(0, _integer), DEFAULT_PHASE_POINTS),  # curve angles over [0, 360] deg
-    "linewidth.points": (_above(4, _integer), 201),  # detunings per case
-    "linewidth.span": (_above(0.0, _number), 2e6),  # Hz, whole detuning grid
+    "phase_sweep.points": (_above(0, _integer, MAX_POINTS), DEFAULT_PHASE_POINTS),  # curve angles over [0, 360] deg
+    "linewidth.points": (_above(4, _integer, MAX_POINTS), 201),  # detunings per case
+    "linewidth.span": (_above(0.0, _number), 2e6),  # Hz, whole detuning grid [points strictly increasing]
     # Without a list of cases, the linewidth sweeps run DEFAULT_CASES.
     "linewidth.cases[].window": (_text, REQUIRED),  # rectangular or gaussian
     "linewidth.cases[].tau": (_number, REQUIRED),  # s [> 0]
@@ -236,13 +246,15 @@ class ExperimentConfig:
         A single run acquires ``acquisition.window`` at ``frequency.detuning``,
         which loading has checked; a sweep acquires every linewidth case at
         detuning 0 and at every point of ``detunings()``, so only sweeps need
-        linewidth cases that suit the band.
+        linewidth cases that suit the band, and a grid that
+        ``linewidth.check_grid`` accepts.
         """
         if not sweep:
             paths = {"tau": "acquisition.window.tau", "detuning": "frequency.detuning"}
             _checked(paths, self.band.validate_for, self.acquisition.window.tau, self.detuning)
             return
         grid = self.detunings()
+        _checked({"detunings": "linewidth.span"}, check_grid, grid)
         _check_frequencies(self.f_pump, self.f_idler_demod, [0.0, *grid], "linewidth.span")
         edge = self.linewidth_span / 2.0
         for index, case in enumerate(self.cases):

@@ -19,6 +19,11 @@ VACUUM_VARIANCE = 0.25
 #: Column order used for bulk quadrature arrays of shape (n, 4).
 QUADRATURE_ORDER = ("x_signal", "p_signal", "x_idler", "p_idler")
 
+#: Largest linear power gain (60 dB) of either amplifier mode. Every gain
+#: pair up to it gives a covariance whose Cholesky factor exists; equal gains
+#: of 3e7 do not.
+MAX_GAIN = 1e6
+
 #: Block-diagonal symplectic form for two modes in (X_s, P_s, X_i, P_i) order.
 #: The quadrature commutator in vacuum-1/4 units is [R_j, R_k] = (i/2) OMEGA_jk.
 OMEGA = np.array(
@@ -47,7 +52,7 @@ class TwpaParams:
     ----------
     gain_signal, gain_idler:
         Linear power gains at the signal and idler frequencies. Parametric
-        gain cannot drop below unity, so both must be >= 1.
+        gain cannot drop below unity, so both must lie in [1, MAX_GAIN].
     phase_mismatch:
         Pump/signal/idler phase mismatch in radians, stored reduced to
         (-pi, pi]. Zero maximizes the two-mode correlation.
@@ -58,10 +63,9 @@ class TwpaParams:
     phase_mismatch: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 1.0 <= self.gain_signal < math.inf:
-            raise ValueError(f"gain_signal must be finite and >= 1, got {self.gain_signal}")
-        if not 1.0 <= self.gain_idler < math.inf:
-            raise ValueError(f"gain_idler must be finite and >= 1, got {self.gain_idler}")
+        for name in ("gain_signal", "gain_idler"):
+            if not 1.0 <= getattr(self, name) <= MAX_GAIN:
+                raise ValueError(f"{name} must be in [1, {MAX_GAIN:g}], got {getattr(self, name)}")
         if not math.isfinite(self.phase_mismatch):
             raise ValueError(f"phase_mismatch must be finite, got {self.phase_mismatch}")
         object.__setattr__(
@@ -109,8 +113,10 @@ def rotate_quadrature_array(values: np.ndarray, angle: float) -> np.ndarray:
     (..., 4, 4) covariance stack (rotating the rows and then the columns
     gives R C R^T). Applies
     (X_i', P_i') = (X_i cos a + P_i sin a, -X_i sin a + P_i cos a) and leaves
-    the signal untouched.
+    the signal untouched. ``angle`` must be finite.
     """
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     values = np.asarray(values, dtype=float)
     if values.ndim == 0 or values.shape[-1] != 4:
         raise ValueError(f"expected a (..., 4) array, got shape {values.shape}")

@@ -42,10 +42,10 @@ FIT_MAX_EVALUATIONS = 200
 FIT_OBJECTIVE_TOLERANCE = 1e-9
 
 
-def _check_grid(detunings: np.ndarray) -> None:
+def check_grid(detunings: np.ndarray) -> None:
     """Refuse a detuning grid of fewer than 5 points or not strictly increasing."""
     if detunings.size < 5:
-        raise ValueError(f"a sweep needs at least 5 points, got {detunings.size}")
+        raise ValueError(f"detunings must hold at least 5 points, got {detunings.size}")
     if not np.all(np.diff(detunings) > 0.0):
         raise ValueError("detunings must be strictly increasing")
 
@@ -66,7 +66,7 @@ class DetuningSweep:
         err = np.asarray(self.rho_errors, dtype=float)
         if not (detunings.size == rho.size == err.size):
             raise ValueError("detunings, rho_values and rho_errors must match in length")
-        _check_grid(detunings)
+        check_grid(detunings)
         object.__setattr__(self, "detunings", detunings)
         object.__setattr__(self, "rho_values", rho)
         object.__setattr__(self, "rho_errors", err)
@@ -141,42 +141,39 @@ def sweep_detuning(
     config: AcquisitionConfig,
     detunings: Sequence[float],
     *,
-    windows: Sequence[WindowSpec] | None = None,
-) -> DetuningSweep | list[DetuningSweep | ValueError]:
-    """Run the correlation experiment across a grid of detunings in Hz.
+    windows: Sequence[WindowSpec],
+) -> list[DetuningSweep | ValueError]:
+    """Run the correlation experiment across a grid of detunings in Hz, once per window.
 
-    The detuning is the only frequency the simulation reads. The relative LO
-    phase is calibrated once at zero detuning, to the idler rotation that
-    maximizes rho there (``phase_sweep`` with no angles gives it in closed
-    form), then held fixed while the detuning walks the grid (substream 0
-    is the calibration run; point k runs at ``detunings[k]`` on substream
-    k + 1, so points are independent and order-insensitive).
+    The detuning is the only frequency the simulation reads. Each of the
+    ``points + 1`` runs acquires every window from one set of draws
+    (``run_experiment(..., windows=...)``): run 0, on substream 0, is the
+    calibration at zero detuning, and run k + 1 acquires ``detunings[k]`` on
+    substream k + 1, so points are independent and order-insensitive. Each
+    window's relative LO phase is calibrated once, on its own stream-0
+    data, to the idler rotation that maximizes rho there (``phase_sweep``
+    with no angles gives it in closed form), then held fixed while the
+    detuning walks the grid.
 
-    With ``windows`` None the sweep runs through ``config.window``, returns
-    one ``DetuningSweep`` and raises the ``ValueError`` of a failed
-    calibration or estimate. Given a sequence of windows, each of the
-    ``points + 1`` runs acquires them all from one set of draws
-    (``run_experiment(..., windows=...)``), each window is calibrated on
-    its own stream-0 data, and one entry per window is returned, in order:
-    its ``DetuningSweep``, the same as a sweep with that window as
-    ``config.window``, or the ``ValueError`` that stopped it. A stopped
-    window is left out of the later runs; the others go on. The grid is
-    checked, as ``DetuningSweep`` checks it, before anything is acquired.
+    One entry per window is returned, in order: its ``DetuningSweep``, or
+    the ``ValueError`` of the calibration or estimate that stopped it. A
+    stopped window is left out of the later runs; the others go on. The
+    grid is checked, as ``DetuningSweep`` checks it, before anything is
+    acquired.
     """
     detunings = np.asarray(detunings, dtype=float)
-    _check_grid(detunings)
-    targets = [config.window] if windows is None else list(windows)
+    check_grid(detunings)
     gains = (config.chain_gain_signal, config.chain_gain_idler)
-    rho_values = np.empty((len(targets), detunings.size))
-    rho_errors = np.empty((len(targets), detunings.size))
+    rho_values = np.empty((len(windows), detunings.size))
+    rho_errors = np.empty((len(windows), detunings.size))
     alpha_stars = {}
     errors = {}
 
-    live = range(len(targets))
+    live = range(len(windows))
     for stream, detuning in enumerate((0.0, *detunings)):
         if not live:
             break
-        runs = run_experiment(detuning, band, config, stream=stream, windows=[targets[i] for i in live])
+        runs = run_experiment(detuning, band, config, stream=stream, windows=[windows[i] for i in live])
         for index, data in zip(live, runs):
             try:
                 if stream == 0:
@@ -189,7 +186,7 @@ def sweep_detuning(
                 errors[index] = error
         live = [index for index in live if index not in errors]
 
-    sweeps = [
+    return [
         errors[index]
         if index in errors
         else DetuningSweep(
@@ -199,13 +196,8 @@ def sweep_detuning(
             window=window,
             alpha_star=alpha_stars[index],
         )
-        for index, window in enumerate(targets)
+        for index, window in enumerate(windows)
     ]
-    if windows is not None:
-        return sweeps
-    if errors:
-        raise errors[0]
-    return sweeps[0]
 
 
 def _initial_guess(model: str, detunings: np.ndarray, magnitudes: np.ndarray) -> tuple[float, float]:

@@ -109,4 +109,5 @@ def ideal_experiment():
 
     band = make_band()
     acq = make_acquisition(n_shots=4000, seed=7001)
-    return run_experiment(0.0, band, acq)
+    (data,) = run_experiment(0.0, band, acq)
+    return data

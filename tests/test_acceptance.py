@@ -74,14 +74,15 @@ def _finish(criterion: int, name: str, failures: list) -> None:
 
 def _run_sweep_case(shape: str, tau: float, seed: int = ACCEPT_SEED):
     detunings = np.linspace(-SWEEP_SPAN / 2.0, SWEEP_SPAN / 2.0, SWEEP_POINTS)
-    sweep = sweep_detuning(BAND, _acquisition(tau, shape, seed), detunings)
+    acq = _acquisition(tau, shape, seed)
+    (sweep,) = sweep_detuning(BAND, acq, detunings, windows=[acq.window])
     return sweep, fit_model(sweep)
 
 
 @pytest.fixture(scope="session")
 def recovery_experiment():
     start = time.perf_counter()
-    data = run_experiment(0.0, BAND, _acquisition(6e-6, "rectangular"))
+    (data,) = run_experiment(0.0, BAND, _acquisition(6e-6, "rectangular"))
     return data, time.perf_counter() - start
 
 
@@ -127,7 +128,7 @@ def _kernel_agreement_failures(shape: str, seed: int = ACCEPT_SEED) -> list:
         chain_gain_idler=1.0,
         added_noise_quanta=0.0,
     )
-    sweep = sweep_detuning(BAND, acq, detunings)
+    (sweep,) = sweep_detuning(BAND, acq, detunings, windows=[window])
     kernel = overlap_kernel(window, detunings)
     center = detunings.size // 2
     rho0, se0 = sweep.rho_values[center], sweep.rho_errors[center]
@@ -336,7 +337,7 @@ def test_criterion_8_determinism_and_seed_independence(tmp_path):
 
     # The statistical criteria must hold at the new seed too: covariance
     # recovery, the rectangular FWHM law, and kernel agreement.
-    data = run_experiment(0.0, BAND, _acquisition(6e-6, "rectangular", seed=ALT_SEED))
+    (data,) = run_experiment(0.0, BAND, _acquisition(6e-6, "rectangular", seed=ALT_SEED))
     on = estimate_covariance(data.on)
     off = estimate_covariance(data.off)
     inferred = infer_tmsvs(on, off, 1.0, 1.0)

@@ -257,8 +257,8 @@ class TestRunExperiment:
     def test_same_seed_is_bit_identical(self):
         band = make_band()
         acq = make_acquisition(n_shots=50, seed=31)
-        first = run_experiment(0.0, band, acq)
-        second = run_experiment(0.0, band, acq)
+        (first,) = run_experiment(0.0, band, acq)
+        (second,) = run_experiment(0.0, band, acq)
         assert np.array_equal(first.on, second.on)
         assert np.array_equal(first.off, second.off)
 
@@ -267,7 +267,7 @@ class TestRunExperiment:
         band = make_band()
         window = WindowSpec("gaussian", 6e-6)
         acq = make_acquisition(window=window, n_shots=5, seed=77)
-        data = run_experiment(0.0, band, acq)
+        (data,) = run_experiment(0.0, band, acq)
         for shot in (0, 3):
             rng = shot_rng(acq.seed, shot, "pump_on")
             (trace_s,), (trace_i,) = synthesize_baseband_pair(band, 0.0, window, "pump_on", [rng])
@@ -296,7 +296,7 @@ class TestRunExperiment:
             chain_gain_idler=gains[1],
             added_noise_quanta=3.0,
         )
-        data = run_experiment(detuning, band, acq, stream=2)
+        (data,) = run_experiment(detuning, band, acq, stream=2)
 
         sigmas = np.sqrt(np.repeat(gains, 2) * acq.added_noise_quanta / 4.0)
         # The last two shots sit in a second chunk of the batched runner.
@@ -325,7 +325,7 @@ class TestRunExperiment:
     def test_unit_gain_pump_matches_off_stage(self):
         band = make_band(twpa=TwpaParams(1.0, 1.0, 0.0))
         acq = make_acquisition(n_shots=3000, seed=91)
-        data = run_experiment(0.0, band, acq)
+        (data,) = run_experiment(0.0, band, acq)
         on = estimate_covariance(data.on)
         off = estimate_covariance(data.off)
         se_on, se_off = gaussian_standard_errors(on, 3000), gaussian_standard_errors(off, 3000)
@@ -335,7 +335,7 @@ class TestRunExperiment:
     def test_added_noise_raises_both_stages_equally(self):
         band = make_band()
         noisy = make_acquisition(n_shots=4000, seed=13, added_noise=8.0)
-        data = run_experiment(0.0, band, noisy)
+        (data,) = run_experiment(0.0, band, noisy)
         off = estimate_covariance(data.off)
         # OFF variance should sit at vacuum + noise quanta (chain gain 1).
         expected = 0.25 + 8.0 / 4.0
@@ -346,8 +346,8 @@ class TestRunExperiment:
         # Halving the bin spacing must not move the demodulated covariance
         # beyond the combined Monte-Carlo error.
         acq = make_acquisition(n_shots=10_000, seed=101)
-        coarse = run_experiment(0.0, make_band(spacing=60e3), acq)
-        fine = run_experiment(0.0, make_band(spacing=30e3), acq)
+        (coarse,) = run_experiment(0.0, make_band(spacing=60e3), acq)
+        (fine,) = run_experiment(0.0, make_band(spacing=30e3), acq)
         est_coarse = estimate_covariance(coarse.on)
         est_fine = estimate_covariance(fine.on)
         se_coarse = gaussian_standard_errors(est_coarse, 10_000)
@@ -368,7 +368,7 @@ class TestDetuningKernel:
         covariances = np.empty(detunings.size)
         errors = np.empty(detunings.size)
         for k, detuning in enumerate(detunings):
-            data = run_experiment(detuning, band, acq, stream=k)
+            (data,) = run_experiment(detuning, band, acq, stream=k)
             est = estimate_covariance(data.on)
             covariances[k] = est[0, 2]
             errors[k] = gaussian_standard_errors(est, 10_000)[0, 2]
@@ -512,13 +512,13 @@ class TestWorkers:
             added_noise_quanta=3.0,
         )
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 1)
-        serial = run_experiment(0.3e6, band, acq, stream=2)
+        (serial,) = run_experiment(0.3e6, band, acq, stream=2)
         assert not workers._started
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
         # The second run reuses the workers that the first started.
         for _ in range(2):
             with deadline(60):
-                split = run_experiment(0.3e6, band, acq, stream=2)
+                (split,) = run_experiment(0.3e6, band, acq, stream=2)
             assert len(workers._started) == 2
             assert np.array_equal(split.on, serial.on)
             assert np.array_equal(split.off, serial.off)
@@ -542,7 +542,7 @@ class TestWorkers:
             WindowSpec("rectangular", 3e-6),
         ]
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 1)
-        alone = [run_experiment(0.3e6, band, replace(acq, window=window), stream=2) for window in windows]
+        alone = [run_experiment(0.3e6, band, replace(acq, window=window), stream=2)[0] for window in windows]
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
         with deadline(60):
             joint = run_experiment(0.3e6, band, acq, stream=2, windows=windows)
@@ -562,10 +562,10 @@ class TestWorkers:
         band = make_band()
         acq = make_acquisition(n_shots=4 * _MIN_SHOTS_PER_PROCESS + 3, added_noise=2.0)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 1)
-        serial = run_experiment(0.1e6, band, acq, stream=3)
+        (serial,) = run_experiment(0.1e6, band, acq, stream=3)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
         with busy_thread() as lock, deadline(60):
-            split = run_experiment(0.1e6, band, acq, stream=3)
+            (split,) = run_experiment(0.1e6, band, acq, stream=3)
             assert lock.locked()
         assert not workers._started
         assert np.array_equal(split.on, serial.on)
@@ -576,12 +576,12 @@ class TestWorkers:
         acq = make_acquisition(n_shots=4 * _MIN_SHOTS_PER_PROCESS + 3, added_noise=2.0)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
         with deadline(60):
-            before = run_experiment(0.1e6, band, acq, stream=3)
+            (before,) = run_experiment(0.1e6, band, acq, stream=3)
         pids = [process.pid for process, _ in workers._started]
         assert len(pids) == 2
         workers._next_chunk.value = 0
         with busy_thread(), deadline(60):
-            during = run_experiment(0.1e6, band, acq, stream=3)
+            (during,) = run_experiment(0.1e6, band, acq, stream=3)
         # The run was split: its processes claimed chunks from the shared counter.
         assert workers._next_chunk.value > 0
         assert [process.pid for process, _ in workers._started] == pids
@@ -610,11 +610,11 @@ class TestWorkers:
 
         band, acq = make_band(), make_acquisition(n_shots=4 * _MIN_SHOTS_PER_PROCESS + 3)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 1)
-        serial = run_experiment(0.2e6, band, acq, stream=4)
+        (serial,) = run_experiment(0.2e6, band, acq, stream=4)
         monkeypatch.setattr(acquisition, "_serve", slow)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
         with deadline(60):
-            split = run_experiment(0.2e6, band, acq, stream=4)
+            (split,) = run_experiment(0.2e6, band, acq, stream=4)
         assert np.array_equal(split.on, serial.on)
         assert np.array_equal(split.off, serial.off)
 
@@ -622,7 +622,7 @@ class TestWorkers:
         monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 2)
         band, acq = make_band(), make_acquisition(n_shots=2 * _MIN_SHOTS_PER_PROCESS)
         with deadline(60):
-            expected = run_experiment(0.0, band, acq)
+            (expected,) = run_experiment(0.0, band, acq)
             ((process, _),) = workers._started
             process.kill()
             process.join(timeout=5)
@@ -631,7 +631,7 @@ class TestWorkers:
                 run_experiment(0.0, band, acq)
             assert not workers._started
             # The next run starts a new worker.
-            again = run_experiment(0.0, band, acq)
+            (again,) = run_experiment(0.0, band, acq)
         assert np.array_equal(again.on, expected.on)
         assert np.array_equal(again.off, expected.off)
 

@@ -321,7 +321,8 @@ class TestSimulate:
         assert result.exit_code == 0, result.output
         config = load_config(path)
         acq = config.acquisition
-        shots = run_experiment(config.detuning, config.band, acq).on
+        (data,) = run_experiment(config.detuning, config.band, acq)
+        shots = data.on
         rows = read_csv_rows(tmp_path / "run" / "traces_pump_on.csv")[1:]
         table = np.array([[float(x) for x in row.split(",")] for row in rows])
         traces = table[:, 2:].reshape(3, 100, 4)
@@ -342,7 +343,7 @@ class TestSimulate:
         column = np.linspace(-1.0, 1.0, n_shots)
         off = np.repeat((column / column.std(ddof=1))[:, None], 4, axis=1)
         data = ExperimentData(on=np.ones((n_shots, 4)), off=off)
-        monkeypatch.setattr(cli_module, "run_experiment", lambda *args, **kwargs: data)
+        monkeypatch.setattr(cli_module, "run_experiment", lambda *args, **kwargs: [data])
         path = write_config(
             tmp_path,
             overrides={"acquisition.chain_gain_signal": 1.0, "acquisition.chain_gain_idler": 1.0},
@@ -407,7 +408,7 @@ class TestPhaseSweepCommand:
         column = np.linspace(-1.0, 1.0, n_shots)
         off = np.repeat((column / column.std(ddof=1))[:, None], 4, axis=1)
         data = ExperimentData(on=np.ones((n_shots, 4)), off=off)
-        monkeypatch.setattr(cli_module, "run_experiment", lambda *args, **kwargs: data)
+        monkeypatch.setattr(cli_module, "run_experiment", lambda *args, **kwargs: [data])
         path = write_config(tmp_path)
         out = tmp_path / "run"
         result = CliRunner().invoke(

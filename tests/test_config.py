@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from twpacorr.cli import main
-from twpacorr.config import FIELDS, ConfigError, load_config
+from twpacorr.config import FIELDS, MAX_POINTS, ConfigError, load_config
 
 from test_cli import write_config
 
@@ -41,9 +41,12 @@ BAD_VALUES = [
     ("gain_signal-text", {"twpa.gain_signal": "two"}, "twpa.gain_signal"),
     ("gain_signal-inf", {"twpa.gain_signal": INF}, "twpa.gain_signal"),
     ("gain_signal-below-1", {"twpa.gain_signal": 0.5}, "twpa.gain_signal"),
+    ("gains-1e8", {"twpa.gain_signal": 1e8, "twpa.gain_idler": 1e8}, "twpa.gain_signal"),
+    ("gain_signal-1e200", {"twpa.gain_signal": 1e200}, "twpa.gain_signal"),
     ("gain_idler-mapping", {"twpa.gain_idler": {"value": 2.0}}, "twpa.gain_idler"),
     ("gain_idler-nan", {"twpa.gain_idler": NAN}, "twpa.gain_idler"),
     ("gain_idler-below-1", {"twpa.gain_idler": 0.9}, "twpa.gain_idler"),
+    ("gain_idler-above-60dB", {"twpa.gain_idler": 1.000001e6}, "twpa.gain_idler"),
     ("phase_mismatch-text", {"twpa.phase_mismatch_deg": "ninety"}, "twpa.phase_mismatch_deg"),
     ("phase_mismatch-inf", {"twpa.phase_mismatch_deg": -INF}, "twpa.phase_mismatch_deg"),
     ("halfwidth-text", {"band.halfwidth": "wide"}, "band.halfwidth"),
@@ -82,9 +85,11 @@ BAD_VALUES = [
     ("phase_points-fraction", {"phase_sweep.points": 12.5}, "phase_sweep.points"),
     ("phase_points-nan", {"phase_sweep.points": NAN}, "phase_sweep.points"),
     ("phase_points-zero", {"phase_sweep.points": 0}, "phase_sweep.points"),
+    ("phase_points-huge", {"phase_sweep.points": 10**12}, "phase_sweep.points"),
     ("points-text", {"linewidth.points": "nine"}, "linewidth.points"),
     ("points-inf", {"linewidth.points": INF}, "linewidth.points"),
     ("points-four", {"linewidth.points": 4}, "linewidth.points"),
+    ("points-above-max", {"linewidth.points": MAX_POINTS + 1}, "linewidth.points"),
     ("span-list", {"linewidth.span": [0.6e6]}, "linewidth.span"),
     ("span-nan", {"linewidth.span": NAN}, "linewidth.span"),
     ("span-zero", {"linewidth.span": 0.0}, "linewidth.span"),
@@ -116,6 +121,9 @@ UNCOVERED = [
     ("detuning-off-band", {"frequency.detuning": 2e6}, [], SINGLE_RUNS, "frequency.detuning"),
     ("span-off-band", {"linewidth.span": 8e6}, [], SWEEPS, "linewidth.span"),
     ("span-option-off-band", {}, ["--span", "8e6"], SWEEPS, "linewidth.span"),
+    # 201 points over this span collapse onto 21 subnormal numbers.
+    ("span-subnormal", {"linewidth.span": 1e-322, "linewidth.points": 201}, [], SWEEPS, "linewidth.span"),
+    ("span-option-subnormal", {"linewidth.points": 201}, ["--span", "1e-322"], SWEEPS, "linewidth.span"),
     (
         "case-tau-too-short",
         {"linewidth.cases": [RECTANGULAR_6US, {"window": "gaussian", "tau": 1e-6}]},

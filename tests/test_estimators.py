@@ -112,8 +112,8 @@ class TestInferTmsvs:
         band = make_band()
         unit = make_acquisition(n_shots=400, seed=55, chain_gain=1.0)
         amplified = make_acquisition(n_shots=400, seed=55, chain_gain=4000.0)
-        data_unit = run_experiment(0.0, band, unit)
-        data_amp = run_experiment(0.0, band, amplified)
+        (data_unit,) = run_experiment(0.0, band, unit)
+        (data_amp,) = run_experiment(0.0, band, amplified)
         inferred_unit = infer_tmsvs(
             estimate_covariance(data_unit.on), estimate_covariance(data_unit.off), 1.0, 1.0
         )
@@ -174,6 +174,11 @@ class TestPhaseSweep:
     def test_pearson_bound_with_statistical_slack(self, swept):
         assert np.all(np.abs(swept.rho_values) <= 1.0 + 5.0 * swept.rho_errors)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf])
+    def test_non_finite_angle_is_refused(self, ideal_experiment, angle):
+        with pytest.raises(ValueError, match="^angle must be finite"):
+            phase_sweep(ideal_experiment.on, ideal_experiment.off, 1.0, 1.0, [0.0, angle])
+
 
 class TestBestRotation:
     @pytest.mark.parametrize(
@@ -208,6 +213,11 @@ class TestInferredPearson:
         )
         assert abs(rho_quarter) < 0.2
         assert rho_zero > 0.8
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rotation_is_refused(self, ideal_experiment, angle):
+        with pytest.raises(ValueError, match="^angle must be finite"):
+            inferred_pearson(ideal_experiment.on, ideal_experiment.off, 1.0, 1.0, idler_rotation=angle)
 
 
 def reference_pearson(on, off, gain_signal, gain_idler, alpha, n_blocks):
@@ -252,7 +262,8 @@ class TestAgainstShotDefinition:
             chain_gain_idler=self.GAINS[1],
             added_noise_quanta=2.0,
         )
-        return run_experiment(0.0, band, acq)
+        (data,) = run_experiment(0.0, band, acq)
+        return data
 
     @pytest.fixture(scope="class")
     def reference(self, noisy):

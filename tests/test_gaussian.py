@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from twpacorr.gaussian import MAX_GAIN
 from twpacorr import (
     TwpaParams,
     VACUUM_VARIANCE,
@@ -33,6 +34,19 @@ class TestTwpaParams:
             TwpaParams(0.99, 2.0)
         with pytest.raises(ValueError):
             TwpaParams(2.0, 0.5)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.7, math.pi])
+    def test_gains_up_to_the_bound_give_a_cholesky_factor(self, theta):
+        for gains in [(MAX_GAIN, MAX_GAIN), (MAX_GAIN, 1.0), (1.0, MAX_GAIN), (MAX_GAIN, 2.0)]:
+            cov = tmsvs_covariance(TwpaParams(*gains, theta))
+            assert np.all(np.isfinite(np.linalg.cholesky(cov)))
+
+    @pytest.mark.parametrize("field", ["gain_signal", "gain_idler"])
+    @pytest.mark.parametrize("gain", [MAX_GAIN * (1.0 + 1e-12), 1e8, 1e200])
+    def test_rejects_gain_above_the_bound(self, field, gain):
+        gains = {"gain_signal": 2.0, "gain_idler": 2.0, field: gain}
+        with pytest.raises(ValueError, match=f"^{field} "):
+            TwpaParams(**gains)
 
     @pytest.mark.parametrize(
         "theta,expected",
@@ -134,6 +148,11 @@ class TestRotateQuadrature:
         rotated = rotate_quadrature_array(np.array([[0.0, 0.0, 1.0, 0.0]]), math.pi / 2.0)
         assert rotated[0, 2] == pytest.approx(0.0, abs=1e-15)
         assert rotated[0, 3] == pytest.approx(-1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match="^angle must be finite"):
+            rotate_quadrature_array(self.SHOTS, angle)
 
     def test_other_mode_untouched(self):
         rotated = rotate_quadrature_array(self.SHOTS, 1.234)

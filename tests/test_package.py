@@ -81,6 +81,10 @@ def test_benchmark_counters_still_read_the_package(tmp_path, monkeypatch):
     n_bins = round(2 * band["halfwidth"] / band["bin_spacing"])
     compare = tracers["compare-windows"]
     assert compare.summary()[2]["acquisition.run_experiment"] == points + 1
+    # Each single-window command acquires its one run with one call.
+    for command in ("simulate", "phase-sweep"):
+        assert tracers[command].summary()[2]["acquisition.run_experiment"] == 1, command
+    assert tracers["simulate"].summary()[2]["acquisition.synthesize_baseband_pair"] == 1
     assert compare.counts["acquisition.run_experiment_normals"] == (points + 1) * 2 * n_shots * 4 * n_bins
 
 
