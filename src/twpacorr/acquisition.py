@@ -43,8 +43,8 @@ Conventions baked in here:
 * Every (shot, stage) pair draws from its own counter-derived Philox
   substream, so results are bit-reproducible and independent of scheduling.
   ``run_experiment`` splits a run's shots over the CPUs in the process's
-  affinity, in forked worker processes, and its bytes do not depend on the
-  split.
+  affinity, in forked worker processes, when its caller is the process's
+  one Python thread (``_process_count``). Its bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ import contextlib
 import math
 import os
 import threading
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,20 +252,17 @@ def shot_rng(seed: int, shot_index: int, stage: str, stream: int = 0) -> np.rand
     the master seed, so any scheduling of shots draws identical numbers, and
     distinct experiments of a sweep use distinct ``stream`` values.
     """
-    bit_generator = np.random.Philox(
-        key=seed, counter=[0, shot_index, _stage_code(stage), stream]
-    )
-    return np.random.Generator(bit_generator)
+    return _StreamCursor(seed).seek(shot_index, stage, stream)
 
 
 class _StreamCursor:
     """Reusable generator that jumps between counter-derived substreams.
 
-    Writing the Philox state in place sidesteps the per-construction entropy
-    pull of ``shot_rng`` while producing bit-identical draws; the equivalence
-    is pinned by a regression test. The state mapping is built once: a seek
-    rewrites its counter words and clears any buffered output, then hands it
-    to the bit generator.
+    Writing the Philox state in place sidesteps the entropy pull of a new
+    bit generator per substream; ``seek`` is the one place that writes a
+    counter, (0, shot, stage, stream). The state mapping is built once: a
+    seek rewrites its counter words and clears any buffered output, then
+    hands it to the bit generator.
     """
 
     def __init__(self, seed: int) -> None:
@@ -287,7 +284,7 @@ class _StreamCursor:
     def seek(self, shot_index: int, stage: str, stream: int) -> np.random.Generator:
         counter = self._counter
         counter[1] = shot_index
-        counter[2] = _STAGE_CODES[stage]
+        counter[2] = _stage_code(stage)
         counter[3] = stream
         self._bit_generator.state = self._state
         return self.generator
@@ -430,51 +427,53 @@ _COUNTER_TIMEOUT_S = 60.0
 
 
 def _process_count(n_shots: int) -> int:
-    """Processes that acquire a run of ``n_shots``: one per affinity CPU, within bounds."""
-    if not hasattr(os, "sched_getaffinity"):
-        # Not Linux: no CPU affinity to read and no fork to rely on.
+    """Processes that acquire a run of ``n_shots``, the calling one included: the split rule.
+
+    One per CPU in the process's affinity, within the bounds above, and one
+    alone for a caller that is not the process's one Python thread: a thread
+    that was inside a multithreaded OpenBLAS product while the process forked
+    was seen to hang there for good.
+    """
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        # Not Linux (no CPU affinity to read, no fork to rely on), or threaded.
         return 1
-    return min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), n_shots // _MIN_SHOTS_PER_PROCESS)
+    return max(1, min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), n_shots // _MIN_SHOTS_PER_PROCESS))
 
 
-def _acquire(maps: list[dict[str, np.ndarray]], seed: int, stream: int, first: int, last: int) -> np.ndarray:
-    """(windows, 2, last - first, 4) quadratures of shots [first, last), pump-on then pump-off.
+def _acquire(maps: list, seed: int, stream: int, n_shots: int, starts: Iterable[int]) -> Iterator[tuple]:
+    """Yield (first shot, (windows, 2, rows, 4) quadratures) of the chunk at each of ``starts``.
 
     ``maps`` holds one ``{stage: _SynthesisKernel.linear_map}`` per window.
-    Each (shot, stage) substream fills one row of a reusable draw buffer
-    once, and each chunk of ``_CHUNK_SHOTS`` rows ends in one matrix product
-    per window, so every window demodulates the same draws. ``first`` must
-    be a multiple of ``_CHUNK_SHOTS``: every product then maps the same rows
-    as in a run over all shots, and the bytes do not depend on the split.
-    BLAS can round a row differently in a product of another shape, so the
-    windows' maps are not stacked into one product either.
+    A chunk is the ``_CHUNK_SHOTS`` shots from its start, pump-on then
+    pump-off; each (shot, stage) substream fills one row of a reusable draw
+    buffer once, and each chunk ends in one matrix product per window and
+    stage, so every window demodulates the same draws. Every start is a
+    multiple of ``_CHUNK_SHOTS``, so every product maps the same rows
+    whichever process takes the chunk, and the bytes do not depend on the
+    split. BLAS can round a row differently in a product of another shape,
+    so the windows' maps are not stacked into one product either.
     """
-    draws = np.empty((min(last - first, _CHUNK_SHOTS), maps[0]["pump_on"].shape[0]))
+    draws = np.empty((min(n_shots, _CHUNK_SHOTS), maps[0]["pump_on"].shape[0]))
     rows = list(draws)
     cursor = _StreamCursor(seed)
-    out = np.empty((len(maps), 2, last - first, 4))
-    for index, stage in enumerate(_STAGE_CODES):
-        for start in range(first, last, _CHUNK_SHOTS):
-            stop = min(start + _CHUNK_SHOTS, last)
-            for row, shot in zip(rows, range(start, stop)):
+    for first in starts:
+        last = min(first + _CHUNK_SHOTS, n_shots)
+        out = np.empty((len(maps), 2, last - first, 4))
+        for index, stage in enumerate(_STAGE_CODES):
+            for row, shot in zip(rows, range(first, last)):
                 cursor.seek(shot, stage, stream).standard_normal(out=row)
             for block, window_maps in zip(out, maps):
-                np.matmul(
-                    draws[: stop - start],
-                    window_maps[stage],
-                    out=block[index, start - first : stop - first],
-                )
-    return out
+                np.matmul(draws[: last - first], window_maps[stage], out=block[index])
+        yield first, out
 
 
-def _claim(next_chunk, maps: list[dict[str, np.ndarray]], seed: int, stream: int, n_shots: int) -> list:
-    """(first shot, ``_acquire`` rows) of each chunk this process takes.
+def _claimed(next_chunk, n_shots: int) -> Iterator[int]:
+    """Chunk starts that this process takes from the shared counter ``next_chunk``.
 
-    Every process of a run takes its next chunk from the one shared counter
-    ``next_chunk``, so a process that the machine slows down takes fewer
-    chunks, and none waits long for another at the end of the run.
+    Every process of a run takes its next chunk from the one counter, so a
+    process that the machine slows down takes fewer chunks, and none waits
+    long for another at the end of the run.
     """
-    blocks = []
     lock = next_chunk.get_lock()
     while True:
         if not lock.acquire(timeout=_COUNTER_TIMEOUT_S):
@@ -482,14 +481,13 @@ def _claim(next_chunk, maps: list[dict[str, np.ndarray]], seed: int, stream: int
         chunk = next_chunk.value
         next_chunk.value = chunk + 1
         lock.release()
-        first = chunk * _CHUNK_SHOTS
-        if first >= n_shots:
-            return blocks
-        blocks.append((first, _acquire(maps, seed, stream, first, min(first + _CHUNK_SHOTS, n_shots))))
+        if chunk * _CHUNK_SHOTS >= n_shots:
+            return
+        yield chunk * _CHUNK_SHOTS
 
 
 def _serve(connection, inherited: list, next_chunk) -> None:
-    """Worker loop: ``_claim`` chunks of each task received and send their rows back.
+    """Worker loop: ``_acquire`` the ``_claimed`` chunks of each task received and send them back.
 
     ``inherited`` are the parent's ends of the pipes, this worker's included,
     which the fork copied; closing them here lets the worker see its pipe
@@ -503,34 +501,29 @@ def _serve(connection, inherited: list, next_chunk) -> None:
         end.close()
     with contextlib.suppress(EOFError, ConnectionError):
         while True:
-            connection.send(_claim(next_chunk, *connection.recv()))
+            task = connection.recv()
+            connection.send(list(_acquire(*task, _claimed(next_chunk, task[-1]))))
 
 
 class _Workers:
     """Forked processes that help acquire a run, started when a run first needs them.
 
-    Each worker has its own pipe, and all share one chunk counter with the
-    parent. A task carries everything else the worker reads, since module
-    state in a worker may be older than the parent's. The workers are
-    daemons: they are stopped when the parent exits, and one whose parent
-    is killed sees its pipe reach end of file.
+    A run uses ``_process_count(n_shots) - 1`` of them, so only a caller that
+    is the process's one Python thread starts or uses a worker. Each worker
+    has its own pipe, and all share one chunk counter with the parent. A
+    task carries everything else the worker reads, since module state in a
+    worker may be older than the parent's. The workers are daemons: they are
+    stopped when the parent exits, and one whose parent is killed sees its
+    pipe reach end of file.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._started: list = []  # (process, the parent's end of its pipe)
         self._next_chunk = None
 
     def _connections(self, count: int) -> list:
-        """The parent's ends of the pipes to up to ``count`` workers, started as needed.
-
-        Workers are started only while the caller is the process's one
-        Python thread; those started before other threads are used as they
-        are. A fork copies the calling thread alone, and a thread that was
-        inside a multithreaded OpenBLAS product while the process forked was
-        seen to hang there for good.
-        """
-        if len(self._started) < count and threading.active_count() == 1:
+        """The parent's ends of the pipes to ``count`` workers, started as needed."""
+        if len(self._started) < count:
             # Imported here, so that a run that is not split never pays for it.
             import multiprocessing
 
@@ -559,30 +552,32 @@ class _Workers:
         self._started = []
 
     def acquire(self, task: tuple, workers: int) -> np.ndarray:
-        """(windows, 2, n_shots, 4) rows of ``task`` = (maps, seed, stream, n_shots), with up to ``workers`` helping."""
-        maps, seed, stream, n_shots = task
-        if not workers:
-            return _acquire(maps, seed, stream, 0, n_shots)
-        with self._lock:
-            connections = self._connections(workers)
-            if not connections:
-                return _acquire(maps, seed, stream, 0, n_shots)
-            try:
-                self._next_chunk.value = 0
-                for end in connections:
-                    end.send(task)
-                blocks = _claim(self._next_chunk, *task)
-                for end in connections:
-                    blocks += end.recv()
-            except BaseException as error:
-                # Rows still in flight would answer the next run's tasks.
-                self.close()
-                if isinstance(error, (EOFError, ConnectionError)):
-                    raise RuntimeError("an acquisition worker process exited during a run") from error
-                raise
+        """(windows, 2, n_shots, 4) rows of ``task`` = (maps, seed, stream, n_shots), with ``workers`` helping."""
+        maps, _, _, n_shots = task
+        connections = self._connections(workers)
+        starts = range(0, n_shots, _CHUNK_SHOTS)
+        if connections:
+            self._next_chunk.value = 0
+            starts = _claimed(self._next_chunk, n_shots)
+
+        def blocks():
+            # This process's chunks as it acquires them, then each worker's.
+            yield from _acquire(*task, starts)
+            for end in connections:
+                yield from end.recv()
+
         out = np.empty((len(maps), 2, n_shots, 4))
-        for first, rows in blocks:
-            out[:, :, first : first + rows.shape[2]] = rows
+        try:
+            for end in connections:
+                end.send(task)
+            for first, rows in blocks():
+                out[:, :, first : first + rows.shape[2]] = rows
+        except BaseException as error:
+            # Rows still in flight would answer the next run's tasks.
+            self.close()
+            if isinstance(error, (EOFError, ConnectionError)):
+                raise RuntimeError("an acquisition worker process exited during a run") from error
+            raise
         return out
 
 
@@ -611,12 +606,10 @@ def run_experiment(
     (``config.window`` alone when None), and one ``ExperimentData`` per
     window is returned, in order. A window's rows depend only on the
     shots' draws and its own map, not on the other windows.
-    The shots are split over the CPUs in the process's affinity, with at
-    most ``_MAX_PROCESSES`` processes and at least ``_MIN_SHOTS_PER_PROCESS``
-    shots per process: this process and forked worker processes each take
-    the next chunk of ``_CHUNK_SHOTS`` shots whenever they finish one, until
-    none is left. Every shot draws from its own substream, and every chunk
-    is mapped alone, so the bytes do not depend on the split.
+    The shots are split over ``_process_count(n_shots)`` processes: this
+    process and forked worker processes each take the next chunk of
+    ``_CHUNK_SHOTS`` shots whenever they finish one, until none is left. Every shot draws from its own substream, and
+    every chunk is mapped alone, so the bytes do not depend on the split.
     With unit chain gains and no added noise, shot k's pump-on row is the
     ``demodulate``d trace that ``synthesize_baseband_pair`` draws from
     ``shot_rng(seed, k, "pump_on", stream)``, so the traces that
@@ -632,5 +625,5 @@ def run_experiment(
         return []
 
     n = config.n_shots
-    rows = _WORKERS.acquire((maps, config.seed, stream, n), max(1, _process_count(n)) - 1)
+    rows = _WORKERS.acquire((maps, config.seed, stream, n), _process_count(n) - 1)
     return [ExperimentData(on=on, off=off) for on, off in rows]

@@ -43,11 +43,19 @@ FIT_OBJECTIVE_TOLERANCE = 1e-9
 
 
 def check_grid(detunings: np.ndarray) -> None:
-    """Refuse a detuning grid of fewer than 5 points or not strictly increasing."""
+    """Refuse a detuning grid of fewer than 5 points, not strictly increasing, or subnormal.
+
+    A step below the smallest normal float would make the fit's initial
+    scale, a constant over a half-maximum detuning, overflow.
+    """
     if detunings.size < 5:
         raise ValueError(f"detunings must hold at least 5 points, got {detunings.size}")
-    if not np.all(np.diff(detunings) > 0.0):
+    steps = np.diff(detunings)
+    if not np.all(steps > 0.0):
         raise ValueError("detunings must be strictly increasing")
+    tiny = np.finfo(float).tiny
+    if steps.min() < tiny:
+        raise ValueError(f"detunings must step by at least {tiny:.6g} Hz, got {steps.min():.6g} Hz")
 
 
 @dataclass(frozen=True)

@@ -222,13 +222,19 @@ class TestSynthesize:
         assert traces_s.shape == traces_i.shape == (0, 100)
 
 
+def philox(seed: int, shot: int, code: int, stream: int) -> np.random.Generator:
+    """A new generator on the substream whose counter words are (0, shot, stage code, stream)."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, shot, code, stream]))
+
+
 class TestStreams:
     def test_cursor_matches_fresh_generators(self):
+        # Stage codes: pump_on 1, pump_off 2.
         cursor = _StreamCursor(20260401)
-        for shot, stage, stream in ((0, "pump_on", 0), (7, "pump_off", 3), (123, "pump_on", 1)):
-            expected = shot_rng(20260401, shot, stage, stream).standard_normal(16)
-            got = cursor.seek(shot, stage, stream).standard_normal(16)
-            np.testing.assert_array_equal(expected, got)
+        for shot, stage, code, stream in ((0, "pump_on", 1, 0), (7, "pump_off", 2, 3), (123, "pump_on", 1, 1)):
+            expected = philox(20260401, shot, code, stream).standard_normal(16)
+            np.testing.assert_array_equal(cursor.seek(shot, stage, stream).standard_normal(16), expected)
+            np.testing.assert_array_equal(shot_rng(20260401, shot, stage, stream).standard_normal(16), expected)
 
     def test_seek_clears_buffered_state(self):
         cursor = _StreamCursor(99)
@@ -236,7 +242,7 @@ class TestStreams:
         # Philox block buffered.
         cursor.seek(4, "pump_on", 1).integers(0, 2**32, size=3, dtype=np.uint32)
         got = cursor.seek(4, "pump_on", 1)
-        expected = shot_rng(99, 4, "pump_on", 1)
+        expected = philox(99, 4, 1, 1)
         np.testing.assert_array_equal(
             expected.integers(0, 2**32, size=5, dtype=np.uint32),
             got.integers(0, 2**32, size=5, dtype=np.uint32),
@@ -561,9 +567,9 @@ class TestWorkers:
         # that thread could hang for good; the run stays in this process.
         band = make_band()
         acq = make_acquisition(n_shots=4 * _MIN_SHOTS_PER_PROCESS + 3, added_noise=2.0)
-        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         (serial,) = run_experiment(0.1e6, band, acq, stream=3)
-        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         with busy_thread() as lock, deadline(60):
             (split,) = run_experiment(0.1e6, band, acq, stream=3)
             assert lock.locked()
@@ -571,34 +577,40 @@ class TestWorkers:
         assert np.array_equal(split.on, serial.on)
         assert np.array_equal(split.off, serial.off)
 
-    def test_workers_started_before_a_thread_still_help(self, workers, monkeypatch):
+    def test_workers_started_before_a_thread_stay_idle(self, workers, monkeypatch):
         band = make_band()
         acq = make_acquisition(n_shots=4 * _MIN_SHOTS_PER_PROCESS + 3, added_noise=2.0)
-        monkeypatch.setattr(acquisition, "_process_count", lambda n_shots: 3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        (serial,) = run_experiment(0.1e6, band, acq, stream=3)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         with deadline(60):
-            (before,) = run_experiment(0.1e6, band, acq, stream=3)
+            run_experiment(0.1e6, band, acq, stream=3)
         pids = [process.pid for process, _ in workers._started]
         assert len(pids) == 2
         workers._next_chunk.value = 0
         with busy_thread(), deadline(60):
             (during,) = run_experiment(0.1e6, band, acq, stream=3)
-        # The run was split: its processes claimed chunks from the shared counter.
-        assert workers._next_chunk.value > 0
+        # The run stayed in this process: no chunk was taken from the shared counter.
+        assert workers._next_chunk.value == 0
         assert [process.pid for process, _ in workers._started] == pids
-        workers.close()
-        assert all(exited(pid) for pid in pids)
-        assert np.array_equal(during.on, before.on)
-        assert np.array_equal(during.off, before.off)
+        assert np.array_equal(during.on, serial.on)
+        assert np.array_equal(during.off, serial.off)
 
     @pytest.mark.parametrize(
-        "n_shots, cpus", [(2 * _MIN_SHOTS_PER_PROCESS - 1, 8), (4 * _MIN_SHOTS_PER_PROCESS, 1)]
+        "n_shots, cpus, threads",
+        [
+            (2 * _MIN_SHOTS_PER_PROCESS - 1, 8, 1),
+            (4 * _MIN_SHOTS_PER_PROCESS, 1, 1),
+            (4 * _MIN_SHOTS_PER_PROCESS, 8, 2),  # a caller that is not the one thread
+        ],
     )
-    def test_small_run_or_one_cpu_starts_no_worker(self, workers, monkeypatch, n_shots, cpus):
+    def test_small_run_or_one_cpu_starts_no_worker(self, workers, monkeypatch, n_shots, cpus, threads):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-        assert acquisition._process_count(n_shots) <= 1
+        monkeypatch.setattr(threading, "active_count", lambda: threads)
+        assert acquisition._process_count(n_shots) == 1
         run_experiment(0.0, make_band(), make_acquisition(n_shots=n_shots))
         assert not workers._started
-        assert acquisition._process_count(2 * _MIN_SHOTS_PER_PROCESS) == min(cpus, 2)
+        assert acquisition._process_count(2 * _MIN_SHOTS_PER_PROCESS) == (min(cpus, 2) if threads == 1 else 1)
 
     def test_slow_worker_leaves_its_chunks_to_the_others(self, workers, monkeypatch):
         serve = acquisition._serve

@@ -124,6 +124,9 @@ UNCOVERED = [
     # 201 points over this span collapse onto 21 subnormal numbers.
     ("span-subnormal", {"linewidth.span": 1e-322, "linewidth.points": 201}, [], SWEEPS, "linewidth.span"),
     ("span-option-subnormal", {"linewidth.points": 201}, ["--span", "1e-322"], SWEEPS, "linewidth.span"),
+    # 9 points over this span are distinct, but a step is subnormal.
+    ("span-subnormal-9-points", {"linewidth.span": 1e-322, "linewidth.points": 9}, [], SWEEPS, "linewidth.span"),
+    ("span-option-subnormal-9-points", {"linewidth.points": 9}, ["--span", "1e-322"], SWEEPS, "linewidth.span"),
     (
         "case-tau-too-short",
         {"linewidth.cases": [RECTANGULAR_6US, {"window": "gaussian", "tau": 1e-6}]},

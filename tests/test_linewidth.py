@@ -272,6 +272,7 @@ class TestSweepDetuning:
             ([0.0, 0.0, 1e5, 2e5, 3e5], "strictly increasing"),
             ([0.0, 1e5, math.nan, 2e5, 3e5], "strictly increasing"),
             ([0.0, 1e5, 2e5, 3e5], "at least 5 points"),
+            (np.linspace(-5e-323, 5e-323, 9), "detunings must step"),
         ],
     )
     def test_grid_is_checked_before_acquiring(self, monkeypatch, detunings, message):
