@@ -7,6 +7,13 @@ frequency-domain response with the model its window shape fixes,
 for gaussian ones (:data:`MODEL_FOR_SHAPE`), and reduces fits to FWHM, SNR
 and side-lobe figures for window comparisons.
 
+Fits use :func:`_least_squares`, a box-bounded Levenberg-Marquardt solver
+over the models' analytic Jacobian that takes any residual function. It
+stops on a relative cost change of FIT_OBJECTIVE_TOLERANCE, and reports a
+fit that used up FIT_MAX_EVALUATIONS residual evaluations as unconverged.
+:func:`fit_model` runs it in the detuning over the sweep's largest
+|detuning|, so that a fit does not depend on the span's magnitude.
+
 The sinc convention is fixed to sinc(x) = sin(x)/x with sinc(0) = 1; every
 half-max and lobe constant below follows from that choice.
 """
@@ -45,8 +52,8 @@ FIT_OBJECTIVE_TOLERANCE = 1e-9
 def check_grid(detunings: np.ndarray) -> None:
     """Refuse a detuning grid of fewer than 5 points, not strictly increasing, or subnormal.
 
-    A step below the smallest normal float would make the fit's initial
-    scale, a constant over a half-maximum detuning, overflow.
+    A step below the smallest normal float would make the fitted scale,
+    a constant over the largest detuning, overflow.
     """
     if detunings.size < 5:
         raise ValueError(f"detunings must hold at least 5 points, got {detunings.size}")
@@ -233,6 +240,52 @@ def _initial_guess(model: str, detunings: np.ndarray, magnitudes: np.ndarray) ->
     return amplitude, constant / half_crossing
 
 
+def _least_squares(residuals, jacobian, x0, lower, upper) -> tuple[np.ndarray, bool, int]:
+    """Minimize |residuals(x)|^2 over the box [lower, upper] by Levenberg-Marquardt.
+
+    Each step solves (J_f^T J_f + lambda diag(J_f^T J_f)) dx = -J_f^T r over
+    the free parameters f, those not held at a bound by a gradient that
+    points out of the box, and is clipped to the box (Marquardt, SIAM J.
+    Appl. Math. 11, 431, 1963). A step that does not raise the cost is taken
+    and divides lambda by 10; one that does is refused and multiplies it by
+    10. The solver stops converged when a taken step lowers the cost by at
+    most FIT_OBJECTIVE_TOLERANCE of it, when a step moves x by at most 1e-14
+    of |x|, or when the free gradient vanishes; it stops unconverged when a
+    step would need more than FIT_MAX_EVALUATIONS residual evaluations.
+    Returns (x, converged, residual evaluations).
+    """
+    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
+    r = residuals(x)
+    cost = float(r @ r)
+    n_evaluations = 1
+    damping = 1e-3
+    while True:
+        J = jacobian(x)
+        gradient = J.T @ r
+        free = ~(((x <= lower) & (gradient > 0.0)) | ((x >= upper) & (gradient < 0.0)))
+        if not np.any(gradient[free]):
+            return x, True, n_evaluations
+        if n_evaluations >= FIT_MAX_EVALUATIONS:
+            return x, False, n_evaluations
+        normal = (J.T @ J)[np.ix_(free, free)]
+        step = np.zeros_like(x)
+        step[free] = np.linalg.solve(normal + damping * np.diag(np.diag(normal)), -gradient[free])
+        trial = np.clip(x + step, lower, upper)
+        r_trial = residuals(trial)
+        n_evaluations += 1
+        cost_trial = float(r_trial @ r_trial)
+        small_step = np.linalg.norm(trial - x) <= 1e-14 * np.linalg.norm(x)
+        if cost_trial > cost:
+            if small_step:
+                return x, True, n_evaluations
+            damping *= 10.0
+            continue
+        if small_step or cost - cost_trial <= FIT_OBJECTIVE_TOLERANCE * cost:
+            return trial, True, n_evaluations
+        x, r, cost = trial, r_trial, cost_trial
+        damping /= 10.0
+
+
 def fit_model(sweep: DetuningSweep) -> LinewidthFit:
     """Weighted nonlinear least-squares fit of |rho| versus detuning.
 
@@ -242,14 +295,20 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
     starting from the curve's peak and its half-maximum crossing.
     Follows the magnitude of the correlation since the analysis always
     targets the maximum positive correlation.
-    """
-    # Imported here, not at module level: scipy.optimize is most of the
-    # package's import time, and only fitting needs it.
-    from scipy.optimize import least_squares
 
+    The fit runs in the normalized detuning u = df / max|df| with scale
+    s = xi max|df|, so that its arithmetic does not depend on the span's
+    magnitude, and reports xi = s / max|df|. The solver is
+    :func:`_least_squares` with A in [1e-12, MAX_AMPLITUDE] and xi >= 1e-15;
+    ``converged`` is false when it ran out of its FIT_MAX_EVALUATIONS
+    residual evaluations, and ``n_iterations`` counts those evaluations.
+    """
     model = MODEL_FOR_SHAPE[sweep.window.shape]
-    detunings = sweep.detunings
+    reach = float(np.max(np.abs(sweep.detunings)))
+    detunings = sweep.detunings / reach
     magnitudes = np.abs(sweep.rho_values)
+    if not np.all(np.isfinite(magnitudes)):
+        raise ValueError("rho values must be finite to fit a linewidth model")
     if float(np.ptp(magnitudes)) < 1e-12:
         raise ValueError("flat sweep: cannot fit a linewidth model to constant data")
 
@@ -261,7 +320,7 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
 
     amplitude0, scale0 = _initial_guess(model, detunings, magnitudes)
     amplitude0 = min(max(amplitude0, 1e-9), MAX_AMPLITUDE)
-    scale0 = max(scale0, 1e-12)
+    scale0 = max(scale0, 1e-12 * reach)
 
     def residuals(params: np.ndarray) -> np.ndarray:
         amplitude, scale = params
@@ -271,21 +330,16 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
         amplitude, scale = params
         return -_model_jacobian(model, detunings, amplitude, scale) * weights[:, np.newaxis]
 
-    result = least_squares(
+    (amplitude, scale), converged, n_evaluations = _least_squares(
         residuals,
-        x0=[amplitude0, scale0],
-        jac=jacobian,
-        bounds=([1e-12, 1e-15], [MAX_AMPLITUDE, np.inf]),
-        ftol=FIT_OBJECTIVE_TOLERANCE,
-        xtol=1e-14,
-        gtol=1e-14,
-        max_nfev=FIT_MAX_EVALUATIONS,
+        jacobian,
+        [amplitude0, scale0],
+        np.array([1e-12, 1e-15 * reach]),
+        np.array([MAX_AMPLITUDE, np.inf]),
     )
-
-    amplitude, scale = (float(v) for v in result.x)
-    converged = bool(result.success)
     fit_residuals = magnitudes - model_prediction(model, detunings, amplitude, scale)
     residual_rms = float(np.sqrt(np.mean(fit_residuals**2)))
+    amplitude, scale = float(amplitude), float(scale) / reach
     snr = amplitude / residual_rms if residual_rms > 0.0 else math.inf
     return LinewidthFit(
         model=model,
@@ -295,7 +349,7 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
         snr=snr,
         residual_rms=residual_rms,
         converged=converged,
-        n_iterations=int(result.nfev),
+        n_iterations=n_evaluations,
     )
 
 

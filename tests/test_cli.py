@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -493,6 +494,37 @@ class TestLinewidthCommand:
         assert len(rows) == 7
         detunings = [float(r.split(",")[0]) for r in rows]
         assert detunings[0] == -2e5 and detunings[-1] == 2e5
+
+    def run_at_span(self, tmp_path, span):
+        out = tmp_path / f"run-{span}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            result = CliRunner().invoke(
+                main,
+                ["linewidth", "--config", str(write_config(tmp_path)), "--out", str(out), "--span", span],
+            )
+        assert result.exit_code == 0, result.output
+        assert "Warning" not in result.output
+        header, row = read_csv_rows(out / "fits.csv")
+        rho = [line.split(",")[1:] for line in read_csv_rows(out / "linewidth_rectangular_6us.csv")[1:]]
+        return dict(zip(header.split(","), row.split(","))), rho
+
+    @pytest.mark.parametrize("span", ["1.84e-307", "1e-200"])
+    def test_near_subnormal_span_fits_without_warnings(self, tmp_path, span):
+        fit, _ = self.run_at_span(tmp_path, span)
+        assert fit["converged"] == "true"
+        assert math.isfinite(float(fit["xi_s"])) and math.isfinite(float(fit["fwhm_hz"]))
+
+    def test_fit_scales_with_the_span(self, tmp_path):
+        # Both spans are far below any detuning the simulation resolves, so
+        # their sweeps hold the same rho values; the fit runs in detuning
+        # over the span's edge and must give one answer, to the printed digits.
+        tiny, tiny_rho = self.run_at_span(tmp_path, "1e-200")
+        small, small_rho = self.run_at_span(tmp_path, "1e-100")
+        assert tiny_rho == small_rho
+        assert tiny["A"] == small["A"]
+        assert float(tiny["xi_s"]) * 1e-200 == pytest.approx(float(small["xi_s"]) * 1e-100, rel=1e-9)
+        assert float(tiny["fwhm_hz"]) / 1e-200 == pytest.approx(float(small["fwhm_hz"]) / 1e-100, rel=1e-9)
 
     def test_numerical_failure_writes_nan_row_and_exits_three(self, tmp_path, monkeypatch):
         import twpacorr.cli as cli_module

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
+import twpacorr.linewidth as linewidth_module
 from twpacorr import (
     DetuningSweep,
     WindowSpec,
@@ -16,9 +18,11 @@ from twpacorr import (
 )
 from twpacorr.linewidth import (
     GAUSSIAN_HALF_MAX_ARG,
+    MAX_AMPLITUDE,
     SINC_FIRST_LOBE_ARG,
     SINC_FIRST_LOBE_LEVEL,
     SINC_HALF_MAX_ARG,
+    _initial_guess,
     _model_jacobian,
 )
 
@@ -35,6 +39,17 @@ def synthetic_sweep(model, detunings, amplitude, scale, window=None, errors=None
     if window is None:
         window = WindowSpec("rectangular" if model == "abs_sinc" else "gaussian", TAU)
     return DetuningSweep(np.asarray(detunings, float), values, errors, window)
+
+
+def noisy_sweep(seed, model, amplitude, scale, weighted, noise=0.02):
+    """25 points over 1.5 MHz, as the benchmark sweeps, with noise at its rho errors."""
+    rng = np.random.default_rng(seed)
+    detunings = np.linspace(-7.5e5, 7.5e5, 25)
+    errors = noise * rng.uniform(0.7, 1.3, detunings.size)
+    clean = model_prediction(model, detunings, amplitude, scale)
+    values = np.abs(clean + errors * rng.standard_normal(detunings.size))
+    window = WindowSpec("rectangular" if model == "abs_sinc" else "gaussian", TAU)
+    return DetuningSweep(detunings, values, errors if weighted else np.zeros_like(errors), window)
 
 
 class TestDetuningSweepType:
@@ -113,6 +128,14 @@ class TestFitModel:
         with pytest.raises(ValueError, match="flat"):
             fit_model(sweep)
 
+    def test_non_finite_data_raises(self):
+        detunings = np.linspace(-1e6, 1e6, 11)
+        values = model_prediction("abs_sinc", detunings, 0.9, XI_RECT)
+        values[3] = np.nan
+        sweep = DetuningSweep(detunings, values, np.zeros(11), WindowSpec("rectangular", TAU))
+        with pytest.raises(ValueError, match="finite"):
+            fit_model(sweep)
+
     def test_unknown_model_rejected(self):
         detunings = np.linspace(-1e6, 1e6, 11)
         with pytest.raises(ValueError, match="lorentzian"):
@@ -132,6 +155,58 @@ class TestFitModel:
         )
         assert weighted.amplitude == pytest.approx(0.9, rel=1e-3)
         assert abs(unweighted.amplitude - 0.9) > 10.0 * abs(weighted.amplitude - 0.9)
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["weighted", "unweighted"])
+    @pytest.mark.parametrize(
+        "model,amplitude,scale",
+        [
+            ("abs_sinc", 0.93, 1.9e-5),
+            ("gaussian", 0.93, 5.2e-6),
+            ("abs_sinc", 1.08, 1.9e-5),
+            ("gaussian", 1.08, 5.2e-6),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_tight_scipy_fit(self, seed, model, amplitude, scale, weighted):
+        # scipy's bounded trust-region solver at tolerances far below the
+        # fit's, from the same start, on the raw detunings.
+        sweep = noisy_sweep(seed, model, amplitude, scale, weighted)
+        fit = fit_model(sweep)
+        detunings, values = sweep.detunings, sweep.rho_values
+        weights = 1.0 / sweep.rho_errors if weighted else np.ones_like(values)
+
+        def residuals(params):
+            return (values - model_prediction(model, detunings, *params)) * weights
+
+        def jacobian(params):
+            return -_model_jacobian(model, detunings, *params) * weights[:, np.newaxis]
+
+        amplitude0, scale0 = _initial_guess(model, detunings, values)
+        reference = least_squares(
+            residuals,
+            [min(amplitude0, MAX_AMPLITUDE), scale0],
+            jac=jacobian,
+            bounds=([1e-12, 1e-15], [MAX_AMPLITUDE, np.inf]),
+            ftol=1e-15,
+            xtol=1e-15,
+            gtol=1e-15,
+            x_scale="jac",
+        )
+        assert fit.converged
+        if amplitude > MAX_AMPLITUDE:
+            assert reference.x[0] == pytest.approx(MAX_AMPLITUDE, rel=1e-12)
+        assert fit.amplitude == pytest.approx(reference.x[0], rel=1e-7)
+        assert fit.scale_xi == pytest.approx(reference.x[1], rel=1e-7)
+        cost = np.sum(residuals([fit.amplitude, fit.scale_xi]) ** 2)
+        assert cost <= np.sum(reference.fun**2) * (1.0 + 1e-9)
+
+    def test_running_out_of_evaluations_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(linewidth_module, "FIT_MAX_EVALUATIONS", 2)
+        fit = fit_model(noisy_sweep(0, "abs_sinc", 0.93, 1.9e-5, weighted=True))
+        assert not fit.converged
+        assert fit.n_iterations == 2
+        assert 1e-12 <= fit.amplitude <= MAX_AMPLITUDE
+        assert fit.scale_xi >= 1e-15
 
 
 class TestCompareWindows:

@@ -111,3 +111,23 @@ def test_cli_import_loads_no_process_machinery():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == ""
+
+
+def test_fitting_loads_no_scipy():
+    # The fit has its own solver; scipy is a test and benchmark reference only.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import twpacorr.cli\n"
+        "from twpacorr import DetuningSweep, WindowSpec, fit_model, model_prediction\n"
+        "detunings = np.linspace(-1e6, 1e6, 21)\n"
+        "values = model_prediction('abs_sinc', detunings, 0.93, 1.9e-5)\n"
+        "fit = fit_model(DetuningSweep(detunings, values, np.zeros(21), WindowSpec('rectangular', 6e-6)))\n"
+        "assert fit.converged\n"
+        "print(*sorted(name for name in sys.modules if name == 'scipy' or name.startswith('scipy.')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=source_env(), capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == ""
