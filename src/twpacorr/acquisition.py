@@ -45,6 +45,8 @@ Conventions baked in here:
   ``run_experiment`` splits a run's shots over the CPUs in the process's
   affinity, in forked worker processes, when its caller is the process's
   one Python thread (``_process_count``). Its bytes do not depend on the split.
+  The same pool and split rule serve any task of items taken a chunk at a
+  time (``_Workers.run``): the shots of a run, or the rows of a CSV table.
 """
 
 from __future__ import annotations
@@ -411,14 +413,15 @@ def demodulate(
     return float(z.real), float(z.imag)
 
 
-#: Shots whose draws are buffered before one matrix product maps them; the
-#: processes of a split run take the shots this many at a time.
+#: Items of one chunk: the shots whose draws are buffered before one matrix
+#: product maps them, or the rows of a table formatted together. The
+#: processes of a split task take the items this many at a time.
 _CHUNK_SHOTS = 256
 
-#: Most processes that share the shots of one run, the calling one included.
+#: Most processes that share the items of one task, the calling one included.
 _MAX_PROCESSES = 8
 
-#: Fewest shots per process: a smaller share does not repay sending its rows.
+#: Fewest items per process: a smaller share does not repay sending its results.
 _MIN_SHOTS_PER_PROCESS = 512
 
 #: Seconds a process waits for the shared chunk counter. A process holds it
@@ -426,8 +429,8 @@ _MIN_SHOTS_PER_PROCESS = 512
 _COUNTER_TIMEOUT_S = 60.0
 
 
-def _process_count(n_shots: int) -> int:
-    """Processes that acquire a run of ``n_shots``, the calling one included: the split rule.
+def _process_count(n_items: int) -> int:
+    """Processes that share a task of ``n_items`` items (shots or rows), the calling one included: the split rule.
 
     One per CPU in the process's affinity, within the bounds above, and one
     alone for a caller that is not the process's one Python thread: a thread
@@ -437,7 +440,7 @@ def _process_count(n_shots: int) -> int:
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         # Not Linux (no CPU affinity to read, no fork to rely on), or threaded.
         return 1
-    return max(1, min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), n_shots // _MIN_SHOTS_PER_PROCESS))
+    return max(1, min(_MAX_PROCESSES, len(os.sched_getaffinity(0)), n_items // _MIN_SHOTS_PER_PROCESS))
 
 
 def _acquire(maps: list, seed: int, stream: int, n_shots: int, starts: Iterable[int]) -> Iterator[tuple]:
@@ -467,27 +470,30 @@ def _acquire(maps: list, seed: int, stream: int, n_shots: int, starts: Iterable[
         yield first, out
 
 
-def _claimed(next_chunk, n_shots: int) -> Iterator[int]:
+def _claimed(next_chunk, n_items: int) -> Iterator[int]:
     """Chunk starts that this process takes from the shared counter ``next_chunk``.
 
-    Every process of a run takes its next chunk from the one counter, so a
+    Every process of a task takes its next chunk from the one counter, so a
     process that the machine slows down takes fewer chunks, and none waits
-    long for another at the end of the run.
+    long for another at the end of the task.
     """
     lock = next_chunk.get_lock()
     while True:
         if not lock.acquire(timeout=_COUNTER_TIMEOUT_S):
-            raise RuntimeError("the shot counter was never released: an acquisition process died holding it")
+            raise RuntimeError("the chunk counter was never released: a process died holding it")
         chunk = next_chunk.value
         next_chunk.value = chunk + 1
         lock.release()
-        if chunk * _CHUNK_SHOTS >= n_shots:
+        if chunk * _CHUNK_SHOTS >= n_items:
             return
         yield chunk * _CHUNK_SHOTS
 
 
 def _serve(connection, inherited: list, next_chunk) -> None:
-    """Worker loop: ``_acquire`` the ``_claimed`` chunks of each task received and send them back.
+    """Worker loop: run each task received over its ``_claimed`` chunks and send back the results.
+
+    A task is (chunk function, its leading arguments, item count), as
+    ``_Workers.run`` sends it.
 
     ``inherited`` are the parent's ends of the pipes, this worker's included,
     which the fork copied; closing them here lets the worker see its pipe
@@ -501,15 +507,16 @@ def _serve(connection, inherited: list, next_chunk) -> None:
         end.close()
     with contextlib.suppress(EOFError, ConnectionError):
         while True:
-            task = connection.recv()
-            connection.send(list(_acquire(*task, _claimed(next_chunk, task[-1]))))
+            chunk, args, n_items = connection.recv()
+            connection.send(list(chunk(*args, n_items, _claimed(next_chunk, n_items))))
 
 
 class _Workers:
-    """Forked processes that help acquire a run, started when a run first needs them.
+    """Forked processes that help with a task of items, started when a task first needs them.
 
-    A run uses ``_process_count(n_shots) - 1`` of them, so only a caller that
-    is the process's one Python thread starts or uses a worker. Each worker
+    A task of ``n_items`` items, shots or table rows, uses
+    ``_process_count(n_items) - 1`` of them, so only a caller that is the
+    process's one Python thread starts or uses a worker. Each worker
     has its own pipe, and all share one chunk counter with the parent. A
     task carries everything else the worker reads, since module state in a
     worker may be older than the parent's. The workers are daemons: they are
@@ -524,7 +531,7 @@ class _Workers:
     def _connections(self, count: int) -> list:
         """The parent's ends of the pipes to ``count`` workers, started as needed."""
         if len(self._started) < count:
-            # Imported here, so that a run that is not split never pays for it.
+            # Imported here, so that a task that is not split never pays for it.
             import multiprocessing
 
             # fork, not spawn: a worker starts in milliseconds with the
@@ -551,34 +558,36 @@ class _Workers:
             process.join()
         self._started = []
 
-    def acquire(self, task: tuple, workers: int) -> np.ndarray:
-        """(windows, 2, n_shots, 4) rows of ``task`` = (maps, seed, stream, n_shots), with ``workers`` helping."""
-        maps, _, _, n_shots = task
-        connections = self._connections(workers)
-        starts = range(0, n_shots, _CHUNK_SHOTS)
+    def run(self, chunk, args: tuple, n_items: int, take) -> None:
+        """Call ``take(first item, result)`` for every chunk of a task of ``n_items`` items.
+
+        ``chunk(*args, n_items, starts)`` is a module-level generator function,
+        which a worker receives by name: it yields (start, result) for the
+        chunk of ``_CHUNK_SHOTS`` items at each of ``starts``, and a result
+        may depend only on its own chunk. The chunks are split over
+        ``_process_count(n_items)`` processes, each taking the next chunk
+        whenever it finishes one. ``take`` sees this process's chunks as it
+        makes them, then each worker's, so not in the order of their starts.
+        """
+        connections = self._connections(_process_count(n_items) - 1)
+        starts = range(0, n_items, _CHUNK_SHOTS)
         if connections:
             self._next_chunk.value = 0
-            starts = _claimed(self._next_chunk, n_shots)
-
-        def blocks():
-            # This process's chunks as it acquires them, then each worker's.
-            yield from _acquire(*task, starts)
-            for end in connections:
-                yield from end.recv()
-
-        out = np.empty((len(maps), 2, n_shots, 4))
+            starts = _claimed(self._next_chunk, n_items)
         try:
             for end in connections:
-                end.send(task)
-            for first, rows in blocks():
-                out[:, :, first : first + rows.shape[2]] = rows
+                end.send((chunk, args, n_items))
+            for first, result in chunk(*args, n_items, starts):
+                take(first, result)
+            for end in connections:
+                for first, result in end.recv():
+                    take(first, result)
         except BaseException as error:
-            # Rows still in flight would answer the next run's tasks.
+            # Results still in flight would answer the next task.
             self.close()
             if isinstance(error, (EOFError, ConnectionError)):
-                raise RuntimeError("an acquisition worker process exited during a run") from error
+                raise RuntimeError("a worker process exited during a task") from error
             raise
-        return out
 
 
 _WORKERS = _Workers()
@@ -625,5 +634,10 @@ def run_experiment(
         return []
 
     n = config.n_shots
-    rows = _WORKERS.acquire((maps, config.seed, stream, n), _process_count(n) - 1)
+    rows = np.empty((len(maps), 2, n, 4))
+
+    def take(first: int, chunk: np.ndarray) -> None:
+        rows[:, :, first : first + chunk.shape[2]] = chunk
+
+    _WORKERS.run(_acquire, (maps, config.seed, stream), n, take)
     return [ExperimentData(on=on, off=off) for on, off in rows]

@@ -1,10 +1,13 @@
 """Configuration-driven command line for simulation, sweeps and reports.
 
 Every output file embeds the config hash, master seed and tool version in
-``# key=value`` header lines. Each table is written through one row
-template, built from its first row: integers in full, floats with 9
-significant digits, strings as they are. Re-running a command with an
-identical config and seed reproduces byte-identical files. Angles are
+``# key=value`` header lines. Each table is handed over as columns of equal
+length and written through one row template, built from its first row:
+integers in full, floats with 9 significant digits, strings as they are.
+The rows are formatted a block at a time, and a large table's blocks are
+split over the acquisition worker processes; a block's text depends only on
+its own rows, so the bytes do not depend on the split. Re-running a command
+with an identical config and seed reproduces byte-identical files. Angles are
 degrees at this boundary, radians inside. Bad input exits with code 2; a
 numerical failure exits with code 3, after the sweep commands write every table.
 """
@@ -14,14 +17,15 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import replace
 from pathlib import Path
 
 import click
 import numpy as np
 
-from . import __version__
-from .acquisition import run_experiment, synthesize_baseband_pair, shot_rng
+from . import __version__, acquisition
+from .acquisition import _CHUNK_SHOTS, run_experiment, synthesize_baseband_pair, shot_rng
 from .config import ConfigError, ExperimentConfig, load_config
 from .estimators import estimate_covariance, infer_tmsvs, phase_sweep
 from .gaussian import (
@@ -90,23 +94,57 @@ def _metadata(config: ExperimentConfig) -> dict:
     }
 
 
-def _write_csv(path: Path, meta: dict, columns, rows) -> None:
-    """Write the header lines, then ``rows`` (any iterable of tuples) one line at a time.
+def _format_blocks(line: str, columns: tuple, n_rows: int, starts: Iterable[int]) -> Iterator[tuple[int, str]]:
+    """Yield (first row, text) of the block of ``_CHUNK_SHOTS`` rows at each of ``starts``.
 
-    Every row is formatted by the template of the first (``_row_template``),
-    so every row must have the first row's cell kinds.
+    One ``%`` formats a block: ``line`` once per row, over the block's cells
+    in row order. Array columns are turned into Python numbers first, which
+    ``%`` reads fastest.
     """
+    width = len(columns)
+    for first in starts:
+        last = min(first + _CHUNK_SHOTS, n_rows)
+        cells = [None] * ((last - first) * width)
+        for index, column in enumerate(columns):
+            part = column[first:last]
+            cells[index::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        yield first, (line * (last - first)) % tuple(cells)
+
+
+def _write_csv(path: Path, meta: dict, names, columns) -> None:
+    """Write the header lines, then the table of ``columns`` under the column ``names``.
+
+    ``columns`` are numpy arrays or sequences of equal length; unequal ones
+    are refused before the file is opened. Every row is formatted by the
+    template of the first (``_row_template``), so every row must have the
+    first row's cell kinds. The rows are formatted a block per ``%``
+    (``_format_blocks``), and a large table's blocks are shared out by the
+    acquisition's worker pool and split rule (``_Workers.run``). The blocks
+    are written in order as they arrive.
+    """
+    lengths = sorted({len(column) for column in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"cannot write {path}: its columns have unequal lengths {lengths}")
+    n_rows = lengths[0] if lengths else 0
+    line = _row_template([column[0] for column in columns]) if n_rows else ""
     path.parent.mkdir(parents=True, exist_ok=True)
-    rows = iter(rows)
-    first = next(rows, None)
     with path.open("w") as file:
         for key, value in meta.items():
             file.write(f"# {key}={value}\n")
-        file.write(",".join(columns) + "\n")
-        if first is not None:
-            line = _row_template(first)
-            file.write(line % first)
-            file.writelines(map(line.__mod__, rows))
+        file.write(",".join(names) + "\n")
+        pending = {}
+        written = 0
+
+        def take(first: int, text: str) -> None:
+            # A block waits here only until the blocks before it have arrived.
+            nonlocal written
+            pending[first] = text
+            while written in pending:
+                file.write(pending.pop(written))
+                written += _CHUNK_SHOTS
+
+        if n_rows:
+            acquisition._WORKERS.run(_format_blocks, (line, tuple(columns)), n_rows, take)
     click.echo(f"wrote {path}")
 
 
@@ -189,14 +227,11 @@ def simulate(config_path, out, seed, dump_traces) -> None:
     inferred = infer_tmsvs(on, off, acq.chain_gain_signal, acq.chain_gain_idler)
     meta = _metadata(config)
 
-    rows = [
-        (name, *inferred[index]) for index, name in enumerate(QUADRATURE_ORDER)
-    ]
     _write_csv(
         config.output_dir / "covariance_tmsvs.csv",
         meta,
         ("row", *QUADRATURE_ORDER),
-        rows,
+        (QUADRATURE_ORDER, *inferred.T),
     )
     try:
         summary = {
@@ -222,15 +257,15 @@ def simulate(config_path, out, seed, dump_traces) -> None:
             "pump_on",
             (shot_rng(acq.seed, shot, "pump_on") for shot in shots),
         )
-        table = np.stack([traces_s.real, traces_s.imag, traces_i.real, traces_i.imag], axis=-1)
+        n_samples = traces_s.shape[1]
         _write_csv(
             config.output_dir / "traces_pump_on.csv",
             meta,
             ("shot", "sample", "signal_re", "signal_im", "idler_re", "idler_im"),
             (
-                (shot, sample, *values)
-                for shot, trace in zip(shots, table)
-                for sample, values in enumerate(trace.tolist())
+                np.repeat(np.arange(dump_traces), n_samples),
+                np.tile(np.arange(n_samples), dump_traces),
+                *(part.ravel() for part in (traces_s.real, traces_s.imag, traces_i.real, traces_i.imag)),
             ),
         )
 
@@ -285,8 +320,8 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
         click.echo(f"numerical failure: {err}", err=True)
         sys.exit(EXIT_NUMERICAL_FAILURE)
     meta = _metadata(config)
-    rows = zip(alphas_deg, result.rho_values, result.rho_errors)
-    _write_csv(config.output_dir / "phase_sweep.csv", meta, PHASE_SWEEP_COLUMNS, rows)
+    columns = (alphas_deg, result.rho_values, result.rho_errors)
+    _write_csv(config.output_dir / "phase_sweep.csv", meta, PHASE_SWEEP_COLUMNS, columns)
     _write_json(
         config.output_dir / "phase_sweep_summary.json",
         meta,
@@ -305,7 +340,7 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
             config.output_dir / _shots_file_name(angle_deg),
             meta,
             ("x_signal", "x_idler"),
-            zip(x_signal.tolist(), x_idler.tolist()),
+            (x_signal, x_idler),
         )
 
 
@@ -365,7 +400,7 @@ def _run_linewidth_cases(config: ExperimentConfig) -> tuple[list, bool]:
             config.output_dir / f"linewidth_{label}.csv",
             meta,
             LINEWIDTH_COLUMNS,
-            list(zip(sweep.detunings, np.abs(sweep.rho_values), sweep.rho_errors)),
+            (sweep.detunings, np.abs(sweep.rho_values), sweep.rho_errors),
         )
         comparison = compare_windows(fit, sweep)
         fit_rows.append(
@@ -384,7 +419,7 @@ def _run_linewidth_cases(config: ExperimentConfig) -> tuple[list, bool]:
         )
         comparisons.append(comparison)
 
-    _write_csv(config.output_dir / "fits.csv", meta, FITS_COLUMNS, fit_rows)
+    _write_csv(config.output_dir / "fits.csv", meta, FITS_COLUMNS, tuple(zip(*fit_rows)))
     return comparisons, all_converged
 
 
@@ -420,7 +455,7 @@ def cmd_compare_windows(config_path, out, seed, points, span) -> None:
         for row in comparisons
     ]
     _write_csv(
-        config.output_dir / "comparison.csv", _metadata(config), COMPARISON_COLUMNS, rows
+        config.output_dir / "comparison.csv", _metadata(config), COMPARISON_COLUMNS, tuple(zip(*rows))
     )
     if not all_converged:
         sys.exit(EXIT_NUMERICAL_FAILURE)

@@ -1,7 +1,9 @@
 """Shared fixtures and independent numerical oracles for the test suite."""
 
+import contextlib
 import math
 import os
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from twpacorr import (
     EmissionBandModel,
     TwpaParams,
     WindowSpec,
+    acquisition,
 )
 
 F_PUMP = 6.331e9
@@ -111,3 +114,28 @@ def ideal_experiment():
     acq = make_acquisition(n_shots=4000, seed=7001)
     (data,) = run_experiment(0.0, band, acq)
     return data
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """A worker pool of its own for the test, stopped after it."""
+    pool = acquisition._Workers()
+    monkeypatch.setattr(acquisition, "_WORKERS", pool)
+    yield pool
+    pool.close()
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once it has run ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)

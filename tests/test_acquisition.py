@@ -37,6 +37,7 @@ from twpacorr.acquisition import (
 )
 
 from conftest import (
+    deadline,
     gaussian_standard_errors,
     make_acquisition,
     make_band,
@@ -426,22 +427,6 @@ class TestAcquisitionConfig:
             replace(owner, **{field: value})
 
 
-@contextlib.contextmanager
-def deadline(seconds: int):
-    """Raise TimeoutError in the block once it has run ``seconds``."""
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 def exited(pid: int) -> bool:
     """Whether process ``pid`` has ended: gone, or a zombie left for its reaper."""
     try:
@@ -496,14 +481,6 @@ while True:
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs stay in one process")
 class TestWorkers:
-    @pytest.fixture
-    def workers(self, monkeypatch):
-        """A pool of its own for the test, stopped after it."""
-        pool = acquisition._Workers()
-        monkeypatch.setattr(acquisition, "_WORKERS", pool)
-        yield pool
-        pool.close()
-
     def test_split_run_equals_one_process_byte_for_byte(self, workers, monkeypatch):
         # 1025 shots over three processes: five chunks, the last of one shot.
         band = make_band()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -11,10 +12,12 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from twpacorr import ExperimentData, __version__, demodulate, run_experiment, shot_rng
-from twpacorr.acquisition import synthesize_baseband_pair
+from twpacorr import ExperimentData, __version__, acquisition, demodulate, run_experiment, shot_rng
+from twpacorr.acquisition import _CHUNK_SHOTS, synthesize_baseband_pair
 from twpacorr.cli import COMPARISON_COLUMNS, _write_csv, main
 from twpacorr.config import ConfigError, load_config
+
+from conftest import deadline
 
 BASE_CONFIG = {
     "frequency": {"f_pump": 6.331e9, "f_idler_demod": 6.481e9, "detuning": 0.0},
@@ -99,7 +102,10 @@ class TestCsvFormat:
             for k, (value, flag) in enumerate(zip(self.FLOATS, ["true", "false"] * 6))
         ]
         path = tmp_path / "table.csv"
-        _write_csv(path, meta, columns, iter(rows))
+        # The writer takes columns: lists, and arrays for the numpy columns.
+        table = [list(column) for column in zip(*rows)]
+        table[1], table[3] = np.array(table[1]), np.array(table[3])
+        _write_csv(path, meta, columns, table)
         expected = "".join(f"# {key}={nine_digit_line([value])}" for key, value in meta.items())
         expected += "n,n64,x,x64,label,flag\n" + "".join(nine_digit_line(row) for row in rows)
         assert path.read_bytes() == expected.encode()
@@ -109,7 +115,14 @@ class TestCsvFormat:
     @pytest.mark.parametrize("flag", [True, np.bool_(False)], ids=["bool", "numpy-bool"])
     def test_bool_cells_are_refused(self, tmp_path, flag):
         with pytest.raises(TypeError, match="no CSV cell format"):
-            _write_csv(tmp_path / "flags.csv", {}, ("x", "flag"), [(1.0, flag)])
+            _write_csv(tmp_path / "flags.csv", {}, ("x", "flag"), ([1.0], [flag]))
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        # One % per block would shift the cells of a short column silently.
+        path = tmp_path / "ragged.csv"
+        with pytest.raises(ValueError, match="ragged.csv.*unequal lengths"):
+            _write_csv(path, {}, ("x", "y"), (np.zeros(3), [1.0, 2.0]))
+        assert not path.exists()
 
     def test_trace_dump_bytes_follow_the_nine_digit_rule(self, tmp_path):
         path = write_config(tmp_path)
@@ -135,6 +148,73 @@ class TestCsvFormat:
                 s, i = signal[shot, sample], idler[shot, sample]
                 expected.append(nine_digit_line([shot, sample, s.real, s.imag, i.real, i.imag]))
         assert (out / "traces_pump_on.csv").read_bytes() == "".join(expected).encode()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="tables stay in one process")
+class TestSplitTables:
+    """A table split over worker processes is written byte for byte as by one process."""
+
+    SPECIAL = [math.nan, math.inf, -math.inf, -0.0, 1e-300, -1e-300]
+    BIG_INTS = [12345678901234567, -98765432109876543, 0, 2**63 - 1]
+
+    def table(self, n_rows: int) -> tuple:
+        rng = np.random.default_rng(n_rows)
+        floats = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-300, 300, n_rows)
+        floats[::5] = np.resize(self.SPECIAL, floats[::5].size)
+        return (
+            np.resize(np.array(self.BIG_INTS, dtype=np.int64), n_rows),
+            floats,
+            rng.standard_normal(n_rows).tolist(),
+            [f"row_{k}" for k in range(n_rows)],
+            [-(10**16) - k for k in range(n_rows)],
+        )
+
+    @pytest.mark.parametrize("n_rows", [0, 1, _CHUNK_SHOTS, _CHUNK_SHOTS + 1, 4 * _CHUNK_SHOTS + 1])
+    def test_split_table_equals_one_process_byte_for_byte(self, workers, monkeypatch, tmp_path, n_rows):
+        columns = self.table(n_rows)
+        names = ("n", "x", "y", "label", "m")
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
+        _write_csv(tmp_path / "alone.csv", {"seed": 1}, names, columns)
+        assert not workers._started
+        expected = "# seed=1\nn,x,y,label,m\n" + "".join(map(nine_digit_line, zip(*columns)))
+        assert (tmp_path / "alone.csv").read_bytes() == expected.encode()
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 3)
+        # The second write finds the workers that the first started waiting.
+        for _ in range(2):
+            with deadline(60):
+                _write_csv(tmp_path / "split.csv", {"seed": 1}, names, columns)
+            # An empty table has no block to share out.
+            assert len(workers._started) == (2 if n_rows else 0)
+            assert (tmp_path / "split.csv").read_bytes() == expected.encode()
+
+    def test_split_dumps_equal_one_process_byte_for_byte(self, workers, monkeypatch, tmp_path):
+        config = str(write_config(tmp_path, {"acquisition.n_shots": 4 * _CHUNK_SHOTS + 1}))
+        commands = (["simulate", "--dump-traces", "300"], ["phase-sweep", "--dump-shots", "0,45"])
+        for count in (1, 3):
+            monkeypatch.setattr(acquisition, "_process_count", lambda n_items, count=count: count)
+            for command in commands:
+                out = str(tmp_path / f"processes_{count}")
+                with deadline(120):
+                    result = CliRunner().invoke(main, [*command, "--config", config, "--out", out])
+                assert result.exit_code == 0, result.output
+        assert len(workers._started) == 2
+        alone, split = tmp_path / "processes_1", tmp_path / "processes_3"
+        names = sorted(path.name for path in alone.iterdir())
+        assert {"traces_pump_on.csv", "shots_alpha_0deg.csv", "shots_alpha_45deg.csv"} <= set(names)
+        assert sorted(path.name for path in split.iterdir()) == names
+        for name in names:
+            assert (split / name).read_bytes() == (alone / name).read_bytes(), name
+
+    def test_worker_dying_mid_table_makes_the_write_raise(self, workers, monkeypatch, tmp_path):
+        def die(connection, *inherited):
+            connection.recv()
+            os._exit(1)
+
+        monkeypatch.setattr(acquisition, "_serve", die)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 2)
+        with deadline(60), pytest.raises(RuntimeError, match="worker process exited"):
+            _write_csv(tmp_path / "table.csv", {}, ("x",), (np.zeros(4 * _CHUNK_SHOTS),))
+        assert not workers._started
 
 
 class TestConfigValidation:
