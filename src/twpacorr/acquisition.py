@@ -23,8 +23,9 @@ chain's added noise is added after
 demodulation, where it is measured: four more normals per shot and stage,
 one per quadrature. ``synthesize_baseband_pair`` forms the traces
 themselves, for any number of shots from one synthesis kernel; with
-``demodulate`` it is the per-shot reference for that map, and it is what
-``simulate --dump-traces`` writes out.
+``demodulate`` it is the per-shot reference for that map, and
+``simulate --dump-traces`` writes its traces out, drawn from the
+substreams of the acquired pump-on shots.
 
 Conventions baked in here:
 
@@ -46,7 +47,10 @@ Conventions baked in here:
   affinity, in forked worker processes, when its caller is the process's
   one Python thread (``_process_count``). Its bytes do not depend on the split.
   The same pool and split rule serve any task of items taken a chunk at a
-  time (``_Workers.run``): the shots of a run, or the rows of a CSV table.
+  time (``_Workers.run``): the shots of a run, the shots of the points of a
+  detuning sweep, one point per chunk, or the rows or dumped traces of a CSV
+  table. A chunk carries its items to the small result the caller keeps; a
+  task run from inside a chunk stays in the process that runs the chunk.
 """
 
 from __future__ import annotations
@@ -414,8 +418,9 @@ def demodulate(
 
 
 #: Items of one chunk: the shots whose draws are buffered before one matrix
-#: product maps them, or the rows of a table formatted together. The
-#: processes of a split task take the items this many at a time.
+#: product maps them, or the table rows or dumped traces formatted together.
+#: The processes of a split task take the items
+#: this many at a time, unless the task names its own chunk size.
 _CHUNK_SHOTS = 256
 
 #: Most processes that share the items of one task, the calling one included.
@@ -470,7 +475,7 @@ def _acquire(maps: list, seed: int, stream: int, n_shots: int, starts: Iterable[
         yield first, out
 
 
-def _claimed(next_chunk, n_items: int) -> Iterator[int]:
+def _claimed(next_chunk, n_items: int, chunk_size: int) -> Iterator[int]:
     """Chunk starts that this process takes from the shared counter ``next_chunk``.
 
     Every process of a task takes its next chunk from the one counter, so a
@@ -484,16 +489,25 @@ def _claimed(next_chunk, n_items: int) -> Iterator[int]:
         chunk = next_chunk.value
         next_chunk.value = chunk + 1
         lock.release()
-        if chunk * _CHUNK_SHOTS >= n_items:
+        if chunk * chunk_size >= n_items:
             return
-        yield chunk * _CHUNK_SHOTS
+        yield chunk * chunk_size
+
+
+#: Whether this process is running the chunks of a task: always in a worker,
+#: and in the parent while it runs its own share. A task started from a
+#: chunk runs in that process alone: the pool is busy with the task that
+#: holds the chunk, and a worker's pool is a copy of the parent's, whose pipe
+#: ends the worker has closed.
+_inside_task = False
 
 
 def _serve(connection, inherited: list, next_chunk) -> None:
     """Worker loop: run each task received over its ``_claimed`` chunks and send back the results.
 
-    A task is (chunk function, its leading arguments, item count), as
-    ``_Workers.run`` sends it.
+    A task is (chunk function, its leading arguments, item count, chunk
+    size), as ``_Workers.run`` sends it. The reply is the list of the
+    worker's (start, result) pairs, or the exception that a chunk raised.
 
     ``inherited`` are the parent's ends of the pipes, this worker's included,
     which the fork copied; closing them here lets the worker see its pipe
@@ -501,14 +515,20 @@ def _serve(connection, inherited: list, next_chunk) -> None:
     """
     import signal
 
+    global _inside_task
+    _inside_task = True
     # An interrupt is the parent's to handle; the parent then stops the workers.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in inherited:
         end.close()
     with contextlib.suppress(EOFError, ConnectionError):
         while True:
-            chunk, args, n_items = connection.recv()
-            connection.send(list(chunk(*args, n_items, _claimed(next_chunk, n_items))))
+            chunk, args, n_items, chunk_size = connection.recv()
+            try:
+                reply = list(chunk(*args, n_items, _claimed(next_chunk, n_items, chunk_size)))
+            except Exception as error:
+                reply = error
+            connection.send(reply)
 
 
 class _Workers:
@@ -558,36 +578,49 @@ class _Workers:
             process.join()
         self._started = []
 
-    def run(self, chunk, args: tuple, n_items: int, take) -> None:
+    def run(self, chunk, args: tuple, n_items: int, take, chunk_size: int = _CHUNK_SHOTS) -> None:
         """Call ``take(first item, result)`` for every chunk of a task of ``n_items`` items.
 
         ``chunk(*args, n_items, starts)`` is a module-level generator function,
         which a worker receives by name: it yields (start, result) for the
-        chunk of ``_CHUNK_SHOTS`` items at each of ``starts``, and a result
-        may depend only on its own chunk. The chunks are split over
+        chunk of ``chunk_size`` items at each of ``starts``, and a result may
+        depend only on its own chunk. The chunks are split over
         ``_process_count(n_items)`` processes, each taking the next chunk
-        whenever it finishes one. ``take`` sees this process's chunks as it
-        makes them, then each worker's, so not in the order of their starts.
+        whenever it finishes one; a task started from inside a chunk, in a
+        worker or in this process, runs in the process that started it
+        alone. ``take`` sees this process's chunks as it makes them, then
+        each worker's, so not in the order of their starts. An exception
+        that a chunk raises in a worker is raised here, as in one process;
+        the workers are then stopped, as when one exits during the task.
         """
-        connections = self._connections(_process_count(n_items) - 1)
-        starts = range(0, n_items, _CHUNK_SHOTS)
+        global _inside_task
+        outer = _inside_task
+        connections = [] if outer else self._connections(_process_count(n_items) - 1)
+        starts = range(0, n_items, chunk_size)
         if connections:
             self._next_chunk.value = 0
-            starts = _claimed(self._next_chunk, n_items)
+            starts = _claimed(self._next_chunk, n_items, chunk_size)
+        _inside_task = True
+        reply = None
         try:
             for end in connections:
-                end.send((chunk, args, n_items))
+                end.send((chunk, args, n_items, chunk_size))
             for first, result in chunk(*args, n_items, starts):
                 take(first, result)
             for end in connections:
-                for first, result in end.recv():
+                reply = end.recv()
+                if isinstance(reply, Exception):
+                    raise reply
+                for first, result in reply:
                     take(first, result)
         except BaseException as error:
             # Results still in flight would answer the next task.
             self.close()
-            if isinstance(error, (EOFError, ConnectionError)):
+            if error is not reply and isinstance(error, (EOFError, ConnectionError)):
                 raise RuntimeError("a worker process exited during a task") from error
             raise
+        finally:
+            _inside_task = outer
 
 
 _WORKERS = _Workers()
@@ -620,9 +653,10 @@ def run_experiment(
     ``_CHUNK_SHOTS`` shots whenever they finish one, until none is left. Every shot draws from its own substream, and
     every chunk is mapped alone, so the bytes do not depend on the split.
     With unit chain gains and no added noise, shot k's pump-on row is the
-    ``demodulate``d trace that ``synthesize_baseband_pair`` draws from
-    ``shot_rng(seed, k, "pump_on", stream)``, so the traces that
-    ``simulate --dump-traces`` writes are the ones behind these quadratures.
+    ``demodulate``d trace that ``synthesize_baseband_pair`` draws from the
+    (shot k, pump_on, ``stream``) substream, so the traces that
+    ``simulate --dump-traces`` writes from stream 0 are the ones behind
+    these quadratures.
     ``stream`` selects an independent substream family so sweep points stay
     independent under a common master seed.
     """

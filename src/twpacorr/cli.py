@@ -6,7 +6,10 @@ length and written through one row template, built from its first row:
 integers in full, floats with 9 significant digits, strings as they are.
 The rows are formatted a block at a time, and a large table's blocks are
 split over the acquisition worker processes; a block's text depends only on
-its own rows, so the bytes do not depend on the split. Re-running a command
+its own rows, so the bytes do not depend on the split. Dumped traces are
+synthesized where they are formatted: each process draws the traces of the
+shots it takes and formats their rows, and the parent writes the blocks in
+order. Re-running a command
 with an identical config and seed reproduces byte-identical files. Angles are
 degrees at this boundary, radians inside. Bad input exits with code 2; a
 numerical failure exits with code 3, after the sweep commands write every table.
@@ -25,7 +28,8 @@ import click
 import numpy as np
 
 from . import __version__, acquisition
-from .acquisition import _CHUNK_SHOTS, run_experiment, synthesize_baseband_pair, shot_rng
+from .acquisition import _CHUNK_SHOTS, run_experiment, synthesize_baseband_pair
+from .acquisition import shot_rng  # unused here: perfbench/spans.py wraps cli.shot_rng
 from .config import ConfigError, ExperimentConfig, load_config
 from .estimators import estimate_covariance, infer_tmsvs, phase_sweep
 from .gaussian import (
@@ -54,6 +58,7 @@ FITS_COLUMNS = (
     "converged",
     "n_iterations",
 )
+TRACE_COLUMNS = ("shot", "sample", "signal_re", "signal_im", "idler_re", "idler_im")
 COMPARISON_COLUMNS = (
     "window",
     "tau_us",
@@ -94,39 +99,60 @@ def _metadata(config: ExperimentConfig) -> dict:
     }
 
 
+def _format_rows(line: str, columns) -> str:
+    """The rows of ``columns`` formatted by one ``%``: ``line`` once per row, over the cells in row order.
+
+    Array columns are turned into Python numbers first, which ``%`` reads
+    fastest.
+    """
+    width, n_rows = len(columns), len(columns[0])
+    cells = [None] * (n_rows * width)
+    for index, column in enumerate(columns):
+        cells[index::width] = column.tolist() if isinstance(column, np.ndarray) else column
+    return (line * n_rows) % tuple(cells)
+
+
 def _format_blocks(line: str, columns: tuple, n_rows: int, starts: Iterable[int]) -> Iterator[tuple[int, str]]:
-    """Yield (first row, text) of the block of ``_CHUNK_SHOTS`` rows at each of ``starts``.
-
-    One ``%`` formats a block: ``line`` once per row, over the block's cells
-    in row order. Array columns are turned into Python numbers first, which
-    ``%`` reads fastest.
-    """
-    width = len(columns)
+    """Yield (first row, text) of the block of ``_CHUNK_SHOTS`` rows at each of ``starts``."""
     for first in starts:
-        last = min(first + _CHUNK_SHOTS, n_rows)
-        cells = [None] * ((last - first) * width)
-        for index, column in enumerate(columns):
-            part = column[first:last]
-            cells[index::width] = part.tolist() if isinstance(part, np.ndarray) else part
-        yield first, (line * (last - first)) % tuple(cells)
+        yield first, _format_rows(line, [column[first : first + _CHUNK_SHOTS] for column in columns])
 
 
-def _write_csv(path: Path, meta: dict, names, columns) -> None:
-    """Write the header lines, then the table of ``columns`` under the column ``names``.
+def _trace_blocks(
+    band, detuning: float, window, seed: int, n_shots: int, starts: Iterable[int]
+) -> Iterator[tuple[int, str]]:
+    """Yield (first shot, text) of the pump-on traces of the ``_CHUNK_SHOTS`` shots at each of ``starts``.
 
-    ``columns`` are numpy arrays or sequences of equal length; unequal ones
-    are refused before the file is opened. Every row is formatted by the
-    template of the first (``_row_template``), so every row must have the
-    first row's cell kinds. The rows are formatted a block per ``%``
-    (``_format_blocks``), and a large table's blocks are shared out by the
-    acquisition's worker pool and split rule (``_Workers.run``). The blocks
-    are written in order as they arrive.
+    Shot k's traces are drawn from its (k, pump_on, 0) substream, the draws
+    behind its pump-on quadratures at stream 0 of ``run_experiment``,
+    through one cursor that seeks each shot in turn. One ``%`` formats a
+    chunk's rows: shot, sample, then the real and imaginary parts of the
+    signal and idler traces.
     """
-    lengths = sorted({len(column) for column in columns})
-    if len(lengths) > 1:
-        raise ValueError(f"cannot write {path}: its columns have unequal lengths {lengths}")
-    n_rows = lengths[0] if lengths else 0
-    line = _row_template([column[0] for column in columns]) if n_rows else ""
+    cursor = acquisition._StreamCursor(seed)
+    line = "%d,%d" + ",%.9g" * 4 + "\n"
+    for first in starts:
+        shots = np.arange(first, min(first + _CHUNK_SHOTS, n_shots))
+        signal, idler = synthesize_baseband_pair(
+            band, detuning, window, "pump_on", (cursor.seek(shot, "pump_on", 0) for shot in shots.tolist())
+        )
+        n_samples = signal.shape[1]
+        columns = (
+            np.repeat(shots, n_samples),
+            np.tile(np.arange(n_samples), shots.size),
+            *(part.ravel() for part in (signal.real, signal.imag, idler.real, idler.imag)),
+        )
+        yield first, _format_rows(line, columns)
+
+
+def _write_table(path: Path, meta: dict, names, chunk, args: tuple, n_items: int) -> None:
+    """Write the header lines and the column ``names``, then the text of every chunk of a pool task.
+
+    ``chunk`` and ``args`` make a task of ``n_items`` items for the
+    acquisition's worker pool and split rule (``_Workers.run``), whose every
+    chunk of ``_CHUNK_SHOTS`` items yields its rows' text. The blocks are
+    written in order as they arrive.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as file:
         for key, value in meta.items():
@@ -143,9 +169,27 @@ def _write_csv(path: Path, meta: dict, names, columns) -> None:
                 file.write(pending.pop(written))
                 written += _CHUNK_SHOTS
 
-        if n_rows:
-            acquisition._WORKERS.run(_format_blocks, (line, tuple(columns)), n_rows, take)
+        if n_items:
+            acquisition._WORKERS.run(chunk, args, n_items, take)
     click.echo(f"wrote {path}")
+
+
+def _write_csv(path: Path, meta: dict, names, columns) -> None:
+    """Write the header lines, then the table of ``columns`` under the column ``names``.
+
+    ``columns`` are numpy arrays or sequences of equal length; unequal ones
+    are refused before the file is opened. Every row is formatted by the
+    template of the first (``_row_template``), so every row must have the
+    first row's cell kinds. The rows are formatted a block per ``%``
+    (``_format_blocks``), and a large table's blocks are shared out by the
+    worker pool (``_write_table``).
+    """
+    lengths = sorted({len(column) for column in columns})
+    if len(lengths) > 1:
+        raise ValueError(f"cannot write {path}: its columns have unequal lengths {lengths}")
+    n_rows = lengths[0] if lengths else 0
+    line = _row_template([column[0] for column in columns]) if n_rows else ""
+    _write_table(path, meta, names, _format_blocks, (line, tuple(columns)), n_rows)
 
 
 def _write_json(path: Path, meta: dict, payload: dict) -> None:
@@ -249,24 +293,13 @@ def simulate(config_path, out, seed, dump_traces) -> None:
     _write_json(config.output_dir / "summary.json", meta, summary)
 
     if dump_traces > 0:
-        shots = range(dump_traces)
-        traces_s, traces_i = synthesize_baseband_pair(
-            config.band,
-            config.detuning,
-            acq.window,
-            "pump_on",
-            (shot_rng(acq.seed, shot, "pump_on") for shot in shots),
-        )
-        n_samples = traces_s.shape[1]
-        _write_csv(
+        _write_table(
             config.output_dir / "traces_pump_on.csv",
             meta,
-            ("shot", "sample", "signal_re", "signal_im", "idler_re", "idler_im"),
-            (
-                np.repeat(np.arange(dump_traces), n_samples),
-                np.tile(np.arange(n_samples), dump_traces),
-                *(part.ravel() for part in (traces_s.real, traces_s.imag, traces_i.real, traces_i.imag)),
-            ),
+            TRACE_COLUMNS,
+            _trace_blocks,
+            (config.band, config.detuning, acq.window, acq.seed),
+            dump_traces,
         )
 
 

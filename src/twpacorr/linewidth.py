@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from . import acquisition
 from .acquisition import AcquisitionConfig, EmissionBandModel, WindowSpec, run_experiment
 from .estimators import inferred_pearson, phase_sweep
 
@@ -151,6 +152,35 @@ def fwhm_from_scale(model: str, scale_xi: float) -> float:
     raise ValueError(f"model must be one of {MODELS}, got {model!r}")
 
 
+def _measure_points(
+    band: EmissionBandModel,
+    config: AcquisitionConfig,
+    detunings: np.ndarray,
+    windows: Sequence[WindowSpec],
+    alpha_stars: Sequence[float],
+    n_items: int,
+    starts: Iterable[int],
+) -> Iterator[tuple[int, list]]:
+    """Yield (first shot, one outcome per window) of the sweep point whose shots start at each of ``starts``.
+
+    A chunk of ``_Workers.run`` is one point's ``config.n_shots`` shots:
+    point k is acquired on substream k + 1, in the process that takes it, and
+    a window's outcome is its (rho, rho_se) at its calibrated idler rotation,
+    or the ``ValueError`` that stopped the estimate.
+    """
+    gains = (config.chain_gain_signal, config.chain_gain_idler)
+    for first in starts:
+        point = first // config.n_shots
+        runs = run_experiment(detunings[point], band, config, stream=point + 1, windows=windows)
+        outcomes = []
+        for data, alpha_star in zip(runs, alpha_stars):
+            try:
+                outcomes.append(inferred_pearson(data.on, data.off, *gains, idler_rotation=alpha_star))
+            except ValueError as error:
+                outcomes.append(error)
+        yield first, outcomes
+
+
 def sweep_detuning(
     band: EmissionBandModel,
     config: AcquisitionConfig,
@@ -168,41 +198,52 @@ def sweep_detuning(
     window's relative LO phase is calibrated once, on its own stream-0
     data, to the idler rotation that maximizes rho there (``phase_sweep``
     with no angles gives it in closed form), then held fixed while the
-    detuning walks the grid.
+    detuning walks the grid. The points are one task of the acquisition's
+    worker pool, one point per chunk (``_measure_points``): each process
+    acquires the points it takes and keeps only their rho and its SE.
 
     One entry per window is returned, in order: its ``DetuningSweep``, or
-    the ``ValueError`` of the calibration or estimate that stopped it. A
-    stopped window is left out of the later runs; the others go on. The
-    grid is checked, as ``DetuningSweep`` checks it, before anything is
+    the ``ValueError`` of the calibration or estimate that stopped it, the
+    one of its lowest point when it failed at several. A window stopped by
+    its calibration is left out of the points; the others go on. The grid
+    is checked, as ``DetuningSweep`` checks it, before anything is
     acquired.
     """
     detunings = np.asarray(detunings, dtype=float)
     check_grid(detunings)
     gains = (config.chain_gain_signal, config.chain_gain_idler)
+    alpha_stars = {}
+    errors = {}  # window index -> (run, the ValueError that stopped the window there)
+    for index, data in enumerate(run_experiment(0.0, band, config, stream=0, windows=windows)):
+        try:
+            alpha_stars[index] = phase_sweep(data.on, data.off, *gains, ()).alpha_star
+        except ValueError as error:
+            errors[index] = (0, error)
+
+    live = list(alpha_stars)
     rho_values = np.empty((len(windows), detunings.size))
     rho_errors = np.empty((len(windows), detunings.size))
-    alpha_stars = {}
-    errors = {}
 
-    live = range(len(windows))
-    for stream, detuning in enumerate((0.0, *detunings)):
-        if not live:
-            break
-        runs = run_experiment(detuning, band, config, stream=stream, windows=[windows[i] for i in live])
-        for index, data in zip(live, runs):
-            try:
-                if stream == 0:
-                    alpha_stars[index] = phase_sweep(data.on, data.off, *gains, ()).alpha_star
-                else:
-                    rho_values[index, stream - 1], rho_errors[index, stream - 1] = inferred_pearson(
-                        data.on, data.off, *gains, idler_rotation=alpha_stars[index]
-                    )
-            except ValueError as error:
-                errors[index] = error
-        live = [index for index in live if index not in errors]
+    def take(first: int, outcomes: list) -> None:
+        # Points arrive in any order; a window keeps the error of its lowest.
+        run = first // config.n_shots + 1
+        for index, outcome in zip(live, outcomes):
+            if not isinstance(outcome, ValueError):
+                rho_values[index, run - 1], rho_errors[index, run - 1] = outcome
+            elif run < errors.get(index, (math.inf,))[0]:
+                errors[index] = (run, outcome)
+
+    if live:
+        acquisition._WORKERS.run(
+            _measure_points,
+            (band, config, detunings, [windows[i] for i in live], [alpha_stars[i] for i in live]),
+            detunings.size * config.n_shots,
+            take,
+            chunk_size=config.n_shots,
+        )
 
     return [
-        errors[index]
+        errors[index][1]
         if index in errors
         else DetuningSweep(
             detunings=detunings,

@@ -479,6 +479,28 @@ while True:
 """
 
 
+def experiment_chunks(band, config, n_items, starts):
+    """Chunk function: the run on stream k for each start k, acquired by the process that takes it.
+
+    Each result carries that process's pid and the pids of its live children.
+    """
+    import multiprocessing
+
+    for first in starts:
+        (data,) = run_experiment(0.1e6, band, config, stream=first)
+        children = sorted(process.pid for process in multiprocessing.active_children())
+        yield first, (os.getpid(), children, data)
+
+
+def refusing_chunks(parent, n_items, starts):
+    """Chunk function that refuses every chunk taken by a process other than ``parent``."""
+    for first in starts:
+        if os.getpid() != parent:
+            raise LookupError(f"chunk {first} refused in a worker")
+        time.sleep(0.05)
+        yield first, first
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="runs stay in one process")
 class TestWorkers:
     def test_split_run_equals_one_process_byte_for_byte(self, workers, monkeypatch):
@@ -534,6 +556,62 @@ class TestWorkers:
         for one, data in zip(alone, joint):
             assert np.array_equal(data.on, one.on)
             assert np.array_equal(data.off, one.off)
+
+    def test_run_inside_a_chunk_stays_in_its_process(self, workers, monkeypatch):
+        # Each chunk acquires a run that would be split over three processes
+        # on its own; inside a task it runs where the chunk runs.
+        band = make_band()
+        acq = make_acquisition(n_shots=2 * _MIN_SHOTS_PER_PROCESS, added_noise=1.0)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
+        expected = [run_experiment(0.1e6, band, acq, stream=k)[0] for k in range(6)]
+        assert not workers._started
+        import multiprocessing
+
+        # Children of this process from before the test, such as another pool's workers.
+        others = {process.pid for process in multiprocessing.active_children()}
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 3)
+        results = {}
+        takers = set()
+        # The second task finds the workers that the first started waiting.
+        for _ in range(2):
+            results.clear()
+            with deadline(120):
+                workers.run(experiment_chunks, (band, acq), 6, results.__setitem__, chunk_size=1)
+            pool = sorted(process.pid for process, _ in workers._started)
+            assert len(pool) == 2
+            assert sorted(results) == list(range(6))
+            for k, (pid, children, data) in results.items():
+                takers.add(pid)
+                # A worker starts no process; this one has its pool's alone.
+                if pid == os.getpid():
+                    assert set(children) <= others | set(pool), k
+                else:
+                    assert children == [], k
+                assert np.array_equal(data.on, expected[k].on), k
+                assert np.array_equal(data.off, expected[k].off), k
+        assert takers - {os.getpid()}, "no worker took a chunk"
+        # The pool still serves a split run.
+        with deadline(60):
+            (split,) = run_experiment(0.1e6, band, acq, stream=4)
+        assert sorted(process.pid for process, _ in workers._started) == pool
+        assert np.array_equal(split.on, expected[4].on)
+        assert np.array_equal(split.off, expected[4].off)
+
+    def test_error_raised_in_a_worker_reaches_the_caller(self, workers, monkeypatch):
+        band, acq = make_band(), make_acquisition(n_shots=2 * _MIN_SHOTS_PER_PROCESS)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
+        (expected,) = run_experiment(0.0, band, acq)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 3)
+        workers._connections(2)
+        with deadline(60), pytest.raises(LookupError, match="refused in a worker"):
+            workers.run(refusing_chunks, (os.getpid(),), 8, lambda first, result: None, chunk_size=1)
+        assert not workers._started
+        # The next run starts new workers.
+        with deadline(60):
+            (again,) = run_experiment(0.0, band, acq)
+        assert len(workers._started) == 2
+        assert np.array_equal(again.on, expected.on)
+        assert np.array_equal(again.off, expected.off)
 
     def test_no_windows_acquire_nothing(self, workers):
         assert run_experiment(0.0, make_band(), make_acquisition(), windows=[]) == []

@@ -187,23 +187,57 @@ class TestSplitTables:
             assert len(workers._started) == (2 if n_rows else 0)
             assert (tmp_path / "split.csv").read_bytes() == expected.encode()
 
+    def outputs_at(self, monkeypatch, tmp_path, config: str, command: list, count: int) -> Path:
+        """The output directory of ``command`` run with ``count`` processes per task."""
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: count)
+        out = tmp_path / f"processes_{count}"
+        with deadline(120):
+            result = CliRunner().invoke(main, [*command, "--config", config, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        return out
+
+    def assert_same_files(self, alone: Path, split: Path) -> None:
+        names = sorted(path.name for path in alone.iterdir())
+        assert sorted(path.name for path in split.iterdir()) == names
+        for name in names:
+            assert (split / name).read_bytes() == (alone / name).read_bytes(), name
+
     def test_split_dumps_equal_one_process_byte_for_byte(self, workers, monkeypatch, tmp_path):
         config = str(write_config(tmp_path, {"acquisition.n_shots": 4 * _CHUNK_SHOTS + 1}))
         commands = (["simulate", "--dump-traces", "300"], ["phase-sweep", "--dump-shots", "0,45"])
         for count in (1, 3):
-            monkeypatch.setattr(acquisition, "_process_count", lambda n_items, count=count: count)
             for command in commands:
-                out = str(tmp_path / f"processes_{count}")
-                with deadline(120):
-                    result = CliRunner().invoke(main, [*command, "--config", config, "--out", out])
-                assert result.exit_code == 0, result.output
+                self.outputs_at(monkeypatch, tmp_path, config, command, count)
         assert len(workers._started) == 2
         alone, split = tmp_path / "processes_1", tmp_path / "processes_3"
-        names = sorted(path.name for path in alone.iterdir())
-        assert {"traces_pump_on.csv", "shots_alpha_0deg.csv", "shots_alpha_45deg.csv"} <= set(names)
-        assert sorted(path.name for path in split.iterdir()) == names
-        for name in names:
-            assert (split / name).read_bytes() == (alone / name).read_bytes(), name
+        assert {"traces_pump_on.csv", "shots_alpha_0deg.csv", "shots_alpha_45deg.csv"} <= {
+            path.name for path in alone.iterdir()
+        }
+        self.assert_same_files(alone, split)
+
+    # A trace dump is one task of chunks of _CHUNK_SHOTS shots: one shot, a
+    # chunk less one, a chunk and one, and two chunks and one.
+    @pytest.mark.parametrize("n_traces", [1, _CHUNK_SHOTS - 1, _CHUNK_SHOTS + 1, 2 * _CHUNK_SHOTS + 1])
+    def test_split_trace_dump_equals_one_process_byte_for_byte(self, workers, monkeypatch, tmp_path, n_traces):
+        config = str(write_config(tmp_path, {"acquisition.n_shots": 2 * _CHUNK_SHOTS + 1}))
+        command = ["simulate", "--dump-traces", str(n_traces)]
+        alone = self.outputs_at(monkeypatch, tmp_path, config, command, 1)
+        assert not workers._started
+        split = self.outputs_at(monkeypatch, tmp_path, config, command, 3)
+        assert len(workers._started) == 2
+        assert len(read_csv_rows(split / "traces_pump_on.csv")) == 1 + 100 * n_traces
+        self.assert_same_files(alone, split)
+
+    def test_split_sweep_equals_one_process_byte_for_byte(self, workers, monkeypatch, tmp_path):
+        # Every sweep point is one chunk of the points task.
+        cases = [{"window": "rectangular", "tau": 6.0e-6}, {"window": "gaussian", "tau": 6.0e-6}]
+        config = str(write_config(tmp_path, {"linewidth.cases": cases, "acquisition.added_noise_quanta": 0.5}))
+        alone = self.outputs_at(monkeypatch, tmp_path, config, ["compare-windows"], 1)
+        assert not workers._started
+        split = self.outputs_at(monkeypatch, tmp_path, config, ["compare-windows"], 3)
+        assert len(workers._started) == 2
+        assert len(read_csv_rows(split / "comparison.csv")) == 3
+        self.assert_same_files(alone, split)
 
     def test_worker_dying_mid_table_makes_the_write_raise(self, workers, monkeypatch, tmp_path):
         def die(connection, *inherited):

@@ -1,6 +1,8 @@
 """Tests for detuning sweeps, model fitting and window comparison."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from twpacorr.linewidth import (
     _model_jacobian,
 )
 
-from conftest import make_acquisition, make_band
+from conftest import deadline, make_acquisition, make_band
 
 TAU = 6e-6
 XI_RECT = math.pi * TAU
@@ -302,8 +304,11 @@ class TestSweepDetuning:
             assert np.array_equal(sweep.rho_errors, alone.rho_errors)
 
     def test_failed_window_is_returned_and_left_out(self, monkeypatch):
-        from twpacorr import linewidth
+        from twpacorr import acquisition, linewidth
 
+        # The runs are counted in this process: a worker would not see the
+        # counting run_experiment below.
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
         band, acq = make_band(), make_acquisition(n_shots=300, seed=8)
         detunings = np.linspace(-0.2e6, 0.2e6, 5)
         windows = [WindowSpec("rectangular", 6e-6), WindowSpec("gaussian", 6e-6)]
@@ -367,6 +372,68 @@ class TestSweepDetuning:
         detunings = np.linspace(-1.5e6, 1.5e6, 7)
         with pytest.raises(ValueError, match="band"):
             sweep_detuning(band, acq, detunings, windows=[acq.window])
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sweeps stay in one process")
+class TestSplitSweep:
+    """The points of a sweep, split over worker processes."""
+
+    BAND = make_band()
+    ACQ = make_acquisition(n_shots=300, seed=8)
+    DETUNINGS = np.linspace(-0.2e6, 0.2e6, 7)
+    WINDOWS = [WindowSpec("rectangular", 6e-6), WindowSpec("gaussian", 6e-6)]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_window_failing_at_several_points_reports_the_lowest(self, workers, monkeypatch, count):
+        from twpacorr import acquisition, linewidth
+
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
+        (expected,) = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS[:1])
+        real_run, real_pearson = linewidth.run_experiment, linewidth.inferred_pearson
+        # Per process: the stream of its current run, and its estimates since.
+        current = {}
+
+        def run(*args, stream, **kwargs):
+            current.update(stream=stream, estimates=0)
+            return real_run(*args, stream=stream, **kwargs)
+
+        def pearson(*args, **kwargs):
+            # The windows of a point are estimated in order: the gaussian one
+            # fails at points 2 and 5, on streams 3 and 6.
+            current["estimates"] += 1
+            if current["estimates"] == 2 and current["stream"] in (3, 6):
+                raise ValueError(f"synthetic failure on stream {current['stream']}")
+            return real_pearson(*args, **kwargs)
+
+        # Set before the first split run forks the workers, which then see them.
+        monkeypatch.setattr(linewidth, "run_experiment", run)
+        monkeypatch.setattr(linewidth, "inferred_pearson", pearson)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: count)
+        with deadline(120):
+            rectangular, failed = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS)
+        assert len(workers._started) == count - 1
+        assert isinstance(failed, ValueError) and str(failed) == "synthetic failure on stream 3"
+        assert rectangular.alpha_star == expected.alpha_star
+        assert np.array_equal(rectangular.rho_values, expected.rho_values)
+        assert np.array_equal(rectangular.rho_errors, expected.rho_errors)
+
+    def test_worker_dying_mid_sweep_makes_the_sweep_raise(self, workers, monkeypatch):
+        from twpacorr import acquisition, linewidth
+
+        real_run, parent = linewidth.run_experiment, os.getpid()
+
+        def run(*args, stream, **kwargs):
+            if stream > 0:
+                if os.getpid() != parent:
+                    os._exit(1)
+                time.sleep(0.2)  # the worker takes a point meanwhile
+            return real_run(*args, stream=stream, **kwargs)
+
+        monkeypatch.setattr(linewidth, "run_experiment", run)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 2)
+        with deadline(60), pytest.raises(RuntimeError, match="worker process exited"):
+            sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS)
+        assert not workers._started
 
 
 class TestSnrGrowth:

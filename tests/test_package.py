@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from collections import Counter
@@ -40,14 +41,33 @@ def test_benchmark_wrapped_names_are_bound():
     assert not unbound
 
 
+def test_benchmark_counters_bind_arguments_that_exist():
+    # The tracer's counters bind these arguments by name on the functions
+    # that WRAPPED names; a renamed one makes every traced run fail.
+    bound = {
+        "run_experiment": ("band", "config"),
+        "phase_sweep": ("alphas",),
+        "synthesize_baseband_pair": ("band",),
+    }
+    wrapped = wrapped_names()
+    assert set(bound) <= {attribute for _, attribute in wrapped}
+    for module, attribute in wrapped:
+        function = getattr(importlib.import_module(f"twpacorr.{module}"), attribute)
+        missing = set(bound.get(attribute, ())) - set(inspect.signature(function).parameters)
+        assert not missing, f"twpacorr.{module}.{attribute} lacks {sorted(missing)}"
+
+
 def test_benchmark_counters_still_read_the_package(tmp_path, monkeypatch):
     # The tracer's counters bind arguments and results by name (band, config,
     # alphas, n_iterations); a signature change would zero them silently.
     from click.testing import CliRunner
 
-    from twpacorr import cli, estimators, linewidth
+    from twpacorr import acquisition, cli, estimators, linewidth
     from test_cli import BASE_CONFIG, write_config
 
+    # The tracer sees only the calls of this process, not those that a
+    # worker makes for the sweep points or dump chunks that it takes.
+    monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
     monkeypatch.syspath_prepend(str(SPANS.parent))
     spans = importlib.import_module("spans")
     cases = [{"window": "rectangular", "tau": 6.0e-6}, {"window": "gaussian", "tau": 6.0e-6}]
