@@ -50,7 +50,8 @@ Conventions baked in here:
   time (``_Workers.run``): the shots of a run, the shots of the points of a
   detuning sweep, one point per chunk, or the rows or dumped traces of a CSV
   table. A chunk carries its items to the small result the caller keeps; a
-  task run from inside a chunk stays in the process that runs the chunk.
+  task run from inside a chunk of a split task stays in the process that
+  runs the chunk, and a task that cannot be pickled stays in the caller's.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import pickle
 import threading
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -494,8 +496,17 @@ def _claimed(next_chunk, n_items: int, chunk_size: int) -> Iterator[int]:
         yield chunk * chunk_size
 
 
-#: Whether this process is running the chunks of a task: always in a worker,
-#: and in the parent while it runs its own share. A task started from a
+def _pickled(task: tuple) -> bytes | None:
+    """``task`` pickled once for every worker, or None if it holds what a worker cannot be sent."""
+    try:
+        return pickle.dumps(task)
+    except (pickle.PicklingError, AttributeError, TypeError):
+        # A local or replaced function, say, which pickle cannot find by name.
+        return None
+
+
+#: Whether this process is running the chunks of a split task: always in a
+#: worker, and in the parent while it runs its own share. A task started from a
 #: chunk runs in that process alone: the pool is busy with the task that
 #: holds the chunk, and a worker's pool is a copy of the parent's, whose pipe
 #: ends the worker has closed.
@@ -586,25 +597,31 @@ class _Workers:
         chunk of ``chunk_size`` items at each of ``starts``, and a result may
         depend only on its own chunk. The chunks are split over
         ``_process_count(n_items)`` processes, each taking the next chunk
-        whenever it finishes one; a task started from inside a chunk, in a
-        worker or in this process, runs in the process that started it
-        alone. ``take`` sees this process's chunks as it makes them, then
-        each worker's, so not in the order of their starts. An exception
-        that a chunk raises in a worker is raised here, as in one process;
-        the workers are then stopped, as when one exits during the task.
+        whenever it finishes one. A task that cannot be pickled for a worker,
+        as when ``args`` hold a local function, runs in this process alone:
+        a function that stands in for a package one, a test's stand-in or a
+        tracer's wrapper, then sees every call. A task started from inside a
+        chunk of a split task, in a worker or in this process, runs in the
+        process that started it alone. ``take`` sees this process's chunks
+        as it makes them, then each worker's, so not in the order of their
+        starts. An exception that a chunk raises in a worker is raised here,
+        as in one process; the workers are then stopped, as when one exits
+        during the task.
         """
         global _inside_task
         outer = _inside_task
-        connections = [] if outer else self._connections(_process_count(n_items) - 1)
+        helpers = 0 if outer else _process_count(n_items) - 1
+        task = _pickled((chunk, args, n_items, chunk_size)) if helpers else None
+        connections = [] if task is None else self._connections(helpers)
         starts = range(0, n_items, chunk_size)
         if connections:
             self._next_chunk.value = 0
             starts = _claimed(self._next_chunk, n_items, chunk_size)
-        _inside_task = True
+            _inside_task = True
         reply = None
         try:
             for end in connections:
-                end.send((chunk, args, n_items, chunk_size))
+                end.send_bytes(task)
             for first, result in chunk(*args, n_items, starts):
                 take(first, result)
             for end in connections:

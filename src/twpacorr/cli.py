@@ -119,21 +119,23 @@ def _format_blocks(line: str, columns: tuple, n_rows: int, starts: Iterable[int]
 
 
 def _trace_blocks(
-    band, detuning: float, window, seed: int, n_shots: int, starts: Iterable[int]
+    synthesize, band, detuning: float, window, seed: int, n_shots: int, starts: Iterable[int]
 ) -> Iterator[tuple[int, str]]:
     """Yield (first shot, text) of the pump-on traces of the ``_CHUNK_SHOTS`` shots at each of ``starts``.
 
-    Shot k's traces are drawn from its (k, pump_on, 0) substream, the draws
-    behind its pump-on quadratures at stream 0 of ``run_experiment``,
-    through one cursor that seeks each shot in turn. One ``%`` formats a
-    chunk's rows: shot, sample, then the real and imaginary parts of the
-    signal and idler traces.
+    Shot k's traces are drawn by ``synthesize`` (``synthesize_baseband_pair``)
+    from its (k, pump_on, 0) substream, the draws behind its pump-on
+    quadratures at stream 0 of ``run_experiment``, through one cursor that
+    seeks each shot in turn. One ``%`` formats a chunk's rows: shot, sample,
+    then the real and imaginary parts of the signal and idler traces.
+    ``synthesize`` travels with the task, so a stand-in for it that cannot
+    be pickled keeps the dump in this process (``_Workers.run``).
     """
     cursor = acquisition._StreamCursor(seed)
-    line = "%d,%d" + ",%.9g" * 4 + "\n"
+    line = _row_template([0, 0, 0.0, 0.0, 0.0, 0.0])
     for first in starts:
         shots = np.arange(first, min(first + _CHUNK_SHOTS, n_shots))
-        signal, idler = synthesize_baseband_pair(
+        signal, idler = synthesize(
             band, detuning, window, "pump_on", (cursor.seek(shot, "pump_on", 0) for shot in shots.tolist())
         )
         n_samples = signal.shape[1]
@@ -298,7 +300,7 @@ def simulate(config_path, out, seed, dump_traces) -> None:
             meta,
             TRACE_COLUMNS,
             _trace_blocks,
-            (config.band, config.detuning, acq.window, acq.seed),
+            (synthesize_baseband_pair, config.band, config.detuning, acq.window, acq.seed),
             dump_traces,
         )
 

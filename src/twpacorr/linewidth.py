@@ -153,6 +153,8 @@ def fwhm_from_scale(model: str, scale_xi: float) -> float:
 
 
 def _measure_points(
+    acquire,
+    estimate,
     band: EmissionBandModel,
     config: AcquisitionConfig,
     detunings: np.ndarray,
@@ -164,18 +166,19 @@ def _measure_points(
     """Yield (first shot, one outcome per window) of the sweep point whose shots start at each of ``starts``.
 
     A chunk of ``_Workers.run`` is one point's ``config.n_shots`` shots:
-    point k is acquired on substream k + 1, in the process that takes it, and
-    a window's outcome is its (rho, rho_se) at its calibrated idler rotation,
-    or the ``ValueError`` that stopped the estimate.
+    point k is acquired on substream k + 1 by ``acquire`` (``run_experiment``),
+    in the process that takes it, and a window's outcome is its (rho,
+    rho_se) at its calibrated idler rotation, from ``estimate``
+    (``inferred_pearson``), or the ``ValueError`` that stopped the estimate.
     """
     gains = (config.chain_gain_signal, config.chain_gain_idler)
     for first in starts:
         point = first // config.n_shots
-        runs = run_experiment(detunings[point], band, config, stream=point + 1, windows=windows)
+        runs = acquire(detunings[point], band, config, stream=point + 1, windows=windows)
         outcomes = []
         for data, alpha_star in zip(runs, alpha_stars):
             try:
-                outcomes.append(inferred_pearson(data.on, data.off, *gains, idler_rotation=alpha_star))
+                outcomes.append(estimate(data.on, data.off, *gains, idler_rotation=alpha_star))
             except ValueError as error:
                 outcomes.append(error)
         yield first, outcomes
@@ -200,7 +203,13 @@ def sweep_detuning(
     with no angles gives it in closed form), then held fixed while the
     detuning walks the grid. The points are one task of the acquisition's
     worker pool, one point per chunk (``_measure_points``): each process
-    acquires the points it takes and keeps only their rho and its SE.
+    acquires the points it takes and keeps only their rho and its SE. A
+    point runs in one process, so the pool holds up to ``_MAX_PROCESSES``
+    points' quadratures at once, and a grid of fewer points than processes
+    leaves the rest idle. The task carries ``run_experiment`` and
+    ``inferred_pearson`` as this module names them, so every process calls
+    a stand-in for either; one that cannot be pickled, a local function or
+    a tracer's wrapper, keeps the points in this process (``_Workers.run``).
 
     One entry per window is returned, in order: its ``DetuningSweep``, or
     the ``ValueError`` of the calibration or estimate that stopped it, the
@@ -236,7 +245,15 @@ def sweep_detuning(
     if live:
         acquisition._WORKERS.run(
             _measure_points,
-            (band, config, detunings, [windows[i] for i in live], [alpha_stars[i] for i in live]),
+            (
+                run_experiment,
+                inferred_pearson,
+                band,
+                config,
+                detunings,
+                [windows[i] for i in live],
+                [alpha_stars[i] for i in live],
+            ),
             detunings.size * config.n_shots,
             take,
             chunk_size=config.n_shots,

@@ -492,6 +492,12 @@ def experiment_chunks(band, config, n_items, starts):
         yield first, (os.getpid(), children, data)
 
 
+def calling_chunks(function, n_items, starts):
+    """Chunk function: ``function(start)`` and the pid of the process that called it, for each start."""
+    for first in starts:
+        yield first, (os.getpid(), function(first))
+
+
 def refusing_chunks(parent, n_items, starts):
     """Chunk function that refuses every chunk taken by a process other than ``parent``."""
     for first in starts:
@@ -612,6 +618,19 @@ class TestWorkers:
         assert len(workers._started) == 2
         assert np.array_equal(again.on, expected.on)
         assert np.array_equal(again.off, expected.off)
+
+    def test_task_that_cannot_be_pickled_runs_in_this_process(self, workers, monkeypatch):
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 3)
+        results = {}
+        with deadline(60):
+            workers.run(calling_chunks, (lambda first: -first,), 6, results.__setitem__, chunk_size=1)
+        assert results == {k: (os.getpid(), -k) for k in range(6)}
+        assert not workers._started
+        # With a function pickled by name, the same task is split.
+        with deadline(60):
+            workers.run(calling_chunks, (abs,), 6, results.__setitem__, chunk_size=1)
+        assert len(workers._started) == 2
+        assert {k: value for k, (_, value) in results.items()} == {k: k for k in range(6)}
 
     def test_no_windows_acquire_nothing(self, workers):
         assert run_experiment(0.0, make_band(), make_acquisition(), windows=[]) == []

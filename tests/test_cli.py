@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -62,6 +63,18 @@ def write_config(tmp_path: Path, overrides=None, drop=None) -> Path:
 
 def read_csv_rows(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+#: The process that imported this module; a forked worker has another pid.
+_PARENT = os.getpid()
+
+
+def synthesize_marking_its_process(band, detuning, window, stage, rngs):
+    """Stand-in for synthesize_baseband_pair: traces that hold the pid of the process that made them."""
+    if os.getpid() == _PARENT:
+        time.sleep(0.1)  # leaves chunks to the workers
+    traces = np.full((len(list(rngs)), 100), float(os.getpid()), dtype=complex)
+    return traces, traces
 
 
 def nine_digit_line(values) -> str:
@@ -227,6 +240,40 @@ class TestSplitTables:
         assert len(workers._started) == 2
         assert len(read_csv_rows(split / "traces_pump_on.csv")) == 1 + 100 * n_traces
         self.assert_same_files(alone, split)
+
+    def test_dump_stand_in_that_cannot_be_pickled_sees_every_chunk(self, workers, monkeypatch, tmp_path):
+        from twpacorr import cli
+
+        config = str(write_config(tmp_path, {"acquisition.n_shots": 2 * _CHUNK_SHOTS + 1}))
+        command = ["simulate", "--dump-traces", str(2 * _CHUNK_SHOTS + 1)]
+        alone = self.outputs_at(monkeypatch, tmp_path, config, command, 1)
+        calls = []
+
+        def synthesize(*args):
+            calls.append(os.getpid())
+            return synthesize_baseband_pair(*args)
+
+        monkeypatch.setattr(cli, "synthesize_baseband_pair", synthesize)
+        split = self.outputs_at(monkeypatch, tmp_path, config, command, 3)
+        # The run splits its shots; the dump keeps its three chunks here.
+        assert len(workers._started) == 2
+        assert calls == [os.getpid()] * 3
+        self.assert_same_files(alone, split)
+
+    def test_dump_workers_call_the_stand_in_the_task_carries(self, workers, monkeypatch, tmp_path):
+        from twpacorr import cli
+
+        config = str(write_config(tmp_path, {"acquisition.n_shots": 2 * _CHUNK_SHOTS + 1}))
+        # Workers started before the stand-in is set hold the package's function.
+        workers._connections(2)
+        pool = {process.pid for process, _ in workers._started}
+        monkeypatch.setattr(cli, "synthesize_baseband_pair", synthesize_marking_its_process)
+        command = ["simulate", "--dump-traces", str(2 * _CHUNK_SHOTS + 1)]
+        out = self.outputs_at(monkeypatch, tmp_path, config, command, 3)
+        rows = read_csv_rows(out / "traces_pump_on.csv")[1:]
+        makers = {float(row.split(",")[2]) for row in rows}
+        assert makers <= {float(pid) for pid in pool | {os.getpid()}}
+        assert makers - {float(os.getpid())}, "no worker took a chunk"
 
     def test_split_sweep_equals_one_process_byte_for_byte(self, workers, monkeypatch, tmp_path):
         # Every sweep point is one chunk of the points task.

@@ -15,7 +15,9 @@ from twpacorr import (
     compare_windows,
     fit_model,
     fwhm_from_scale,
+    inferred_pearson,
     model_prediction,
+    run_experiment,
     sweep_detuning,
 )
 from twpacorr.linewidth import (
@@ -304,11 +306,8 @@ class TestSweepDetuning:
             assert np.array_equal(sweep.rho_errors, alone.rho_errors)
 
     def test_failed_window_is_returned_and_left_out(self, monkeypatch):
-        from twpacorr import acquisition, linewidth
+        from twpacorr import linewidth
 
-        # The runs are counted in this process: a worker would not see the
-        # counting run_experiment below.
-        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
         band, acq = make_band(), make_acquisition(n_shots=300, seed=8)
         detunings = np.linspace(-0.2e6, 0.2e6, 5)
         windows = [WindowSpec("rectangular", 6e-6), WindowSpec("gaussian", 6e-6)]
@@ -374,6 +373,44 @@ class TestSweepDetuning:
             sweep_detuning(band, acq, detunings, windows=[acq.window])
 
 
+#: Per process: the stream of the run in hand and the windows estimated since.
+_CURRENT = {}
+#: The process that imported this module; a forked worker has another pid.
+_PARENT = os.getpid()
+
+
+# Stand-ins for the sweep's run_experiment and inferred_pearson. They are
+# module-level, so a points task that carries them pickles them by name and
+# every process that takes a point calls them.
+def run_noting_its_stream(*args, stream, **kwargs):
+    _CURRENT.update(stream=stream, estimates=0)
+    if stream > 0 and os.getpid() == _PARENT:
+        time.sleep(0.05)  # leaves points to the workers
+    return run_experiment(*args, stream=stream, **kwargs)
+
+
+def pearson_marking_its_process(*args, **kwargs):
+    # (rho, rho_se) = (the point's stream, the pid of the process that took it)
+    return float(_CURRENT["stream"]), float(os.getpid())
+
+
+def pearson_failing_gaussian(*args, **kwargs):
+    # The windows of a point are estimated in order: the gaussian one fails
+    # at points 2 and 5, on streams 3 and 6.
+    _CURRENT["estimates"] += 1
+    if _CURRENT["estimates"] == 2 and _CURRENT["stream"] in (3, 6):
+        raise ValueError(f"synthetic failure on stream {_CURRENT['stream']}")
+    return inferred_pearson(*args, **kwargs)
+
+
+def run_dying_in_a_worker(*args, stream, **kwargs):
+    if stream > 0:
+        if os.getpid() != _PARENT:
+            os._exit(1)
+        time.sleep(0.2)  # a worker takes a point meanwhile
+    return run_experiment(*args, stream=stream, **kwargs)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sweeps stay in one process")
 class TestSplitSweep:
     """The points of a sweep, split over worker processes."""
@@ -383,53 +420,79 @@ class TestSplitSweep:
     DETUNINGS = np.linspace(-0.2e6, 0.2e6, 7)
     WINDOWS = [WindowSpec("rectangular", 6e-6), WindowSpec("gaussian", 6e-6)]
 
+    def alone(self, monkeypatch) -> DetuningSweep:
+        from twpacorr import acquisition
+
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
+        (sweep,) = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS[:1])
+        return sweep
+
+    @staticmethod
+    def assert_same_sweep(sweep: DetuningSweep, expected: DetuningSweep) -> None:
+        assert sweep.alpha_star == expected.alpha_star
+        assert np.array_equal(sweep.rho_values, expected.rho_values)
+        assert np.array_equal(sweep.rho_errors, expected.rho_errors)
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_window_failing_at_several_points_reports_the_lowest(self, workers, monkeypatch, count):
         from twpacorr import acquisition, linewidth
 
-        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
-        (expected,) = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS[:1])
-        real_run, real_pearson = linewidth.run_experiment, linewidth.inferred_pearson
-        # Per process: the stream of its current run, and its estimates since.
-        current = {}
-
-        def run(*args, stream, **kwargs):
-            current.update(stream=stream, estimates=0)
-            return real_run(*args, stream=stream, **kwargs)
-
-        def pearson(*args, **kwargs):
-            # The windows of a point are estimated in order: the gaussian one
-            # fails at points 2 and 5, on streams 3 and 6.
-            current["estimates"] += 1
-            if current["estimates"] == 2 and current["stream"] in (3, 6):
-                raise ValueError(f"synthetic failure on stream {current['stream']}")
-            return real_pearson(*args, **kwargs)
-
-        # Set before the first split run forks the workers, which then see them.
-        monkeypatch.setattr(linewidth, "run_experiment", run)
-        monkeypatch.setattr(linewidth, "inferred_pearson", pearson)
+        expected = self.alone(monkeypatch)
+        monkeypatch.setattr(linewidth, "run_experiment", run_noting_its_stream)
+        monkeypatch.setattr(linewidth, "inferred_pearson", pearson_failing_gaussian)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_items: count)
         with deadline(120):
             rectangular, failed = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS)
         assert len(workers._started) == count - 1
         assert isinstance(failed, ValueError) and str(failed) == "synthetic failure on stream 3"
-        assert rectangular.alpha_star == expected.alpha_star
-        assert np.array_equal(rectangular.rho_values, expected.rho_values)
-        assert np.array_equal(rectangular.rho_errors, expected.rho_errors)
+        self.assert_same_sweep(rectangular, expected)
+
+    def test_workers_call_the_stand_ins_the_task_carries(self, workers, monkeypatch):
+        from twpacorr import acquisition, linewidth
+
+        # Workers started before the stand-ins are set hold the package's functions.
+        workers._connections(2)
+        pool = {process.pid for process, _ in workers._started}
+        monkeypatch.setattr(linewidth, "run_experiment", run_noting_its_stream)
+        monkeypatch.setattr(linewidth, "inferred_pearson", pearson_marking_its_process)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 3)
+        with deadline(120):
+            (sweep,) = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS[:1])
+        assert np.array_equal(sweep.rho_values, np.arange(1, self.DETUNINGS.size + 1))
+        takers = set(sweep.rho_errors.astype(int).tolist())
+        assert takers <= pool | {os.getpid()}
+        assert takers & pool, "no worker took a point"
+
+    def test_stand_in_that_cannot_be_pickled_sees_every_point(self, workers, monkeypatch):
+        from twpacorr import acquisition, linewidth
+
+        expected = self.alone(monkeypatch)
+        streams, asked = [], []
+
+        def run(*args, stream, **kwargs):
+            streams.append(stream)
+            return run_experiment(*args, stream=stream, **kwargs)
+
+        def process_count(n_items):
+            asked.append(n_items)
+            return 3
+
+        monkeypatch.setattr(linewidth, "run_experiment", run)
+        monkeypatch.setattr(acquisition, "_process_count", process_count)
+        with deadline(120):
+            (sweep,) = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS[:1])
+        # The points stay here, in order, and each run still splits its shots:
+        # the split rule is asked for the calibration, the points, then each point.
+        assert streams == list(range(self.DETUNINGS.size + 1))
+        n_shots, points = self.ACQ.n_shots, self.DETUNINGS.size
+        assert asked == [n_shots, points * n_shots] + [n_shots] * points
+        assert len(workers._started) == 2
+        self.assert_same_sweep(sweep, expected)
 
     def test_worker_dying_mid_sweep_makes_the_sweep_raise(self, workers, monkeypatch):
         from twpacorr import acquisition, linewidth
 
-        real_run, parent = linewidth.run_experiment, os.getpid()
-
-        def run(*args, stream, **kwargs):
-            if stream > 0:
-                if os.getpid() != parent:
-                    os._exit(1)
-                time.sleep(0.2)  # the worker takes a point meanwhile
-            return real_run(*args, stream=stream, **kwargs)
-
-        monkeypatch.setattr(linewidth, "run_experiment", run)
+        monkeypatch.setattr(linewidth, "run_experiment", run_dying_in_a_worker)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 2)
         with deadline(60), pytest.raises(RuntimeError, match="worker process exited"):
             sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS)

@@ -62,12 +62,9 @@ def test_benchmark_counters_still_read_the_package(tmp_path, monkeypatch):
     # alphas, n_iterations); a signature change would zero them silently.
     from click.testing import CliRunner
 
-    from twpacorr import acquisition, cli, estimators, linewidth
+    from twpacorr import cli, estimators, linewidth
     from test_cli import BASE_CONFIG, write_config
 
-    # The tracer sees only the calls of this process, not those that a
-    # worker makes for the sweep points or dump chunks that it takes.
-    monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 1)
     monkeypatch.syspath_prepend(str(SPANS.parent))
     spans = importlib.import_module("spans")
     cases = [{"window": "rectangular", "tau": 6.0e-6}, {"window": "gaussian", "tau": 6.0e-6}]
