@@ -546,8 +546,8 @@ class _Workers:
     """Forked processes that help with a task of items, started when a task first needs them.
 
     A task of ``n_items`` items, shots or table rows, uses
-    ``_process_count(n_items) - 1`` of them, so only a caller that is the
-    process's one Python thread starts or uses a worker. Each worker
+    ``_process_count(n_items) - 1`` of them or fewer, so only a caller that is
+    the process's one Python thread starts or uses a worker. Each worker
     has its own pipe, and all share one chunk counter with the parent. A
     task carries everything else the worker reads, since module state in a
     worker may be older than the parent's. The workers are daemons: they are
@@ -606,11 +606,11 @@ class _Workers:
         as it makes them, then each worker's, so not in the order of their
         starts. An exception that a chunk raises in a worker is raised here,
         as in one process; the workers are then stopped, as when one exits
-        during the task.
+        during the task. A task runs in no more processes than it has chunks.
         """
         global _inside_task
         outer = _inside_task
-        helpers = 0 if outer else _process_count(n_items) - 1
+        helpers = 0 if outer else max(min(_process_count(n_items), -(-n_items // chunk_size)) - 1, 0)
         task = _pickled((chunk, args, n_items, chunk_size)) if helpers else None
         connections = [] if task is None else self._connections(helpers)
         starts = range(0, n_items, chunk_size)

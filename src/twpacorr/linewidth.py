@@ -12,7 +12,8 @@ over the models' analytic Jacobian that takes any residual function. It
 stops on a relative cost change of FIT_OBJECTIVE_TOLERANCE, and reports a
 fit that used up FIT_MAX_EVALUATIONS residual evaluations as unconverged.
 :func:`fit_model` runs it in the detuning over the sweep's largest
-|detuning|, so that a fit does not depend on the span's magnitude.
+|detuning|, so that a fit does not depend on the span's magnitude, from one
+start for every model: the lowest profile cost on a grid of scales.
 
 The sinc convention is fixed to sinc(x) = sin(x)/x with sinc(0) = 1; every
 half-max and lobe constant below follows from that choice.
@@ -46,6 +47,8 @@ GAUSSIAN_HALF_MAX_ARG = math.sqrt(2.0 * math.log(2.0))
 GAUSSIAN_TAIL_START = 1.5
 
 MAX_AMPLITUDE = 1.05
+#: Least fitted scale s = xi max|df|: a model varies by under 5e-5 over the sweep.
+MIN_SCALE = 1e-2
 FIT_MAX_EVALUATIONS = 200
 FIT_OBJECTIVE_TOLERANCE = 1e-9
 
@@ -206,7 +209,7 @@ def sweep_detuning(
     acquires the points it takes and keeps only their rho and its SE. A
     point runs in one process, so the pool holds up to ``_MAX_PROCESSES``
     points' quadratures at once, and a grid of fewer points than processes
-    leaves the rest idle. The task carries ``run_experiment`` and
+    starts one process per point. The task carries ``run_experiment`` and
     ``inferred_pearson`` as this module names them, so every process calls
     a stand-in for either; one that cannot be pickled, a local function or
     a tracer's wrapper, keeps the points in this process (``_Workers.run``).
@@ -273,44 +276,46 @@ def sweep_detuning(
     ]
 
 
-def _initial_guess(model: str, detunings: np.ndarray, magnitudes: np.ndarray) -> tuple[float, float]:
-    """Amplitude from the peak, scale from the half-max crossing of the raw curve."""
-    amplitude = float(magnitudes.max())
-    order = np.argsort(np.abs(detunings))
-    abs_detuning = np.abs(detunings)[order]
-    values = magnitudes[order]
-    half = amplitude / 2.0
-    half_crossing = abs_detuning[-1] if abs_detuning[-1] > 0 else 1.0
-    below = np.nonzero(values <= half)[0]
-    for index in below:
-        if index == 0:
-            continue
-        lo, hi = values[index - 1], values[index]
-        if hi == lo:
-            half_crossing = abs_detuning[index]
-        else:
-            fraction = (lo - half) / (lo - hi)
-            half_crossing = abs_detuning[index - 1] + fraction * (
-                abs_detuning[index] - abs_detuning[index - 1]
-            )
-        break
-    constant = SINC_HALF_MAX_ARG if model == "abs_sinc" else GAUSSIAN_HALF_MAX_ARG
-    return amplitude, constant / half_crossing
+def _profile_start(model: str, detunings: np.ndarray, magnitudes: np.ndarray, weights: np.ndarray) -> list[float]:
+    """[amplitude, scale] at the lowest point of the profile cost on a grid of scales s.
+
+    At each s the amplitude is the weighted least-squares one, (m w^2 y) /
+    (m w^2 m) for the model m at unit amplitude, clipped to the fit's box
+    (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973). The grid: 200 log-spaced scales from MIN_SCALE to 1e3, then +-10 %
+    about the best in steps of pi / (16 sum|u_k|), a sixteenth of the mean
+    spacing of the |sinc| kinks, at most 2049 scales, 2**16 values a block.
+    """
+    w2y, w2 = weights**2 * magnitudes, weights**2
+
+    def lowest(scales: np.ndarray) -> list[float]:
+        blocks = np.array_split(scales[:, np.newaxis], -(-scales.size * detunings.size // 2**16))
+        models = (model_prediction(model, detunings, 1.0, block) for block in blocks)
+        mwy, mwm = map(np.concatenate, zip(*((m @ w2y, np.square(m) @ w2) for m in models)))
+        amplitudes = np.clip(mwy / np.maximum(mwm, np.finfo(float).tiny), 1e-12, MAX_AMPLITUDE)
+        k = np.argmin(amplitudes * (amplitudes * mwm - 2.0 * mwy))  # the cost less sum(w^2 y^2)
+        return [amplitudes[k], scales[k]]
+
+    coarse = lowest(MIN_SCALE * np.logspace(0.0, 5.0, 200))[1]
+    half = min(math.ceil(0.1 * coarse * 16.0 * np.abs(detunings).sum() / math.pi), 1024)
+    return lowest(np.linspace(0.9 * coarse, 1.1 * coarse, 2 * half + 1))
 
 
 def _least_squares(residuals, jacobian, x0, lower, upper) -> tuple[np.ndarray, bool, int]:
     """Minimize |residuals(x)|^2 over the box [lower, upper] by Levenberg-Marquardt.
 
     Each step solves (J_f^T J_f + lambda diag(J_f^T J_f)) dx = -J_f^T r over
-    the free parameters f, those not held at a bound by a gradient that
-    points out of the box, and is clipped to the box (Marquardt, SIAM J.
-    Appl. Math. 11, 431, 1963). A step that does not raise the cost is taken
-    and divides lambda by 10; one that does is refused and multiplies it by
-    10. The solver stops converged when a taken step lowers the cost by at
-    most FIT_OBJECTIVE_TOLERANCE of it, when a step moves x by at most 1e-14
-    of |x|, or when the free gradient vanishes; it stops unconverged when a
-    step would need more than FIT_MAX_EVALUATIONS residual evaluations.
-    Returns (x, converged, residual evaluations).
+    the free parameters f, and is clipped to the box (Marquardt, SIAM J.
+    Appl. Math. 11, 431, 1963). A parameter is held, not free, at a bound by
+    a gradient that points out of the box, and wherever its Jacobian column
+    vanishes, which would make the normal matrix singular. A step that does
+    not raise the cost is taken and divides lambda by 10; one that does is
+    refused and multiplies it by 10. The solver stops converged when a taken
+    step lowers the cost by at most FIT_OBJECTIVE_TOLERANCE of it, when a
+    step moves x by at most 1e-14 of |x|, or when the free gradient
+    vanishes; it stops unconverged when a step would need more than
+    FIT_MAX_EVALUATIONS residual evaluations. Returns (x, converged,
+    residual evaluations).
     """
     x = np.clip(np.asarray(x0, dtype=float), lower, upper)
     r = residuals(x)
@@ -320,12 +325,14 @@ def _least_squares(residuals, jacobian, x0, lower, upper) -> tuple[np.ndarray, b
     while True:
         J = jacobian(x)
         gradient = J.T @ r
+        normal = J.T @ J
         free = ~(((x <= lower) & (gradient > 0.0)) | ((x >= upper) & (gradient < 0.0)))
+        free &= np.diag(normal) > 0.0
         if not np.any(gradient[free]):
             return x, True, n_evaluations
         if n_evaluations >= FIT_MAX_EVALUATIONS:
             return x, False, n_evaluations
-        normal = (J.T @ J)[np.ix_(free, free)]
+        normal = normal[np.ix_(free, free)]
         step = np.zeros_like(x)
         step[free] = np.linalg.solve(normal + damping * np.diag(np.diag(normal)), -gradient[free])
         trial = np.clip(x + step, lower, upper)
@@ -350,16 +357,17 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
     The model m follows the sweep's window shape (:data:`MODEL_FOR_SHAPE`).
     Minimizes sum(((|rho_k| - m(df_k)) / se_k)^2) with inverse-variance
     weights when per-point errors are available (unweighted otherwise),
-    starting from the curve's peak and its half-maximum crossing.
-    Follows the magnitude of the correlation since the analysis always
-    targets the maximum positive correlation.
+    from the lowest profile cost on a grid of scales, for every model
+    (:func:`_profile_start`). Follows the magnitude of the correlation since
+    the analysis always targets the maximum positive correlation.
 
     The fit runs in the normalized detuning u = df / max|df| with scale
     s = xi max|df|, so that its arithmetic does not depend on the span's
     magnitude, and reports xi = s / max|df|. The solver is
-    :func:`_least_squares` with A in [1e-12, MAX_AMPLITUDE] and xi >= 1e-15;
+    :func:`_least_squares` with A in [1e-12, MAX_AMPLITUDE] and s >= MIN_SCALE.
     ``converged`` is false when it ran out of its FIT_MAX_EVALUATIONS
-    residual evaluations, and ``n_iterations`` counts those evaluations.
+    residual evaluations, or when s ends on MIN_SCALE: no width resolved.
+    ``n_iterations`` counts the solver's residual evaluations, not the grid.
     """
     model = MODEL_FOR_SHAPE[sweep.window.shape]
     reach = float(np.max(np.abs(sweep.detunings)))
@@ -370,33 +378,24 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
     if float(np.ptp(magnitudes)) < 1e-12:
         raise ValueError("flat sweep: cannot fit a linewidth model to constant data")
 
-    errors = np.asarray(sweep.rho_errors, dtype=float)
-    if errors.size == magnitudes.size and np.all(np.isfinite(errors)) and np.all(errors > 0.0):
-        weights = 1.0 / errors
-    else:
-        weights = np.ones_like(magnitudes)
-
-    amplitude0, scale0 = _initial_guess(model, detunings, magnitudes)
-    amplitude0 = min(max(amplitude0, 1e-9), MAX_AMPLITUDE)
-    scale0 = max(scale0, 1e-12 * reach)
+    errors = sweep.rho_errors
+    weights = 1.0 / errors if np.all(np.isfinite(errors) & (errors > 0.0)) else np.ones_like(magnitudes)
 
     def residuals(params: np.ndarray) -> np.ndarray:
-        amplitude, scale = params
-        return (magnitudes - model_prediction(model, detunings, amplitude, scale)) * weights
+        return (magnitudes - model_prediction(model, detunings, *params)) * weights
 
     def jacobian(params: np.ndarray) -> np.ndarray:
-        amplitude, scale = params
-        return -_model_jacobian(model, detunings, amplitude, scale) * weights[:, np.newaxis]
+        return -_model_jacobian(model, detunings, *params) * weights[:, np.newaxis]
 
     (amplitude, scale), converged, n_evaluations = _least_squares(
         residuals,
         jacobian,
-        [amplitude0, scale0],
-        np.array([1e-12, 1e-15 * reach]),
+        _profile_start(model, detunings, magnitudes, weights),
+        np.array([1e-12, MIN_SCALE]),
         np.array([MAX_AMPLITUDE, np.inf]),
     )
-    fit_residuals = magnitudes - model_prediction(model, detunings, amplitude, scale)
-    residual_rms = float(np.sqrt(np.mean(fit_residuals**2)))
+    converged = bool(converged and scale > MIN_SCALE)
+    residual_rms = float(np.sqrt(np.mean((magnitudes - model_prediction(model, detunings, amplitude, scale)) ** 2)))
     amplitude, scale = float(amplitude), float(scale) / reach
     snr = amplitude / residual_rms if residual_rms > 0.0 else math.inf
     return LinewidthFit(

@@ -196,8 +196,9 @@ class TestSplitTables:
         for _ in range(2):
             with deadline(60):
                 _write_csv(tmp_path / "split.csv", {"seed": 1}, names, columns)
-            # An empty table has no block to share out.
-            assert len(workers._started) == (2 if n_rows else 0)
+            # One worker per block beyond the first, at most two: an empty
+            # table and a table of one block stay in this process.
+            assert len(workers._started) == max(min(3, -(-n_rows // _CHUNK_SHOTS)) - 1, 0)
             assert (tmp_path / "split.csv").read_bytes() == expected.encode()
 
     def outputs_at(self, monkeypatch, tmp_path, config: str, command: list, count: int) -> Path:
@@ -656,16 +657,17 @@ class TestLinewidthCommand:
         detunings = [float(r.split(",")[0]) for r in rows]
         assert detunings[0] == -2e5 and detunings[-1] == 2e5
 
-    def run_at_span(self, tmp_path, span):
-        out = tmp_path / f"run-{span}"
+    def run_at_span(self, tmp_path, span, seed=42, exit_code=0):
+        out = tmp_path / f"run-{span}-{seed}"
+        config = str(write_config(tmp_path))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             result = CliRunner().invoke(
-                main,
-                ["linewidth", "--config", str(write_config(tmp_path)), "--out", str(out), "--span", span],
+                main, ["linewidth", "--config", config, "--out", str(out), "--span", span, "--seed", str(seed)]
             )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == exit_code, result.output
         assert "Warning" not in result.output
+        assert "numerical failure" not in result.output
         header, row = read_csv_rows(out / "fits.csv")
         rho = [line.split(",")[1:] for line in read_csv_rows(out / "linewidth_rectangular_6us.csv")[1:]]
         return dict(zip(header.split(","), row.split(","))), rho
@@ -675,6 +677,17 @@ class TestLinewidthCommand:
         fit, _ = self.run_at_span(tmp_path, span)
         assert fit["converged"] == "true"
         assert math.isfinite(float(fit["xi_s"])) and math.isfinite(float(fit["fwhm_hz"]))
+
+    # Spans well below the window's linewidth resolve no width: the scale
+    # falls to its bound, where the scale's Jacobian column vanishes.
+    @pytest.mark.parametrize("seed,span", [(3, "1e-200"), (5, "1e-200"), (7, "1e-200"), (3, "3e4")])
+    def test_fit_on_the_least_scale_is_not_converged(self, tmp_path, seed, span):
+        from twpacorr.linewidth import MIN_SCALE
+
+        fit, rho = self.run_at_span(tmp_path, span, seed, exit_code=3)
+        assert len(rho) == BASE_CONFIG["linewidth"]["points"]
+        assert fit["converged"] == "false"
+        assert float(fit["xi_s"]) * float(span) / 2.0 == pytest.approx(MIN_SCALE, rel=1e-8)
 
     def test_fit_scales_with_the_span(self, tmp_path):
         # Both spans are far below any detuning the simulation resolves, so

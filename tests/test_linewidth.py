@@ -23,11 +23,13 @@ from twpacorr import (
 from twpacorr.linewidth import (
     GAUSSIAN_HALF_MAX_ARG,
     MAX_AMPLITUDE,
+    MIN_SCALE,
     SINC_FIRST_LOBE_ARG,
     SINC_FIRST_LOBE_LEVEL,
     SINC_HALF_MAX_ARG,
-    _initial_guess,
+    _least_squares,
     _model_jacobian,
+    _profile_start,
 )
 
 from conftest import deadline, make_acquisition, make_band
@@ -173,7 +175,8 @@ class TestFitModel:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_tight_scipy_fit(self, seed, model, amplitude, scale, weighted):
         # scipy's bounded trust-region solver at tolerances far below the
-        # fit's, from the same start, on the raw detunings.
+        # fit's, from the same start, on the raw detunings: the profile-cost
+        # start in detuning over the span's edge, scaled back to xi.
         sweep = noisy_sweep(seed, model, amplitude, scale, weighted)
         fit = fit_model(sweep)
         detunings, values = sweep.detunings, sweep.rho_values
@@ -185,10 +188,11 @@ class TestFitModel:
         def jacobian(params):
             return -_model_jacobian(model, detunings, *params) * weights[:, np.newaxis]
 
-        amplitude0, scale0 = _initial_guess(model, detunings, values)
+        reach = np.max(np.abs(detunings))
+        amplitude0, scale0 = _profile_start(model, detunings / reach, values, weights)
         reference = least_squares(
             residuals,
-            [min(amplitude0, MAX_AMPLITUDE), scale0],
+            [amplitude0, scale0 / reach],
             jac=jacobian,
             bounds=([1e-12, 1e-15], [MAX_AMPLITUDE, np.inf]),
             ftol=1e-15,
@@ -203,6 +207,50 @@ class TestFitModel:
         assert fit.scale_xi == pytest.approx(reference.x[1], rel=1e-7)
         cost = np.sum(residuals([fit.amplitude, fit.scale_xi]) ** 2)
         assert cost <= np.sum(reference.fun**2) * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize(
+        "amplitude,weighted,lowest",
+        [(0.93, False, 0.0083343393), (1.08, True, 21.883315287), (1.08, False, 0.0091044979)],
+    )
+    def test_reaches_the_lowest_profile_cost(self, amplitude, weighted, lowest):
+        # Sweeps with a side basin of the |sinc| cost next to the lowest one.
+        sweep = noisy_sweep(1, "abs_sinc", amplitude, 1.9e-5, weighted)
+        values = sweep.rho_values
+        weights = 1.0 / sweep.rho_errors if weighted else np.ones_like(values)
+        fit = fit_model(sweep)
+        fitted = model_prediction("abs_sinc", sweep.detunings, fit.amplitude, fit.scale_xi)
+        cost = np.sum(((values - fitted) * weights) ** 2)
+        # The dense reference: at every xi the best clipped amplitude, in closed form.
+        profile = math.inf
+        for xi in np.array_split(np.geomspace(1e-7, 1e-3, 200_000), 40):
+            m = model_prediction("abs_sinc", sweep.detunings, 1.0, xi[:, np.newaxis]) * weights
+            a = np.clip(m @ (values * weights) / np.sum(m * m, axis=1), 1e-12, MAX_AMPLITUDE)
+            profile = min(profile, np.min(np.sum((values * weights - a[:, np.newaxis] * m) ** 2, axis=1)))
+        assert profile == pytest.approx(lowest, rel=1e-8)
+        assert fit.converged
+        assert cost <= profile * (1.0 + 1e-9)
+
+    def test_scale_on_its_lower_bound_is_not_converged(self):
+        # A dip at zero detuning is best fitted by a flat model: no width resolved.
+        detunings = np.linspace(-3e5, 3e5, 13)
+        values = 0.5 + 0.2 * (detunings / 3e5) ** 2
+        fit = fit_model(DetuningSweep(detunings, values, np.full(13, 0.01), WindowSpec("rectangular", TAU)))
+        assert fit.scale_xi == MIN_SCALE / 3e5
+        assert not fit.converged
+
+    def test_parameter_that_moves_no_residual_is_held(self):
+        # A zero Jacobian column would make the normal matrix singular.
+        target = np.array([1.0, 2.0, 4.0])
+        x, converged, _ = _least_squares(
+            lambda x: x[0] - target,
+            lambda x: np.column_stack([np.ones(3), np.zeros(3)]),
+            [0.0, 5.0],
+            np.array([-10.0, -10.0]),
+            np.array([10.0, 10.0]),
+        )
+        assert converged
+        assert x[0] == pytest.approx(7.0 / 3.0, rel=1e-9)
+        assert x[1] == 5.0
 
     def test_running_out_of_evaluations_is_not_converged(self, monkeypatch):
         monkeypatch.setattr(linewidth_module, "FIT_MAX_EVALUATIONS", 2)
@@ -447,6 +495,27 @@ class TestSplitSweep:
         assert isinstance(failed, ValueError) and str(failed) == "synthetic failure on stream 3"
         self.assert_same_sweep(rectangular, expected)
 
+    def test_two_points_start_one_worker(self, workers, monkeypatch):
+        from twpacorr import acquisition, linewidth
+
+        expected = self.alone(monkeypatch)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 3)
+        n_shots, outcomes = self.ACQ.n_shots, {}
+        task = (run_experiment, inferred_pearson, self.BAND, self.ACQ, self.DETUNINGS[:2], self.WINDOWS[:1])
+        with deadline(120):
+            workers.run(
+                linewidth._measure_points,
+                (*task, [expected.alpha_star]),
+                2 * n_shots,
+                outcomes.__setitem__,
+                chunk_size=n_shots,
+            )
+        # Two chunks: the points task starts one worker, not two.
+        assert len(workers._started) == 1
+        assert outcomes == {
+            k * n_shots: [(expected.rho_values[k], expected.rho_errors[k])] for k in range(2)
+        }
+
     def test_workers_call_the_stand_ins_the_task_carries(self, workers, monkeypatch):
         from twpacorr import acquisition, linewidth
 
@@ -486,7 +555,8 @@ class TestSplitSweep:
         assert streams == list(range(self.DETUNINGS.size + 1))
         n_shots, points = self.ACQ.n_shots, self.DETUNINGS.size
         assert asked == [n_shots, points * n_shots] + [n_shots] * points
-        assert len(workers._started) == 2
+        # A run's 300 shots are two chunks, which one worker shares.
+        assert len(workers._started) == 1
         self.assert_same_sweep(sweep, expected)
 
     def test_worker_dying_mid_sweep_makes_the_sweep_raise(self, workers, monkeypatch):
