@@ -324,7 +324,7 @@ def parse_config(
     values = _read(flat)
 
     twpa = _checked(
-        {"gain_signal": "twpa.gain_signal", "gain_idler": "twpa.gain_idler"},
+        {"gain_signal": "twpa.gain_signal", "gain_idler": "twpa.gain_idler", "phase_mismatch": "twpa.phase_mismatch_deg"},
         TwpaParams,
         values["twpa.gain_signal"],
         values["twpa.gain_idler"],
@@ -338,8 +338,9 @@ def parse_config(
         values["band.bin_spacing"],
     )
     acquisition_fields = ("n_shots", "chain_gain_signal", "chain_gain_idler", "added_noise_quanta")
+    angles = {name: f"acquisition.{name}_deg" for name in ("lo_phase_signal", "lo_phase_idler")}
     acquisition = _checked(
-        {"seed": "seed", **{name: f"acquisition.{name}" for name in acquisition_fields}},
+        {"seed": "seed", **angles, **{name: f"acquisition.{name}" for name in acquisition_fields}},
         AcquisitionConfig,
         window=_window(values, "acquisition.window", "shape"),
         seed=values["seed"],

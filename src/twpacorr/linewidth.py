@@ -7,13 +7,13 @@ frequency-domain response with the model its window shape fixes,
 for gaussian ones (:data:`MODEL_FOR_SHAPE`), and reduces fits to FWHM, SNR
 and side-lobe figures for window comparisons.
 
-Fits use :func:`_least_squares`, a box-bounded Levenberg-Marquardt solver
-over the models' analytic Jacobian that takes any residual function. It
-stops on a relative cost change of FIT_OBJECTIVE_TOLERANCE, and reports a
-fit that used up FIT_MAX_EVALUATIONS residual evaluations as unconverged.
-:func:`fit_model` runs it in the detuning over the sweep's largest
-|detuning|, so that a fit does not depend on the span's magnitude, from one
-start for every model: the lowest profile cost on a grid of scales.
+Fits use variable projection: at each trial scale the amplitude is the
+weighted least-squares one in closed form, clipped to its box, which leaves
+a profile cost of the scale alone. :func:`fit_model` searches it on a grid,
+then halves a bracket on the profile's slope, in the detuning over the
+sweep's largest |detuning|, so that a fit does not depend on the span's
+magnitude. Every model is an amplitude times a one-parameter shape, so this
+one 1-D search serves them all.
 
 The sinc convention is fixed to sinc(x) = sin(x)/x with sinc(0) = 1; every
 half-max and lobe constant below follows from that choice.
@@ -49,8 +49,8 @@ GAUSSIAN_TAIL_START = 1.5
 MAX_AMPLITUDE = 1.05
 #: Least fitted scale s = xi max|df|: a model varies by under 5e-5 over the sweep.
 MIN_SCALE = 1e-2
-FIT_MAX_EVALUATIONS = 200
-FIT_OBJECTIVE_TOLERANCE = 1e-9
+#: A fit stops halving when its bracket on the scale is narrower than this fraction of it.
+FIT_SCALE_TOLERANCE = 1e-6
 
 
 def check_grid(detunings: np.ndarray) -> None:
@@ -277,7 +277,7 @@ def sweep_detuning(
 
 
 def _profile_start(model: str, detunings: np.ndarray, magnitudes: np.ndarray, weights: np.ndarray) -> list[float]:
-    """[amplitude, scale] at the lowest point of the profile cost on a grid of scales s.
+    """[amplitude, scale, step]: the lowest point of the profile cost on a grid of scales s, and the grid's step.
 
     At each s the amplitude is the weighted least-squares one, (m w^2 y) /
     (m w^2 m) for the model m at unit amplitude, clipped to the fit's box
@@ -298,57 +298,7 @@ def _profile_start(model: str, detunings: np.ndarray, magnitudes: np.ndarray, we
 
     coarse = lowest(MIN_SCALE * np.logspace(0.0, 5.0, 200))[1]
     half = min(math.ceil(0.1 * coarse * 16.0 * np.abs(detunings).sum() / math.pi), 1024)
-    return lowest(np.linspace(0.9 * coarse, 1.1 * coarse, 2 * half + 1))
-
-
-def _least_squares(residuals, jacobian, x0, lower, upper) -> tuple[np.ndarray, bool, int]:
-    """Minimize |residuals(x)|^2 over the box [lower, upper] by Levenberg-Marquardt.
-
-    Each step solves (J_f^T J_f + lambda diag(J_f^T J_f)) dx = -J_f^T r over
-    the free parameters f, and is clipped to the box (Marquardt, SIAM J.
-    Appl. Math. 11, 431, 1963). A parameter is held, not free, at a bound by
-    a gradient that points out of the box, and wherever its Jacobian column
-    vanishes, which would make the normal matrix singular. A step that does
-    not raise the cost is taken and divides lambda by 10; one that does is
-    refused and multiplies it by 10. The solver stops converged when a taken
-    step lowers the cost by at most FIT_OBJECTIVE_TOLERANCE of it, when a
-    step moves x by at most 1e-14 of |x|, or when the free gradient
-    vanishes; it stops unconverged when a step would need more than
-    FIT_MAX_EVALUATIONS residual evaluations. Returns (x, converged,
-    residual evaluations).
-    """
-    x = np.clip(np.asarray(x0, dtype=float), lower, upper)
-    r = residuals(x)
-    cost = float(r @ r)
-    n_evaluations = 1
-    damping = 1e-3
-    while True:
-        J = jacobian(x)
-        gradient = J.T @ r
-        normal = J.T @ J
-        free = ~(((x <= lower) & (gradient > 0.0)) | ((x >= upper) & (gradient < 0.0)))
-        free &= np.diag(normal) > 0.0
-        if not np.any(gradient[free]):
-            return x, True, n_evaluations
-        if n_evaluations >= FIT_MAX_EVALUATIONS:
-            return x, False, n_evaluations
-        normal = normal[np.ix_(free, free)]
-        step = np.zeros_like(x)
-        step[free] = np.linalg.solve(normal + damping * np.diag(np.diag(normal)), -gradient[free])
-        trial = np.clip(x + step, lower, upper)
-        r_trial = residuals(trial)
-        n_evaluations += 1
-        cost_trial = float(r_trial @ r_trial)
-        small_step = np.linalg.norm(trial - x) <= 1e-14 * np.linalg.norm(x)
-        if cost_trial > cost:
-            if small_step:
-                return x, True, n_evaluations
-            damping *= 10.0
-            continue
-        if small_step or cost - cost_trial <= FIT_OBJECTIVE_TOLERANCE * cost:
-            return trial, True, n_evaluations
-        x, r, cost = trial, r_trial, cost_trial
-        damping /= 10.0
+    return [*lowest(np.linspace(0.9 * coarse, 1.1 * coarse, 2 * half + 1)), 0.1 * coarse / half]
 
 
 def fit_model(sweep: DetuningSweep) -> LinewidthFit:
@@ -356,18 +306,25 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
 
     The model m follows the sweep's window shape (:data:`MODEL_FOR_SHAPE`).
     Minimizes sum(((|rho_k| - m(df_k)) / se_k)^2) with inverse-variance
-    weights when per-point errors are available (unweighted otherwise),
-    from the lowest profile cost on a grid of scales, for every model
-    (:func:`_profile_start`). Follows the magnitude of the correlation since
-    the analysis always targets the maximum positive correlation.
+    weights when per-point errors are available (unweighted otherwise).
+    Follows the magnitude of the correlation since the analysis always
+    targets the maximum positive correlation.
 
     The fit runs in the normalized detuning u = df / max|df| with scale
     s = xi max|df|, so that its arithmetic does not depend on the span's
-    magnitude, and reports xi = s / max|df|. The solver is
-    :func:`_least_squares` with A in [1e-12, MAX_AMPLITUDE] and s >= MIN_SCALE.
-    ``converged`` is false when it ran out of its FIT_MAX_EVALUATIONS
-    residual evaluations, or when s ends on MIN_SCALE: no width resolved.
-    ``n_iterations`` counts the solver's residual evaluations, not the grid.
+    magnitude, and reports xi = s / max|df|. It minimizes the profile cost
+    phi(s), the cost at the clipped least-squares amplitude A(s), over
+    s >= MIN_SCALE. From the lowest point of phi on a grid of scales
+    (:func:`_profile_start`), it halves a bracket one grid step either side
+    of it, with its lower end raised to MIN_SCALE, on the sign of the slope
+    phi'(s) = -2A (w^2 (y - A m)) dm/ds, which holds at a clipped A too,
+    until the bracket is narrower than FIT_SCALE_TOLERANCE of its upper
+    end. Where halving has moved both ends, the fit ends on the zero of phi'
+    interpolated linearly between them, otherwise on the lower end; or on
+    the grid's best, where that costs less: a |sinc| kink in the bracket
+    can lead the halving away from it. ``converged`` is false when s ends
+    on MIN_SCALE: no width resolved. ``n_iterations`` counts the halvings,
+    not the grid.
     """
     model = MODEL_FOR_SHAPE[sweep.window.shape]
     reach = float(np.max(np.abs(sweep.detunings)))
@@ -380,21 +337,33 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
 
     errors = sweep.rho_errors
     weights = 1.0 / errors if np.all(np.isfinite(errors) & (errors > 0.0)) else np.ones_like(magnitudes)
+    w2y, w2 = weights**2 * magnitudes, weights**2
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        return (magnitudes - model_prediction(model, detunings, *params)) * weights
+    def profile(scale: float) -> tuple[float, float, float]:
+        # (phi, phi', A) at s: _model_jacobian's columns at unit amplitude are m and dm/ds.
+        m, dm = _model_jacobian(model, detunings, 1.0, scale).T
+        amplitude = min(max(m @ w2y / max(m @ (w2 * m), np.finfo(float).tiny), 1e-12), MAX_AMPLITUDE)
+        residuals = magnitudes - amplitude * m
+        return float(w2 @ residuals**2), -2.0 * amplitude * float((w2 * residuals) @ dm), amplitude
 
-    def jacobian(params: np.ndarray) -> np.ndarray:
-        return -_model_jacobian(model, detunings, *params) * weights[:, np.newaxis]
-
-    (amplitude, scale), converged, n_evaluations = _least_squares(
-        residuals,
-        jacobian,
-        _profile_start(model, detunings, magnitudes, weights),
-        np.array([1e-12, MIN_SCALE]),
-        np.array([MAX_AMPLITUDE, np.inf]),
-    )
-    converged = bool(converged and scale > MIN_SCALE)
+    best, step = _profile_start(model, detunings, magnitudes, weights)[1:]
+    best = max(best, MIN_SCALE)
+    low, high = max(best - step, MIN_SCALE), best + step
+    slopes = [math.nan, math.nan]  # phi' at low and high, once a halving has moved them
+    n_halvings = 0
+    while high - low > FIT_SCALE_TOLERANCE * high:
+        middle = 0.5 * (low + high)
+        slope = profile(middle)[1]
+        if slope > 0.0:
+            high, slopes[1] = middle, slope
+        else:
+            low, slopes[0] = middle, slope
+        n_halvings += 1
+    if slopes[0] < 0.0 < slopes[1]:  # the zero of phi' between them, by linear interpolation
+        low -= slopes[0] * (high - low) / (slopes[1] - slopes[0])
+    # A |sinc| kink in the bracket can lead the halving away from the grid's best.
+    (_, _, amplitude), scale = min(((profile(s), s) for s in (low, best)), key=lambda pair: pair[0][0])
+    converged = bool(scale > MIN_SCALE)
     residual_rms = float(np.sqrt(np.mean((magnitudes - model_prediction(model, detunings, amplitude, scale)) ** 2)))
     amplitude, scale = float(amplitude), float(scale) / reach
     snr = amplitude / residual_rms if residual_rms > 0.0 else math.inf
@@ -406,7 +375,7 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
         snr=snr,
         residual_rms=residual_rms,
         converged=converged,
-        n_iterations=n_evaluations,
+        n_iterations=n_halvings,
     )
 
 

@@ -49,6 +49,7 @@ BAD_VALUES = [
     ("gain_idler-above-60dB", {"twpa.gain_idler": 1.000001e6}, "twpa.gain_idler"),
     ("phase_mismatch-text", {"twpa.phase_mismatch_deg": "ninety"}, "twpa.phase_mismatch_deg"),
     ("phase_mismatch-inf", {"twpa.phase_mismatch_deg": -INF}, "twpa.phase_mismatch_deg"),
+    ("phase_mismatch-1e308", {"twpa.phase_mismatch_deg": 1e308}, "twpa.phase_mismatch_deg"),
     ("halfwidth-text", {"band.halfwidth": "wide"}, "band.halfwidth"),
     ("halfwidth-nan", {"band.halfwidth": NAN}, "band.halfwidth"),
     ("halfwidth-zero", {"band.halfwidth": 0.0}, "band.halfwidth"),
@@ -71,8 +72,10 @@ BAD_VALUES = [
     ("n_shots-huge", {"acquisition.n_shots": 10**12}, "acquisition.n_shots"),
     ("lo_signal-text", {"acquisition.lo_phase_signal_deg": "x"}, "acquisition.lo_phase_signal_deg"),
     ("lo_signal-nan", {"acquisition.lo_phase_signal_deg": NAN}, "acquisition.lo_phase_signal_deg"),
+    ("lo_signal--1e308", {"acquisition.lo_phase_signal_deg": -1e308}, "acquisition.lo_phase_signal_deg"),
     ("lo_idler-list", {"acquisition.lo_phase_idler_deg": [0.0]}, "acquisition.lo_phase_idler_deg"),
     ("lo_idler-inf", {"acquisition.lo_phase_idler_deg": INF}, "acquisition.lo_phase_idler_deg"),
+    ("lo_idler-1e308", {"acquisition.lo_phase_idler_deg": 1e308}, "acquisition.lo_phase_idler_deg"),
     ("chain_signal-text", {"acquisition.chain_gain_signal": "high"}, "acquisition.chain_gain_signal"),
     ("chain_signal-nan", {"acquisition.chain_gain_signal": NAN}, "acquisition.chain_gain_signal"),
     ("chain_signal-zero", {"acquisition.chain_gain_signal": 0.0}, "acquisition.chain_gain_signal"),

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-import twpacorr.linewidth as linewidth_module
 from twpacorr import (
     DetuningSweep,
     WindowSpec,
@@ -27,7 +26,6 @@ from twpacorr.linewidth import (
     SINC_FIRST_LOBE_ARG,
     SINC_FIRST_LOBE_LEVEL,
     SINC_HALF_MAX_ARG,
-    _least_squares,
     _model_jacobian,
     _profile_start,
 )
@@ -189,7 +187,7 @@ class TestFitModel:
             return -_model_jacobian(model, detunings, *params) * weights[:, np.newaxis]
 
         reach = np.max(np.abs(detunings))
-        amplitude0, scale0 = _profile_start(model, detunings / reach, values, weights)
+        amplitude0, scale0, _ = _profile_start(model, detunings / reach, values, weights)
         reference = least_squares(
             residuals,
             [amplitude0, scale0 / reach],
@@ -203,18 +201,25 @@ class TestFitModel:
         assert fit.converged
         if amplitude > MAX_AMPLITUDE:
             assert reference.x[0] == pytest.approx(MAX_AMPLITUDE, rel=1e-12)
-        assert fit.amplitude == pytest.approx(reference.x[0], rel=1e-7)
-        assert fit.scale_xi == pytest.approx(reference.x[1], rel=1e-7)
+        assert fit.amplitude == pytest.approx(reference.x[0], rel=1e-9)
+        assert fit.scale_xi == pytest.approx(reference.x[1], rel=1e-9)
         cost = np.sum(residuals([fit.amplitude, fit.scale_xi]) ** 2)
-        assert cost <= np.sum(reference.fun**2) * (1.0 + 1e-9)
+        assert cost <= np.sum(reference.fun**2) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize(
-        "amplitude,weighted,lowest",
-        [(0.93, False, 0.0083343393), (1.08, True, 21.883315287), (1.08, False, 0.0091044979)],
+        "seed,amplitude,weighted,lowest",
+        [
+            (1, 0.93, False, 0.0083343393),
+            (1, 1.08, True, 21.883315287),
+            (1, 1.08, False, 0.0091044979),
+            (44, 1.08, False, 0.013461891),
+        ],
     )
-    def test_reaches_the_lowest_profile_cost(self, amplitude, weighted, lowest):
-        # Sweeps with a side basin of the |sinc| cost next to the lowest one.
-        sweep = noisy_sweep(1, "abs_sinc", amplitude, 1.9e-5, weighted)
+    def test_reaches_the_lowest_profile_cost(self, seed, amplitude, weighted, lowest):
+        # Sweeps with a side basin of the |sinc| cost next to the lowest one
+        # (seed 1), or a kink of it in the bracket about the grid's best where
+        # the profile slope is negative at both ends (seed 44).
+        sweep = noisy_sweep(seed, "abs_sinc", amplitude, 1.9e-5, weighted)
         values = sweep.rho_values
         weights = 1.0 / sweep.rho_errors if weighted else np.ones_like(values)
         fit = fit_model(sweep)
@@ -237,28 +242,6 @@ class TestFitModel:
         fit = fit_model(DetuningSweep(detunings, values, np.full(13, 0.01), WindowSpec("rectangular", TAU)))
         assert fit.scale_xi == MIN_SCALE / 3e5
         assert not fit.converged
-
-    def test_parameter_that_moves_no_residual_is_held(self):
-        # A zero Jacobian column would make the normal matrix singular.
-        target = np.array([1.0, 2.0, 4.0])
-        x, converged, _ = _least_squares(
-            lambda x: x[0] - target,
-            lambda x: np.column_stack([np.ones(3), np.zeros(3)]),
-            [0.0, 5.0],
-            np.array([-10.0, -10.0]),
-            np.array([10.0, 10.0]),
-        )
-        assert converged
-        assert x[0] == pytest.approx(7.0 / 3.0, rel=1e-9)
-        assert x[1] == 5.0
-
-    def test_running_out_of_evaluations_is_not_converged(self, monkeypatch):
-        monkeypatch.setattr(linewidth_module, "FIT_MAX_EVALUATIONS", 2)
-        fit = fit_model(noisy_sweep(0, "abs_sinc", 0.93, 1.9e-5, weighted=True))
-        assert not fit.converged
-        assert fit.n_iterations == 2
-        assert 1e-12 <= fit.amplitude <= MAX_AMPLITUDE
-        assert fit.scale_xi >= 1e-15
 
 
 class TestCompareWindows:
