@@ -267,7 +267,8 @@ def simulate(config_path, out, seed, dump_traces) -> None:
             f"{dump_traces} traces asked, but acquisition.n_shots is {acq.n_shots}",
             param_hint="'--dump-traces'",
         )
-    (data,) = run_experiment(config.detuning, config.band, acq)
+    detuning = config.values["frequency.detuning"]
+    (data,) = run_experiment(detuning, config.band, acq)
     on = estimate_covariance(data.on)
     off = estimate_covariance(data.off)
     inferred = infer_tmsvs(on, off, acq.chain_gain_signal, acq.chain_gain_idler)
@@ -282,7 +283,7 @@ def simulate(config_path, out, seed, dump_traces) -> None:
     try:
         summary = {
             "n_shots": acq.n_shots,
-            "detuning_hz": config.detuning,
+            "detuning_hz": detuning,
             "rho_xx": pearson_xx(inferred),
             "squeezing_db": squeezing_db(inferred),
             "physicality_min_eigenvalue": physicality_min_eigenvalue(inferred),
@@ -300,7 +301,7 @@ def simulate(config_path, out, seed, dump_traces) -> None:
             meta,
             TRACE_COLUMNS,
             _trace_blocks,
-            (synthesize_baseband_pair, config.band, config.detuning, acq.window, acq.seed),
+            (synthesize_baseband_pair, config.band, detuning, acq.window, acq.seed),
             dump_traces,
         )
 
@@ -345,8 +346,8 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
     """
     config = _load(config_path, out, {"seed": seed, "phase_sweep.points": points}, sweep=False)
     acq = config.acquisition
-    alphas_deg = np.linspace(0.0, 360.0, config.phase_points)
-    (data,) = run_experiment(config.detuning, config.band, acq)
+    alphas_deg = np.linspace(0.0, 360.0, config.values["phase_sweep.points"])
+    (data,) = run_experiment(config.values["frequency.detuning"], config.band, acq)
     try:
         result = phase_sweep(
             data.on, data.off, acq.chain_gain_signal, acq.chain_gain_idler, np.radians(alphas_deg)
@@ -363,7 +364,7 @@ def cmd_phase_sweep(config_path, out, seed, points, dump_shots) -> None:
         {
             "alpha_star_deg": math.degrees(result.alpha_star),
             "rho_max": result.rho_max,
-            "n_points": config.phase_points,
+            "n_points": config.values["phase_sweep.points"],
         },
     )
 

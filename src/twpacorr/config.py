@@ -8,17 +8,21 @@ command-line overrides, which are dotted paths too, merge by a dict update,
 and a field the table does not know is refused by its path. Every error
 names the offending field by its dotted path (e.g. ``acquisition.window.tau``),
 also when the check that fails belongs to the object the value goes into.
+``FIELDS`` also defines the config hash: every field but ``output_dir`` is
+hashed by its path (``ExperimentConfig.resolved``).
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Optional
+from types import MappingProxyType
+from typing import Any, Callable, Mapping, Optional
 
 import numpy as np
 import yaml
@@ -195,13 +199,14 @@ def _checked(paths: dict, build: Callable, *args, **kwargs):
         raise ConfigError(f"field '{paths.get(name, name)}': {err}") from None
 
 
-def _check_frequencies(f_pump: float, f_idler_demod: float, detunings, path: str) -> None:
+def _check_frequencies(values: Mapping[str, Any], detunings, path: str) -> None:
     """Refuse acquiring at any of ``detunings`` (Hz), whose field is ``path``.
 
     The detuning must lie within +/-MAX_DETUNING, and the signal
     demodulation frequency it puts at ``2 f_pump - f_idler_demod - detuning``
-    must differ from the idler's.
+    must differ from the idler's; both frequencies are read from ``values``.
     """
+    f_pump, f_idler_demod = values["frequency.f_pump"], values["frequency.f_idler_demod"]
     for detuning in detunings:
         if 2.0 * f_pump - f_idler_demod - detuning == f_idler_demod:
             raise ConfigError(
@@ -222,23 +227,24 @@ def _window(values: dict, path: str, shape_key: str) -> WindowSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment definition: physics, acquisition, sweeps, output."""
+    """Validated experiment definition: the fields read, the objects built from them, the output.
 
-    f_pump: float
-    f_idler_demod: float
-    detuning: float
+    ``values`` holds every ``FIELDS`` path but ``output_dir``, read or
+    defaulted, list entries by index (``linewidth.cases[0].tau``), read-only.
+    ``cases`` is ``DEFAULT_CASES`` when none are listed. ``output_dir`` is the
+    directory written: ``--out``, or the field relative to the config file.
+    """
+
+    values: Mapping[str, Any]
     band: EmissionBandModel
     acquisition: AcquisitionConfig
-    phase_points: int
-    linewidth_points: int
-    linewidth_span: float
     cases: tuple[WindowSpec, ...]
     output_dir: Path
 
     def detunings(self) -> np.ndarray:
         """The linewidth sweeps' detuning grid in Hz: ``points`` over ``span`` about 0."""
-        edge = self.linewidth_span / 2.0
-        return np.linspace(-edge, edge, self.linewidth_points)
+        edge = self.values["linewidth.span"] / 2.0
+        return np.linspace(-edge, edge, self.values["linewidth.points"])
 
     def check_coverage(self, sweep: bool) -> None:
         """Refuse, before any shot is drawn, an acquisition the band cannot simulate.
@@ -251,60 +257,36 @@ class ExperimentConfig:
         """
         if not sweep:
             paths = {"tau": "acquisition.window.tau", "detuning": "frequency.detuning"}
-            _checked(paths, self.band.validate_for, self.acquisition.window.tau, self.detuning)
+            _checked(paths, self.band.validate_for, self.acquisition.window.tau, self.values["frequency.detuning"])
             return
         grid = self.detunings()
         _checked({"detunings": "linewidth.span"}, check_grid, grid)
-        _check_frequencies(self.f_pump, self.f_idler_demod, [0.0, *grid], "linewidth.span")
-        edge = self.linewidth_span / 2.0
+        _check_frequencies(self.values, [0.0, *grid], "linewidth.span")
         for index, case in enumerate(self.cases):
             paths = {"tau": f"linewidth.cases[{index}].tau", "detuning": "linewidth.span"}
-            _checked(paths, self.band.validate_for, case.tau, edge)
+            _checked(paths, self.band.validate_for, case.tau, grid[-1])
 
     def resolved(self) -> dict:
-        """Canonical dict of the experiment-defining configuration.
+        """``values`` nested by dotted path: the canonical configuration that is hashed.
 
-        Used for hashing; deliberately excludes the output directory, which
-        has no bearing on the data.
+        Four departures keep the hashes of older files: the LO phases are the
+        degrees of the radians the data use, which ``math.degrees`` does not
+        always map back to the degrees read; the phase mismatch is reduced to
+        (-180, 180], as ``TwpaParams`` stores it; the derived
+        ``acquisition.sample_rate`` is added; and ``linewidth.cases`` lists the
+        cases acquired, ``DEFAULT_CASES`` when the config lists none.
         """
-        twpa = self.band.per_bin_params
-        return {
-            "frequency": {
-                "f_pump": self.f_pump,
-                "f_idler_demod": self.f_idler_demod,
-                "detuning": self.detuning,
-            },
-            "twpa": {
-                "gain_signal": twpa.gain_signal,
-                "gain_idler": twpa.gain_idler,
-                "phase_mismatch_deg": math.degrees(twpa.phase_mismatch),
-            },
-            "band": {
-                "halfwidth": self.band.band_halfwidth,
-                "bin_spacing": self.band.bin_spacing,
-            },
-            "acquisition": {
-                "window": {
-                    "shape": self.acquisition.window.shape,
-                    "tau": self.acquisition.window.tau,
-                },
-                "n_shots": self.acquisition.n_shots,
-                "lo_phase_signal_deg": math.degrees(self.acquisition.lo_phase_signal),
-                "lo_phase_idler_deg": math.degrees(self.acquisition.lo_phase_idler),
-                "chain_gain_signal": self.acquisition.chain_gain_signal,
-                "chain_gain_idler": self.acquisition.chain_gain_idler,
-                "added_noise_quanta": self.acquisition.added_noise_quanta,
-                # Derived from tau; kept so that hashes match older files.
-                "sample_rate": self.acquisition.sample_rate,
-            },
-            "phase_sweep": {"points": self.phase_points},
-            "linewidth": {
-                "points": self.linewidth_points,
-                "span": self.linewidth_span,
-                "cases": [{"window": c.shape, "tau": c.tau} for c in self.cases],
-            },
-            "seed": self.acquisition.seed,
-        }
+        flat = {path: value for path, value in self.values.items() if "[" not in path}
+        flat["twpa.phase_mismatch_deg"] = math.degrees(self.band.per_bin_params.phase_mismatch)
+        flat["acquisition.lo_phase_signal_deg"] = math.degrees(self.acquisition.lo_phase_signal)
+        flat["acquisition.lo_phase_idler_deg"] = math.degrees(self.acquisition.lo_phase_idler)
+        flat["acquisition.sample_rate"] = self.acquisition.sample_rate
+        flat["linewidth.cases"] = [{"window": case.shape, "tau": case.tau} for case in self.cases]
+        nested: dict = {}
+        for path, value in flat.items():
+            *sections, name = path.split(".")
+            functools.reduce(lambda node, section: node.setdefault(section, {}), sections, nested)[name] = value
+        return nested
 
     def hash(self) -> str:
         payload = json.dumps(self.resolved(), sort_keys=True, separators=(",", ":"))
@@ -322,6 +304,7 @@ def parse_config(
     # Overrides are dotted paths already: flattening them checks and merges them.
     _flatten(overrides or {}, "", flat)
     values = _read(flat)
+    output_dir = values.pop("output_dir")
 
     twpa = _checked(
         {"gain_signal": "twpa.gain_signal", "gain_idler": "twpa.gain_idler", "phase_mismatch": "twpa.phase_mismatch_deg"},
@@ -348,23 +331,12 @@ def parse_config(
         lo_phase_idler=_deg_to_rad(values["acquisition.lo_phase_idler_deg"]),
         **{name: values[f"acquisition.{name}"] for name in acquisition_fields},
     )
-    n_cases = flat.get("linewidth.cases", 0)
-    cases = tuple(_window(values, f"linewidth.cases[{i}]", "window") for i in range(n_cases))
-    f_pump, f_idler_demod = values["frequency.f_pump"], values["frequency.f_idler_demod"]
-    detuning = values["frequency.detuning"]
-    _check_frequencies(f_pump, f_idler_demod, [detuning], "frequency.detuning")
+    cases = tuple(_window(values, f"linewidth.cases[{i}]", "window") for i in range(flat.get("linewidth.cases", 0)))
+    _check_frequencies(values, [values["frequency.detuning"]], "frequency.detuning")
     return ExperimentConfig(
-        f_pump=f_pump,
-        f_idler_demod=f_idler_demod,
-        detuning=detuning,
-        band=band,
-        acquisition=acquisition,
-        phase_points=values["phase_sweep.points"],
-        linewidth_points=values["linewidth.points"],
-        linewidth_span=values["linewidth.span"],
-        cases=cases or DEFAULT_CASES,
-        output_dir=base_dir / values["output_dir"],
+        MappingProxyType(values), band, acquisition, cases or DEFAULT_CASES, output_dir=base_dir / output_dir
     )
+
 
 
 def load_config(path: str | Path, overrides: Optional[dict] = None) -> ExperimentConfig:

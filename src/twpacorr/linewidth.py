@@ -285,6 +285,9 @@ def _profile_start(model: str, detunings: np.ndarray, magnitudes: np.ndarray, we
     1973). The grid: 200 log-spaced scales from MIN_SCALE to 1e3, then +-10 %
     about the best in steps of pi / (16 sum|u_k|), a sixteenth of the mean
     spacing of the |sinc| kinks, at most 2049 scales, 2**16 values a block.
+    While the window's best is its first or last scale, the minimum may lie
+    beyond it: the window is centred on that best and scanned again, until
+    the best is past MIN_SCALE or 1e3, or turns back, so the scan ends.
     """
     w2y, w2 = weights**2 * magnitudes, weights**2
 
@@ -296,9 +299,14 @@ def _profile_start(model: str, detunings: np.ndarray, magnitudes: np.ndarray, we
         k = np.argmin(amplitudes * (amplitudes * mwm - 2.0 * mwy))  # the cost less sum(w^2 y^2)
         return [amplitudes[k], scales[k]]
 
-    coarse = lowest(MIN_SCALE * np.logspace(0.0, 5.0, 200))[1]
-    half = min(math.ceil(0.1 * coarse * 16.0 * np.abs(detunings).sum() / math.pi), 1024)
-    return [*lowest(np.linspace(0.9 * coarse, 1.1 * coarse, 2 * half + 1)), 0.1 * coarse / half]
+    centre = previous = lowest(MIN_SCALE * np.logspace(0.0, 5.0, 200))[1]
+    while True:
+        half = min(math.ceil(0.1 * centre * 16.0 * np.abs(detunings).sum() / math.pi), 1024)
+        scales = np.linspace(0.9 * centre, 1.1 * centre, 2 * half + 1)
+        amplitude, best = lowest(scales)
+        if scales[0] < best < scales[-1] or not MIN_SCALE < best < 1e3 or (best - centre) * (centre - previous) < 0.0:
+            return [amplitude, best, 0.1 * centre / half]
+        previous, centre = centre, best
 
 
 def fit_model(sweep: DetuningSweep) -> LinewidthFit:

@@ -230,8 +230,44 @@ def test_single_runs_accept_what_only_sweeps_refuse(tmp_path, command, changes):
     assert result.exit_code == 0, result.output
 
 
-def test_hash_of_base_config_is_pinned(tmp_path):
-    assert load_config(write_config(tmp_path)).hash() == "9aada617c8feca29"
+@pytest.mark.parametrize(
+    "changes, drop, expected",
+    [
+        pytest.param({}, None, "9aada617c8feca29", id="base"),
+        # The degrees of the radians the data use: not always the degrees read.
+        pytest.param(
+            {"acquisition.lo_phase_signal_deg": 12.3, "acquisition.lo_phase_idler_deg": -45.6},
+            None,
+            "83223fdb812e0356",
+            id="lo-phases",
+        ),
+        pytest.param({"twpa.phase_mismatch_deg": 370.0}, None, "a7634320b62e6b6c", id="mismatch-reduced-down"),
+        pytest.param({"twpa.phase_mismatch_deg": -190.0}, None, "1d351be2e4e77090", id="mismatch-reduced-up"),
+        pytest.param({}, ["linewidth.cases"], "cd2e43cfd56c48a9", id="default-cases"),
+        # Read as a float, so the base config's hash.
+        pytest.param({"band.halfwidth": 2700000}, None, "9aada617c8feca29", id="integer-halfwidth"),
+    ],
+)
+def test_hash_of_base_config_and_each_departure_is_pinned(tmp_path, changes, drop, expected):
+    assert load_config(write_config(tmp_path, overrides=changes, drop=drop)).hash() == expected
+
+
+def test_hash_holds_every_field_but_the_output_directory(tmp_path):
+    def leaves(node, path=""):
+        for key, value in node.items():
+            if isinstance(value, dict):
+                yield from leaves(value, f"{path}{key}.")
+            else:
+                yield f"{path}{key}"
+
+    config = load_config(write_config(tmp_path))
+    # The cases are hashed as one list, and the derived sample rate with them.
+    fields = {path for path in FIELDS if path != "output_dir" and "[]" not in path}
+    assert set(leaves(config.resolved())) == fields | {"acquisition.sample_rate", "linewidth.cases"}
+    # --out replaces output_dir, and leaves no copy of the file's value behind.
+    assert "output_dir" not in config.values
+    with pytest.raises(TypeError):
+        config.values["seed"] = 0
 
 
 @pytest.mark.parametrize(
@@ -251,6 +287,6 @@ def test_hash_of_benchmark_config_is_pinned(tmp_path, monkeypatch, name, expecte
 def test_overrides_merge_as_dotted_paths(tmp_path):
     path = write_config(tmp_path, overrides={"linewidth": None})
     config = load_config(path, {"linewidth.points": 7, "linewidth.span": 4e5})
-    assert (config.linewidth_points, config.linewidth_span) == (7, 4e5)
+    assert (config.values["linewidth.points"], config.values["linewidth.span"]) == (7, 4e5)
     with pytest.raises(ConfigError, match="unknown field 'linewidth.point'"):
         load_config(path, {"linewidth.point": 7})

@@ -45,6 +45,20 @@ def synthetic_sweep(model, detunings, amplitude, scale, window=None, errors=None
     return DetuningSweep(np.asarray(detunings, float), values, errors, window)
 
 
+def abs_sinc_cost_and_dense_minimum(sweep, fit):
+    """The fit's cost, and the lowest profile cost on 200,000 xi: at each the best clipped amplitude, in closed form."""
+    values = sweep.rho_values
+    errors = sweep.rho_errors
+    weights = 1.0 / errors if np.all(errors > 0.0) else np.ones_like(values)
+    fitted = model_prediction("abs_sinc", sweep.detunings, fit.amplitude, fit.scale_xi)
+    profile = math.inf
+    for xi in np.array_split(np.geomspace(1e-7, 1e-3, 200_000), 40):
+        m = model_prediction("abs_sinc", sweep.detunings, 1.0, xi[:, np.newaxis]) * weights
+        a = np.clip(m @ (values * weights) / np.sum(m * m, axis=1), 1e-12, MAX_AMPLITUDE)
+        profile = min(profile, np.min(np.sum((values * weights - a[:, np.newaxis] * m) ** 2, axis=1)))
+    return np.sum(((values - fitted) * weights) ** 2), profile
+
+
 def noisy_sweep(seed, model, amplitude, scale, weighted, noise=0.02):
     """25 points over 1.5 MHz, as the benchmark sweeps, with noise at its rho errors."""
     rng = np.random.default_rng(seed)
@@ -220,18 +234,24 @@ class TestFitModel:
         # (seed 1), or a kink of it in the bracket about the grid's best where
         # the profile slope is negative at both ends (seed 44).
         sweep = noisy_sweep(seed, "abs_sinc", amplitude, 1.9e-5, weighted)
-        values = sweep.rho_values
-        weights = 1.0 / sweep.rho_errors if weighted else np.ones_like(values)
         fit = fit_model(sweep)
-        fitted = model_prediction("abs_sinc", sweep.detunings, fit.amplitude, fit.scale_xi)
-        cost = np.sum(((values - fitted) * weights) ** 2)
-        # The dense reference: at every xi the best clipped amplitude, in closed form.
-        profile = math.inf
-        for xi in np.array_split(np.geomspace(1e-7, 1e-3, 200_000), 40):
-            m = model_prediction("abs_sinc", sweep.detunings, 1.0, xi[:, np.newaxis]) * weights
-            a = np.clip(m @ (values * weights) / np.sum(m * m, axis=1), 1e-12, MAX_AMPLITUDE)
-            profile = min(profile, np.min(np.sum((values * weights - a[:, np.newaxis] * m) ** 2, axis=1)))
+        cost, profile = abs_sinc_cost_and_dense_minimum(sweep, fit)
         assert profile == pytest.approx(lowest, rel=1e-8)
+        assert fit.converged
+        assert cost <= profile * (1.0 + 1e-9)
+
+    def test_reaches_a_minimum_past_the_edge_of_the_fine_window(self):
+        # The fine grid's best is its last scale, 1.1 x the coarse best; the
+        # profile's minimum lies at about 1.1021 x, beyond the window.
+        rng = np.random.default_rng(11757)
+        n, noise = rng.integers(5, 60), rng.uniform(0.01, 0.3)
+        rng.random(3)  # picked abs_sinc, amplitude 1.08, unweighted
+        detunings = np.linspace(-7.5e5, 7.5e5, n)
+        errors = noise * rng.uniform(0.7, 1.3, n)
+        values = np.abs(model_prediction("abs_sinc", detunings, 1.08, 1.9e-5) + errors * rng.standard_normal(n))
+        sweep = DetuningSweep(detunings, values, np.zeros(n), WindowSpec("rectangular", TAU))
+        fit = fit_model(sweep)
+        cost, profile = abs_sinc_cost_and_dense_minimum(sweep, fit)
         assert fit.converged
         assert cost <= profile * (1.0 + 1e-9)
 
