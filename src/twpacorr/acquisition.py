@@ -47,11 +47,11 @@ Conventions baked in here:
   affinity, in forked worker processes, when its caller is the process's
   one Python thread (``_process_count``). Its bytes do not depend on the split.
   The same pool and split rule serve any task of items taken a chunk at a
-  time (``_Workers.run``): the shots of a run, the shots of the points of a
-  detuning sweep, one point per chunk, or the rows or dumped traces of a CSV
-  table. A chunk carries its items to the small result the caller keeps; a
-  task run from inside a chunk of a split task stays in the process that
-  runs the chunk, and a task that cannot be pickled stays in the caller's.
+  time (``_Workers.run``): the shots of a run, the runs of a detuning sweep,
+  one run per chunk, or the rows or dumped traces of a CSV table. A chunk
+  carries its items to the small result the caller keeps; a task run from
+  inside a chunk of a split task stays in the process that runs the chunk,
+  and a task that cannot be pickled stays in the caller's.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ and side-lobe figures for window comparisons.
 
 Fits use variable projection: at each trial scale the amplitude is the
 weighted least-squares one in closed form, clipped to its box, which leaves
-a profile cost of the scale alone. :func:`fit_model` searches it on a grid,
-then halves a bracket on the profile's slope, in the detuning over the
-sweep's largest |detuning|, so that a fit does not depend on the span's
-magnitude. Every model is an amplitude times a one-parameter shape, so this
-one 1-D search serves them all.
+a profile cost of the scale alone. :func:`fit_model` searches it on a grid
+about its two lowest wells, then halves a bracket on the profile's slope
+from each and keeps the lower end, in the detuning over the sweep's largest
+|detuning|, so that a fit does not depend on the span's magnitude. Every
+model is an amplitude times a one-parameter shape, so this one 1-D search
+serves them all.
 
 The sinc convention is fixed to sinc(x) = sin(x)/x with sinc(0) = 1; every
 half-max and lobe constant below follows from that choice.
@@ -29,7 +30,8 @@ import numpy as np
 
 from . import acquisition
 from .acquisition import AcquisitionConfig, EmissionBandModel, WindowSpec, run_experiment
-from .estimators import inferred_pearson, phase_sweep
+from .estimators import _best_rotation, _inferred_stack, _pearson_with_jackknife, _rotate_idler
+from .estimators import inferred_pearson, phase_sweep  # unused here: perfbench/spans.py wraps both
 
 #: The response model fitted to a sweep, by its window's shape.
 MODEL_FOR_SHAPE = {"rectangular": "abs_sinc", "gaussian": "gaussian"}
@@ -155,36 +157,19 @@ def fwhm_from_scale(model: str, scale_xi: float) -> float:
     raise ValueError(f"model must be one of {MODELS}, got {model!r}")
 
 
-def _measure_points(
-    acquire,
-    estimate,
-    band: EmissionBandModel,
-    config: AcquisitionConfig,
-    detunings: np.ndarray,
-    windows: Sequence[WindowSpec],
-    alpha_stars: Sequence[float],
-    n_items: int,
-    starts: Iterable[int],
-) -> Iterator[tuple[int, list]]:
-    """Yield (first shot, one outcome per window) of the sweep point whose shots start at each of ``starts``.
+def _measure_runs(acquire, band, config, detunings, windows, n_items: int, starts: Iterable[int]) -> Iterator[tuple]:
+    """Yield (first shot, one inferred covariance stack per window) of the run whose shots start at each of ``starts``.
 
-    A chunk of ``_Workers.run`` is one point's ``config.n_shots`` shots:
-    point k is acquired on substream k + 1 by ``acquire`` (``run_experiment``),
-    in the process that takes it, and a window's outcome is its (rho,
-    rho_se) at its calibrated idler rotation, from ``estimate``
-    (``inferred_pearson``), or the ``ValueError`` that stopped the estimate.
+    A chunk of ``_Workers.run`` is one run's ``config.n_shots`` shots: run k
+    is acquired at ``detunings[k]`` on substream k by ``acquire``
+    (``run_experiment``), in the process that takes it, and reduced to each
+    window's (B + 1, 4, 4) stack of inferred covariances (``_inferred_stack``).
     """
     gains = (config.chain_gain_signal, config.chain_gain_idler)
     for first in starts:
-        point = first // config.n_shots
-        runs = acquire(detunings[point], band, config, stream=point + 1, windows=windows)
-        outcomes = []
-        for data, alpha_star in zip(runs, alpha_stars):
-            try:
-                outcomes.append(estimate(data.on, data.off, *gains, idler_rotation=alpha_star))
-            except ValueError as error:
-                outcomes.append(error)
-        yield first, outcomes
+        run = first // config.n_shots
+        data = acquire(detunings[run], band, config, stream=run, windows=windows)
+        yield first, [_inferred_stack(each.on, each.off, *gains) for each in data]
 
 
 def sweep_detuning(
@@ -200,113 +185,91 @@ def sweep_detuning(
     ``points + 1`` runs acquires every window from one set of draws
     (``run_experiment(..., windows=...)``): run 0, on substream 0, is the
     calibration at zero detuning, and run k + 1 acquires ``detunings[k]`` on
-    substream k + 1, so points are independent and order-insensitive. Each
-    window's relative LO phase is calibrated once, on its own stream-0
-    data, to the idler rotation that maximizes rho there (``phase_sweep``
-    with no angles gives it in closed form), then held fixed while the
-    detuning walks the grid. The points are one task of the acquisition's
-    worker pool, one point per chunk (``_measure_points``): each process
-    acquires the points it takes and keeps only their rho and its SE. A
-    point runs in one process, so the pool holds up to ``_MAX_PROCESSES``
-    points' quadratures at once, and a grid of fewer points than processes
-    starts one process per point. The task carries ``run_experiment`` and
-    ``inferred_pearson`` as this module names them, so every process calls
-    a stand-in for either; one that cannot be pickled, a local function or
-    a tracer's wrapper, keeps the points in this process (``_Workers.run``).
+    substream k + 1, so points are independent and order-insensitive. The
+    runs are one task of the acquisition's worker pool, one run per chunk
+    (``_measure_runs``), which keeps of a run only each window's inferred
+    covariance stack; so the pool holds up to ``_MAX_PROCESSES`` runs'
+    quadratures at once. The task carries ``run_experiment`` as this module
+    names it, so every process calls a stand-in for it; one that cannot be
+    pickled, a local function or a tracer's wrapper, keeps the runs in this
+    process (``_Workers.run``).
 
-    One entry per window is returned, in order: its ``DetuningSweep``, or
-    the ``ValueError`` of the calibration or estimate that stopped it, the
-    one of its lowest point when it failed at several. A window stopped by
-    its calibration is left out of the points; the others go on. The grid
-    is checked, as ``DetuningSweep`` checks it, before anything is
-    acquired.
+    This process then estimates each window in turn. Its relative LO phase
+    is the idler rotation that maximizes rho in the calibration run, as
+    ``phase_sweep`` with no angles gives it, and each point's rho and its
+    jackknife SE are taken at that rotation, as ``inferred_pearson`` takes
+    them. One entry per window is returned, in order: its ``DetuningSweep``,
+    or the ``ValueError`` of its calibration or of its lowest failed point.
+    The grid is checked, as ``DetuningSweep`` checks it, before any run.
     """
     detunings = np.asarray(detunings, dtype=float)
     check_grid(detunings)
-    gains = (config.chain_gain_signal, config.chain_gain_idler)
-    alpha_stars = {}
-    errors = {}  # window index -> (run, the ValueError that stopped the window there)
-    for index, data in enumerate(run_experiment(0.0, band, config, stream=0, windows=windows)):
+    runs = np.concatenate(([0.0], detunings))
+    stacks = {}  # a run's first shot -> its windows' stacks
+    task = (run_experiment, band, config, runs, windows)
+    acquisition._WORKERS.run(_measure_runs, task, runs.size * config.n_shots, stacks.__setitem__, config.n_shots)
+    calibration, *points = (stacks[first] for first in sorted(stacks))
+    sweeps = []
+    for index, window in enumerate(windows):
         try:
-            alpha_stars[index] = phase_sweep(data.on, data.off, *gains, ()).alpha_star
+            alpha_star = _best_rotation(calibration[index][0])[0]
+            rho = [_pearson_with_jackknife(_rotate_idler(point[index], alpha_star)) for point in points]
         except ValueError as error:
-            errors[index] = (0, error)
-
-    live = list(alpha_stars)
-    rho_values = np.empty((len(windows), detunings.size))
-    rho_errors = np.empty((len(windows), detunings.size))
-
-    def take(first: int, outcomes: list) -> None:
-        # Points arrive in any order; a window keeps the error of its lowest.
-        run = first // config.n_shots + 1
-        for index, outcome in zip(live, outcomes):
-            if not isinstance(outcome, ValueError):
-                rho_values[index, run - 1], rho_errors[index, run - 1] = outcome
-            elif run < errors.get(index, (math.inf,))[0]:
-                errors[index] = (run, outcome)
-
-    if live:
-        acquisition._WORKERS.run(
-            _measure_points,
-            (
-                run_experiment,
-                inferred_pearson,
-                band,
-                config,
-                detunings,
-                [windows[i] for i in live],
-                [alpha_stars[i] for i in live],
-            ),
-            detunings.size * config.n_shots,
-            take,
-            chunk_size=config.n_shots,
-        )
-
-    return [
-        errors[index][1]
-        if index in errors
-        else DetuningSweep(
-            detunings=detunings,
-            rho_values=rho_values[index],
-            rho_errors=rho_errors[index],
-            window=window,
-            alpha_star=alpha_stars[index],
-        )
-        for index, window in enumerate(windows)
-    ]
+            sweeps.append(error)
+        else:
+            sweeps.append(DetuningSweep(detunings, *np.array(rho).T, window, alpha_star))
+    return sweeps
 
 
-def _profile_start(model: str, detunings: np.ndarray, magnitudes: np.ndarray, weights: np.ndarray) -> list[float]:
-    """[amplitude, scale, step]: the lowest point of the profile cost on a grid of scales s, and the grid's step.
+def _profile_starts(model: str, detunings: np.ndarray, magnitudes: np.ndarray, weights: np.ndarray) -> list[list[float]]:
+    """[amplitude, scale, step]: the lowest point of the profile cost about each of its two lowest wells, and the grid's step.
 
-    At each s the amplitude is the weighted least-squares one, (m w^2 y) /
-    (m w^2 m) for the model m at unit amplitude, clipped to the fit's box
-    (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
-    1973). The grid: 200 log-spaced scales from MIN_SCALE to 1e3, then +-10 %
-    about the best in steps of pi / (16 sum|u_k|), a sixteenth of the mean
+    At each scale s the amplitude is the weighted least-squares one, (m w^2
+    y) / (m w^2 m) for the model m at unit amplitude, clipped to the fit's
+    box (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
+    1973). A well is a scale that costs less than the one below it and no
+    more than the one above, or an end against its one neighbour, on 200
+    log-spaced scales from MIN_SCALE to 1e3. About each of the two lowest,
+    +-10 % is read in steps of pi / (16 sum|u_k|), a sixteenth of the mean
     spacing of the |sinc| kinks, at most 2049 scales, 2**16 values a block.
-    While the window's best is its first or last scale, the minimum may lie
-    beyond it: the window is centred on that best and scanned again, until
-    the best is past MIN_SCALE or 1e3, or turns back, so the scan ends.
+    While the lowest well's window has its best on its first or last scale,
+    the window is centred on the best and read again, until the best is
+    past MIN_SCALE or 1e3, or turns back. The second well is left out when
+    its window's best is on an edge: the profile falls away from it there,
+    and following that slope made a 201-point fit 14 times slower.
     """
     w2y, w2 = weights**2 * magnitudes, weights**2
 
-    def lowest(scales: np.ndarray) -> list[float]:
+    def costs(scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # The clipped amplitude and the cost less sum(w^2 y^2) at each scale.
         blocks = np.array_split(scales[:, np.newaxis], -(-scales.size * detunings.size // 2**16))
         models = (model_prediction(model, detunings, 1.0, block) for block in blocks)
         mwy, mwm = map(np.concatenate, zip(*((m @ w2y, np.square(m) @ w2) for m in models)))
         amplitudes = np.clip(mwy / np.maximum(mwm, np.finfo(float).tiny), 1e-12, MAX_AMPLITUDE)
-        k = np.argmin(amplitudes * (amplitudes * mwm - 2.0 * mwy))  # the cost less sum(w^2 y^2)
-        return [amplitudes[k], scales[k]]
+        return amplitudes, amplitudes * (amplitudes * mwm - 2.0 * mwy)
 
-    centre = previous = lowest(MIN_SCALE * np.logspace(0.0, 5.0, 200))[1]
-    while True:
-        half = min(math.ceil(0.1 * centre * 16.0 * np.abs(detunings).sum() / math.pi), 1024)
-        scales = np.linspace(0.9 * centre, 1.1 * centre, 2 * half + 1)
-        amplitude, best = lowest(scales)
-        if scales[0] < best < scales[-1] or not MIN_SCALE < best < 1e3 or (best - centre) * (centre - previous) < 0.0:
-            return [amplitude, best, 0.1 * centre / half]
-        previous, centre = centre, best
+    def refine(centre: float, walk: bool) -> list[float] | None:
+        previous = centre
+        while True:
+            half = min(math.ceil(0.1 * centre * 16.0 * np.abs(detunings).sum() / math.pi), 1024)
+            scales = np.linspace(0.9 * centre, 1.1 * centre, 2 * half + 1)
+            amplitudes, cost = costs(scales)
+            k = np.argmin(cost)
+            best = scales[k]
+            if scales[0] < best < scales[-1] or not MIN_SCALE < best < 1e3 or (best - centre) * (centre - previous) < 0.0:
+                return [amplitudes[k], best, 0.1 * centre / half]
+            if not walk:
+                return None
+            previous, centre = centre, best
+
+    coarse = MIN_SCALE * np.logspace(0.0, 5.0, 200)
+    cost = costs(coarse)[1]
+    padded = np.concatenate(([math.inf], cost, [math.inf]))
+    wells = np.flatnonzero((cost < padded[:-2]) & (cost <= padded[2:]))
+    # Of equal costs the stable sort keeps the lowest scale first, as argmin would.
+    first, *second = wells[np.argsort(cost[wells], kind="stable")[:2]]
+    starts = [refine(coarse[first], True)] + [refine(coarse[k], False) for k in second]
+    return [start for start in starts if start is not None]
 
 
 def fit_model(sweep: DetuningSweep) -> LinewidthFit:
@@ -322,17 +285,21 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
     s = xi max|df|, so that its arithmetic does not depend on the span's
     magnitude, and reports xi = s / max|df|. It minimizes the profile cost
     phi(s), the cost at the clipped least-squares amplitude A(s), over
-    s >= MIN_SCALE. From the lowest point of phi on a grid of scales
-    (:func:`_profile_start`), it halves a bracket one grid step either side
-    of it, with its lower end raised to MIN_SCALE, on the sign of the slope
-    phi'(s) = -2A (w^2 (y - A m)) dm/ds, which holds at a clipped A too,
-    until the bracket is narrower than FIT_SCALE_TOLERANCE of its upper
-    end. Where halving has moved both ends, the fit ends on the zero of phi'
-    interpolated linearly between them, otherwise on the lower end; or on
-    the grid's best, where that costs less: a |sinc| kink in the bracket
-    can lead the halving away from it. ``converged`` is false when s ends
-    on MIN_SCALE: no width resolved. ``n_iterations`` counts the halvings,
-    not the grid.
+    s >= MIN_SCALE. From the lowest point of phi on a grid of scales about
+    each of its two lowest wells (:func:`_profile_starts`), it halves a
+    bracket one grid step either side of it, with its lower end raised to
+    MIN_SCALE, on the sign of the slope phi'(s) = -2A (w^2 (y - A m)) dm/ds,
+    which holds at a clipped A too, until the bracket is narrower than
+    FIT_SCALE_TOLERANCE of its upper end. Where halving has moved both
+    ends, the fit ends on the zero of phi' interpolated linearly between
+    them, otherwise on the lower end; or on the grid's best, where that
+    costs less: a |sinc| kink in the bracket can lead the halving away from
+    it. Of the two wells' ends it keeps the lower, the lowest well's unless
+    the other is lower by more than 1e-12 of it: the grid alone can rank two
+    wells the wrong way, and evenly spaced detunings that skip 0 give each
+    |sinc| well an alias of equal cost. ``converged`` is false when s ends
+    on MIN_SCALE: no width resolved. ``n_iterations`` counts the kept end's
+    halvings, not the grid.
     """
     model = MODEL_FOR_SHAPE[sweep.window.shape]
     reach = float(np.max(np.abs(sweep.detunings)))
@@ -354,23 +321,31 @@ def fit_model(sweep: DetuningSweep) -> LinewidthFit:
         residuals = magnitudes - amplitude * m
         return float(w2 @ residuals**2), -2.0 * amplitude * float((w2 * residuals) @ dm), amplitude
 
-    best, step = _profile_start(model, detunings, magnitudes, weights)[1:]
-    best = max(best, MIN_SCALE)
-    low, high = max(best - step, MIN_SCALE), best + step
-    slopes = [math.nan, math.nan]  # phi' at low and high, once a halving has moved them
-    n_halvings = 0
-    while high - low > FIT_SCALE_TOLERANCE * high:
-        middle = 0.5 * (low + high)
-        slope = profile(middle)[1]
-        if slope > 0.0:
-            high, slopes[1] = middle, slope
-        else:
-            low, slopes[0] = middle, slope
-        n_halvings += 1
-    if slopes[0] < 0.0 < slopes[1]:  # the zero of phi' between them, by linear interpolation
-        low -= slopes[0] * (high - low) / (slopes[1] - slopes[0])
-    # A |sinc| kink in the bracket can lead the halving away from the grid's best.
-    (_, _, amplitude), scale = min(((profile(s), s) for s in (low, best)), key=lambda pair: pair[0][0])
+    def search(best: float, step: float) -> tuple[float, float, float, int]:
+        # (phi, A, s, halvings) of the bisection from a grid's best.
+        best = max(best, MIN_SCALE)
+        low, high = max(best - step, MIN_SCALE), best + step
+        slopes = [math.nan, math.nan]  # phi' at low and high, once a halving has moved them
+        n_halvings = 0
+        while high - low > FIT_SCALE_TOLERANCE * high:
+            middle = 0.5 * (low + high)
+            slope = profile(middle)[1]
+            if slope > 0.0:
+                high, slopes[1] = middle, slope
+            else:
+                low, slopes[0] = middle, slope
+            n_halvings += 1
+        if slopes[0] < 0.0 < slopes[1]:  # the zero of phi' between them, by linear interpolation
+            low -= slopes[0] * (high - low) / (slopes[1] - slopes[0])
+        # A |sinc| kink in the bracket can lead the halving away from the grid's best.
+        (cost, _, amplitude), scale = min(((profile(s), s) for s in (low, best)), key=lambda pair: pair[0][0])
+        return cost, amplitude, scale, n_halvings
+
+    fit, *rival = (search(*start[1:]) for start in _profile_starts(model, detunings, magnitudes, weights))
+    # The aliased |sinc| wells of an evenly spaced grid cost the same but for rounding.
+    if rival and rival[0][0] < fit[0] * (1.0 - 1e-12):
+        fit = rival[0]
+    _, amplitude, scale, n_halvings = fit
     converged = bool(scale > MIN_SCALE)
     residual_rms = float(np.sqrt(np.mean((magnitudes - model_prediction(model, detunings, amplitude, scale)) ** 2)))
     amplitude, scale = float(amplitude), float(scale) / reach

@@ -763,17 +763,17 @@ class TestCompareWindowsCommand:
         result = runner.invoke(main, ["compare-windows", "--config", str(path), "--out", str(tmp_path / "all")])
         assert result.exit_code == 0, result.output
 
-        real_calibrate = linewidth.phase_sweep
+        real_calibrate = linewidth._best_rotation
         calibrations = []
 
-        def calibrate(*args):
+        def calibrate(cov):
             # The cases are calibrated in order: the gaussian one fails.
-            calibrations.append(args)
+            calibrations.append(cov)
             if len(calibrations) == 2:
                 raise ValueError("synthetic calibration failure")
-            return real_calibrate(*args)
+            return real_calibrate(cov)
 
-        monkeypatch.setattr(linewidth, "phase_sweep", calibrate)
+        monkeypatch.setattr(linewidth, "_best_rotation", calibrate)
         result = runner.invoke(main, ["compare-windows", "--config", str(path), "--out", str(tmp_path / "one")])
         assert result.exit_code == 3, result.output
         assert "case gaussian_6us: numerical failure: synthetic calibration failure" in result.output

@@ -10,11 +10,11 @@ from scipy.optimize import least_squares
 
 from twpacorr import (
     DetuningSweep,
+    ExperimentData,
     WindowSpec,
     compare_windows,
     fit_model,
     fwhm_from_scale,
-    inferred_pearson,
     model_prediction,
     run_experiment,
     sweep_detuning,
@@ -27,7 +27,7 @@ from twpacorr.linewidth import (
     SINC_FIRST_LOBE_LEVEL,
     SINC_HALF_MAX_ARG,
     _model_jacobian,
-    _profile_start,
+    _profile_starts,
 )
 
 from conftest import deadline, make_acquisition, make_band
@@ -187,8 +187,9 @@ class TestFitModel:
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_tight_scipy_fit(self, seed, model, amplitude, scale, weighted):
         # scipy's bounded trust-region solver at tolerances far below the
-        # fit's, from the same start, on the raw detunings: the profile-cost
-        # start in detuning over the span's edge, scaled back to xi.
+        # fit's, from the same starts, on the raw detunings: the profile-cost
+        # starts in detuning over the span's edge, scaled back to xi. The
+        # lower of its ends is the reference.
         sweep = noisy_sweep(seed, model, amplitude, scale, weighted)
         fit = fit_model(sweep)
         detunings, values = sweep.detunings, sweep.rho_values
@@ -201,17 +202,21 @@ class TestFitModel:
             return -_model_jacobian(model, detunings, *params) * weights[:, np.newaxis]
 
         reach = np.max(np.abs(detunings))
-        amplitude0, scale0, _ = _profile_start(model, detunings / reach, values, weights)
-        reference = least_squares(
-            residuals,
-            [amplitude0, scale0 / reach],
-            jac=jacobian,
-            bounds=([1e-12, 1e-15], [MAX_AMPLITUDE, np.inf]),
-            ftol=1e-15,
-            xtol=1e-15,
-            gtol=1e-15,
-            x_scale="jac",
-        )
+        starts = _profile_starts(model, detunings / reach, values, weights)
+        references = [
+            least_squares(
+                residuals,
+                [amplitude0, scale0 / reach],
+                jac=jacobian,
+                bounds=([1e-12, 1e-15], [MAX_AMPLITUDE, np.inf]),
+                ftol=1e-15,
+                xtol=1e-15,
+                gtol=1e-15,
+                x_scale="jac",
+            )
+            for amplitude0, scale0, _ in starts
+        ]
+        reference = min(references, key=lambda result: result.cost)
         assert fit.converged
         if amplitude > MAX_AMPLITUDE:
             assert reference.x[0] == pytest.approx(MAX_AMPLITUDE, rel=1e-12)
@@ -221,19 +226,24 @@ class TestFitModel:
         assert cost <= np.sum(reference.fun**2) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize(
-        "seed,amplitude,weighted,lowest",
+        "seed,amplitude,weighted,noise,lowest",
         [
-            (1, 0.93, False, 0.0083343393),
-            (1, 1.08, True, 21.883315287),
-            (1, 1.08, False, 0.0091044979),
-            (44, 1.08, False, 0.013461891),
+            (1, 0.93, False, 0.02, 0.0083343393),
+            (1, 1.08, True, 0.02, 21.883315287),
+            (1, 1.08, False, 0.02, 0.0091044979),
+            (44, 1.08, False, 0.02, 0.013461891),
+            (29, 0.93, True, 0.1, 24.321054003),
+            (32, 1.08, True, 0.1, 28.462552821),
+            (44, 0.93, False, 0.1, 0.17391906136),
         ],
     )
-    def test_reaches_the_lowest_profile_cost(self, seed, amplitude, weighted, lowest):
+    def test_reaches_the_lowest_profile_cost(self, seed, amplitude, weighted, noise, lowest):
         # Sweeps with a side basin of the |sinc| cost next to the lowest one
         # (seed 1), or a kink of it in the bracket about the grid's best where
-        # the profile slope is negative at both ends (seed 44).
-        sweep = noisy_sweep(seed, "abs_sinc", amplitude, 1.9e-5, weighted)
+        # the profile slope is negative at both ends (seed 44 at 0.02). At
+        # five times the noise, the lowest profile cost lies about the second
+        # lowest well of the coarse grid (seeds 29, 32 and 44 at 0.1).
+        sweep = noisy_sweep(seed, "abs_sinc", amplitude, 1.9e-5, weighted, noise)
         fit = fit_model(sweep)
         cost, profile = abs_sinc_cost_and_dense_minimum(sweep, fit)
         assert profile == pytest.approx(lowest, rel=1e-8)
@@ -356,45 +366,44 @@ class TestSweepDetuning:
             assert np.array_equal(sweep.rho_values, alone.rho_values)
             assert np.array_equal(sweep.rho_errors, alone.rho_errors)
 
-    def test_failed_window_is_returned_and_left_out(self, monkeypatch):
+    def test_failed_window_is_returned(self, monkeypatch):
         from twpacorr import linewidth
 
         band, acq = make_band(), make_acquisition(n_shots=300, seed=8)
         detunings = np.linspace(-0.2e6, 0.2e6, 5)
         windows = [WindowSpec("rectangular", 6e-6), WindowSpec("gaussian", 6e-6)]
         (expected,) = sweep_detuning(band, acq, detunings, windows=windows[:1])
-        real_run, real_calibrate = linewidth.run_experiment, linewidth.phase_sweep
+        real_run, real_calibrate = linewidth.run_experiment, linewidth._best_rotation
         acquired, calibrations = [], []
 
         def run(*args, windows, **kwargs):
             acquired.append([window.shape for window in windows])
             return real_run(*args, windows=windows, **kwargs)
 
-        def calibrate(*args):
+        def calibrate(cov):
             # Windows are calibrated in order: the gaussian one fails.
-            calibrations.append(args)
+            calibrations.append(cov)
             if len(calibrations) == 2:
                 raise ValueError("synthetic calibration failure")
-            return real_calibrate(*args)
+            return real_calibrate(cov)
 
         monkeypatch.setattr(linewidth, "run_experiment", run)
-        monkeypatch.setattr(linewidth, "phase_sweep", calibrate)
+        monkeypatch.setattr(linewidth, "_best_rotation", calibrate)
         rectangular, failed = sweep_detuning(band, acq, detunings, windows=windows)
         assert isinstance(failed, ValueError) and "synthetic" in str(failed)
         assert rectangular.alpha_star == expected.alpha_star
         assert np.array_equal(rectangular.rho_values, expected.rho_values)
         assert np.array_equal(rectangular.rho_errors, expected.rho_errors)
-        assert acquired == [["rectangular", "gaussian"]] + [["rectangular"]] * detunings.size
+        # Every run acquires every window; the estimate is made after the runs.
+        assert acquired == [["rectangular", "gaussian"]] * (detunings.size + 1)
 
-        # Alone, a window gets what stopped it, after its calibration run.
-        def fail(*args):
+        # Alone, a window gets what stopped it.
+        def fail(cov):
             raise ValueError("synthetic calibration failure")
 
-        monkeypatch.setattr(linewidth, "phase_sweep", fail)
-        acquired.clear()
+        monkeypatch.setattr(linewidth, "_best_rotation", fail)
         (alone,) = sweep_detuning(band, acq, detunings, windows=windows[:1])
         assert isinstance(alone, ValueError) and "synthetic" in str(alone)
-        assert acquired == [["rectangular"]]
 
     @pytest.mark.parametrize(
         "detunings,message",
@@ -424,47 +433,45 @@ class TestSweepDetuning:
             sweep_detuning(band, acq, detunings, windows=[acq.window])
 
 
-#: Per process: the stream of the run in hand and the windows estimated since.
-_CURRENT = {}
 #: The process that imported this module; a forked worker has another pid.
 _PARENT = os.getpid()
 
 
-# Stand-ins for the sweep's run_experiment and inferred_pearson. They are
-# module-level, so a points task that carries them pickles them by name and
-# every process that takes a point calls them.
-def run_noting_its_stream(*args, stream, **kwargs):
-    _CURRENT.update(stream=stream, estimates=0)
+# Stand-ins for the sweep's run_experiment. They are module-level, so a sweep
+# task that carries them pickles them by name and every process that takes
+# a run calls them.
+def run_marking_its_process(detuning, band, config, stream, windows):
+    # Shot 0 of the pump-on stage holds the taker's pid in X_s and the stream
+    # in X_i; every other quadrature is 0. The inferred X variances are then
+    # pid^2 / n + 1/4 and stream^2 / n + 1/4.
     if stream > 0 and os.getpid() == _PARENT:
-        time.sleep(0.05)  # leaves points to the workers
-    return run_experiment(*args, stream=stream, **kwargs)
+        time.sleep(0.05)  # leaves runs to the workers
+    on = np.zeros((config.n_shots, 4))
+    on[0, 0], on[0, 2] = os.getpid(), stream
+    return [ExperimentData(on=on, off=np.zeros_like(on)) for _ in windows]
 
 
-def pearson_marking_its_process(*args, **kwargs):
-    # (rho, rho_se) = (the point's stream, the pid of the process that took it)
-    return float(_CURRENT["stream"]), float(os.getpid())
-
-
-def pearson_failing_gaussian(*args, **kwargs):
-    # The windows of a point are estimated in order: the gaussian one fails
-    # at points 2 and 5, on streams 3 and 6.
-    _CURRENT["estimates"] += 1
-    if _CURRENT["estimates"] == 2 and _CURRENT["stream"] in (3, 6):
-        raise ValueError(f"synthetic failure on stream {_CURRENT['stream']}")
-    return inferred_pearson(*args, **kwargs)
+def run_with_a_loud_background(*args, stream, windows, **kwargs):
+    # Window 1's pump-off rows of the calibration run, scaled by 3: nine
+    # times the vacuum's variance is taken off, so the inferred X variances
+    # are negative.
+    runs = run_experiment(*args, stream=stream, windows=windows, **kwargs)
+    if stream == 0:
+        runs[1] = ExperimentData(on=runs[1].on, off=3.0 * runs[1].off)
+    return runs
 
 
 def run_dying_in_a_worker(*args, stream, **kwargs):
     if stream > 0:
         if os.getpid() != _PARENT:
             os._exit(1)
-        time.sleep(0.2)  # a worker takes a point meanwhile
+        time.sleep(0.2)  # a worker takes a run meanwhile
     return run_experiment(*args, stream=stream, **kwargs)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sweeps stay in one process")
 class TestSplitSweep:
-    """The points of a sweep, split over worker processes."""
+    """The runs of a sweep, split over worker processes."""
 
     BAND = make_band()
     ACQ = make_acquisition(n_shots=300, seed=8)
@@ -489,51 +496,90 @@ class TestSplitSweep:
         from twpacorr import acquisition, linewidth
 
         expected = self.alone(monkeypatch)
-        monkeypatch.setattr(linewidth, "run_experiment", run_noting_its_stream)
-        monkeypatch.setattr(linewidth, "inferred_pearson", pearson_failing_gaussian)
+        real_pearson, points = linewidth._pearson_with_jackknife, self.DETUNINGS.size
+        calls = []
+
+        def pearson_failing_gaussian(stack):
+            # The windows are estimated in order, each over its points in
+            # order: the gaussian one fails at points 2 and 5.
+            window, point = divmod(len(calls), points)
+            calls.append(stack)
+            if window == 1 and point in (2, 5):
+                raise ValueError(f"synthetic failure at point {point}")
+            return real_pearson(stack)
+
+        monkeypatch.setattr(linewidth, "_pearson_with_jackknife", pearson_failing_gaussian)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_items: count)
         with deadline(120):
             rectangular, failed = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS)
         assert len(workers._started) == count - 1
-        assert isinstance(failed, ValueError) and str(failed) == "synthetic failure on stream 3"
+        assert isinstance(failed, ValueError) and str(failed) == "synthetic failure at point 2"
+        self.assert_same_sweep(rectangular, expected)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_window_whose_calibration_fails_returns_its_error(self, workers, monkeypatch, count):
+        from twpacorr import acquisition, linewidth
+
+        expected = self.alone(monkeypatch)
+        monkeypatch.setattr(linewidth, "run_experiment", run_with_a_loud_background)
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: count)
+        with deadline(120):
+            rectangular, failed = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS)
+        assert len(workers._started) == count - 1
+        assert isinstance(failed, ValueError) and "positive definite" in str(failed)
         self.assert_same_sweep(rectangular, expected)
 
     def test_two_points_start_one_worker(self, workers, monkeypatch):
         from twpacorr import acquisition, linewidth
+        from twpacorr.estimators import _best_rotation, _pearson_with_jackknife, _rotate_idler
 
         expected = self.alone(monkeypatch)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 3)
-        n_shots, outcomes = self.ACQ.n_shots, {}
-        task = (run_experiment, inferred_pearson, self.BAND, self.ACQ, self.DETUNINGS[:2], self.WINDOWS[:1])
+        n_shots, stacks = self.ACQ.n_shots, {}
+        runs = np.array([0.0, self.DETUNINGS[0]])
         with deadline(120):
             workers.run(
-                linewidth._measure_points,
-                (*task, [expected.alpha_star]),
+                linewidth._measure_runs,
+                (run_experiment, self.BAND, self.ACQ, runs, self.WINDOWS[:1]),
                 2 * n_shots,
-                outcomes.__setitem__,
+                stacks.__setitem__,
                 chunk_size=n_shots,
             )
-        # Two chunks: the points task starts one worker, not two.
+        # Two chunks, the calibration and one point: the task starts one worker, not two.
         assert len(workers._started) == 1
-        assert outcomes == {
-            k * n_shots: [(expected.rho_values[k], expected.rho_errors[k])] for k in range(2)
-        }
+        assert sorted(stacks) == [0, n_shots]
+        (calibration,), (point,) = stacks[0], stacks[n_shots]
+        assert _best_rotation(calibration[0])[0] == expected.alpha_star
+        rho = _pearson_with_jackknife(_rotate_idler(point, expected.alpha_star))
+        assert rho == (expected.rho_values[0], expected.rho_errors[0])
 
     def test_workers_call_the_stand_ins_the_task_carries(self, workers, monkeypatch):
         from twpacorr import acquisition, linewidth
 
-        # Workers started before the stand-ins are set hold the package's functions.
+        # Workers started before the stand-in is set hold the package's functions.
         workers._connections(2)
         pool = {process.pid for process, _ in workers._started}
-        monkeypatch.setattr(linewidth, "run_experiment", run_noting_its_stream)
-        monkeypatch.setattr(linewidth, "inferred_pearson", pearson_marking_its_process)
+        real_rotate, seen = linewidth._rotate_idler, []
+
+        def rotate_noting_the_stack(stack, angle):
+            # Called in this process for each point's stack, in order.
+            seen.append(stack[0])
+            return real_rotate(stack, angle)
+
+        monkeypatch.setattr(linewidth, "run_experiment", run_marking_its_process)
+        monkeypatch.setattr(linewidth, "_rotate_idler", rotate_noting_the_stack)
         monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 3)
         with deadline(120):
             (sweep,) = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS[:1])
-        assert np.array_equal(sweep.rho_values, np.arange(1, self.DETUNINGS.size + 1))
-        takers = set(sweep.rho_errors.astype(int).tolist())
-        assert takers <= pool | {os.getpid()}
-        assert takers & pool, "no worker took a point"
+        assert isinstance(sweep, DetuningSweep)
+        n_shots = self.ACQ.n_shots
+        takers, streams = (
+            np.rint(np.sqrt((np.array([cov[i, i] for cov in seen]) - 0.25) * n_shots)).astype(int).tolist()
+            for i in (0, 2)
+        )
+        assert streams == list(range(1, self.DETUNINGS.size + 1))
+        assert set(takers) <= pool | {os.getpid()}
+        assert set(takers) & pool, "no worker took a point"
 
     def test_stand_in_that_cannot_be_pickled_sees_every_point(self, workers, monkeypatch):
         from twpacorr import acquisition, linewidth
@@ -553,11 +599,11 @@ class TestSplitSweep:
         monkeypatch.setattr(acquisition, "_process_count", process_count)
         with deadline(120):
             (sweep,) = sweep_detuning(self.BAND, self.ACQ, self.DETUNINGS, windows=self.WINDOWS[:1])
-        # The points stay here, in order, and each run still splits its shots:
-        # the split rule is asked for the calibration, the points, then each point.
+        # The runs stay here, in order, and each run still splits its shots:
+        # the split rule is asked for the calibration and the points, then each run.
         assert streams == list(range(self.DETUNINGS.size + 1))
-        n_shots, points = self.ACQ.n_shots, self.DETUNINGS.size
-        assert asked == [n_shots, points * n_shots] + [n_shots] * points
+        n_shots, runs = self.ACQ.n_shots, self.DETUNINGS.size + 1
+        assert asked == [runs * n_shots] + [n_shots] * runs
         # A run's 300 shots are two chunks, which one worker shares.
         assert len(workers._started) == 1
         self.assert_same_sweep(sweep, expected)
