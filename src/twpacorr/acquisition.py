@@ -563,6 +563,7 @@ class _Workers:
         """The parent's ends of the pipes to ``count`` workers, started as needed."""
         if len(self._started) < count:
             # Imported here, so that a task that is not split never pays for it.
+            import gc
             import multiprocessing
 
             # fork, not spawn: a worker starts in milliseconds with the
@@ -570,6 +571,11 @@ class _Workers:
             context = multiprocessing.get_context("fork")
             if not self._started:
                 self._next_chunk = context.Value("q", 0)
+            # The fork idiom of the gc docs: with the heap frozen, the
+            # workers' collections no longer write to the parent's object
+            # headers, copying their pages, and the parent's exit no longer
+            # traverses them. Cyclic garbage that exists now lives until exit.
+            gc.freeze()
             while len(self._started) < count:
                 ours, theirs = context.Pipe()
                 inherited = [end for _, end in self._started] + [ours]

@@ -3,18 +3,21 @@
 Runs the two-mode correlation experiment across a detuning grid, at the
 idler phase that maximizes rho in a zero-detuning calibration, fits the
 frequency-domain response with the model its window shape fixes,
-``|A sinc(xi df)|`` for rectangular windows and ``A exp(-(xi df)^2 / 2)``
+``A sinc(xi df)`` for rectangular windows and ``A exp(-(xi df)^2 / 2)``
 for gaussian ones (:data:`MODEL_FOR_SHAPE`), and reduces fits to FWHM, SNR
 and side-lobe figures for window comparisons.
 
-Fits use variable projection: at each trial scale the amplitude is the
-weighted least-squares one in closed form, clipped to its box, which leaves
-a profile cost of the scale alone. :func:`fit_model` searches it on a grid
-about its two lowest wells, then halves a bracket on the profile's slope
-from each and keeps the lower end, in the detuning over the sweep's largest
-|detuning|, so that a fit does not depend on the span's magnitude. Every
-model is an amplitude times a one-parameter shape, so this one 1-D search
-serves them all.
+Fits take rho with its sign: the calibration makes rho(0) positive, and
+rho then follows the window kernel, side lobes included, so that a fit of
+|rho| would rectify the noise into the width. They use variable
+projection: at each trial scale the amplitude is the weighted
+least-squares one in closed form, clipped to its box, which leaves a
+profile cost of the scale alone. :func:`fit_model` reads it on a grid of
+scales, then halves a bracket on the profile's slope about every well of
+the grid and keeps the lowest end, in the detuning over the sweep's
+largest |detuning|, so that a fit does not depend on the span's
+magnitude. Every model is an amplitude times a one-parameter shape, so
+this one 1-D search serves them all.
 
 The sinc convention is fixed to sinc(x) = sin(x)/x with sinc(0) = 1; every
 half-max and lobe constant below follows from that choice.
@@ -34,10 +37,10 @@ from .estimators import _best_rotation, _inferred_stack, _pearson_with_jackknife
 from .estimators import inferred_pearson, phase_sweep  # unused here: perfbench/spans.py wraps both
 
 #: The response model fitted to a sweep, by its window's shape.
-MODEL_FOR_SHAPE = {"rectangular": "abs_sinc", "gaussian": "gaussian"}
+MODEL_FOR_SHAPE = {"rectangular": "sinc", "gaussian": "gaussian"}
 MODELS = tuple(MODEL_FOR_SHAPE.values())
 
-#: Positive root of sinc(x) = 1/2; the half width of |sinc| at half maximum.
+#: Positive root of sinc(x) = 1/2; the half width of sinc at half maximum.
 SINC_HALF_MAX_ARG = 1.8954942670339809
 #: First zero of sinc is at pi; first side lobe peak and its level.
 SINC_FIRST_LOBE_ARG = 4.493409457909064
@@ -51,6 +54,9 @@ GAUSSIAN_TAIL_START = 1.5
 MAX_AMPLITUDE = 1.05
 #: Least fitted scale s = xi max|df|: a model varies by under 5e-5 over the sweep.
 MIN_SCALE = 1e-2
+#: The scales at which a fit first reads its profile cost, log-spaced from MIN_SCALE to 1e3.
+COARSE_SCALES = MIN_SCALE * np.logspace(0.0, 5.0, 200)
+_COARSE_STEP = COARSE_SCALES[1] / COARSE_SCALES[0]
 #: A fit stops halving when its bracket on the scale is narrower than this fraction of it.
 FIT_SCALE_TOLERANCE = 1e-6
 
@@ -125,32 +131,34 @@ def model_prediction(model: str, detunings, amplitude: float, scale_xi: float) -
     """Evaluate the fitted response model on a detuning grid."""
     detunings = np.asarray(detunings, dtype=float)
     x = scale_xi * detunings
-    if model == "abs_sinc":
-        return amplitude * np.abs(np.sinc(x / np.pi))
+    if model == "sinc":
+        return amplitude * np.sinc(x / np.pi)
     if model == "gaussian":
         return amplitude * np.exp(-0.5 * x * x)
     raise ValueError(f"model must be one of {MODELS}, got {model!r}")
 
 
-def _model_jacobian(model: str, detunings: np.ndarray, amplitude: float, scale_xi: float) -> np.ndarray:
-    """Analytic d(model)/d(amplitude, scale_xi), one row per detuning."""
+def _model_jacobian(model: str, detunings: np.ndarray, amplitude: float, scale_xi) -> np.ndarray:
+    """Analytic d(model)/d(amplitude, scale_xi), one row of two per detuning.
+
+    For a column of scales, one such (detunings, 2) block per scale.
+    """
     x = scale_xi * detunings
-    if model == "abs_sinc":
-        sinc = np.sinc(x / np.pi)
-        d_amplitude = np.abs(sinc)
+    if model == "sinc":
+        d_amplitude = np.sinc(x / np.pi)
         with np.errstate(divide="ignore", invalid="ignore"):
-            dsinc = np.where(x != 0.0, (np.cos(x) - sinc) / np.where(x != 0.0, x, 1.0), 0.0)
-        d_scale = amplitude * np.sign(sinc) * dsinc * detunings
+            dsinc = np.where(x != 0.0, (np.cos(x) - d_amplitude) / np.where(x != 0.0, x, 1.0), 0.0)
+        d_scale = amplitude * dsinc * detunings
     else:
         envelope = np.exp(-0.5 * x * x)
         d_amplitude = envelope
         d_scale = -amplitude * envelope * x * detunings
-    return np.column_stack([d_amplitude, d_scale])
+    return np.stack([d_amplitude, d_scale], axis=-1)
 
 
 def fwhm_from_scale(model: str, scale_xi: float) -> float:
     """Full width at half maximum implied by the fitted scale parameter."""
-    if model == "abs_sinc":
+    if model == "sinc":
         return 2.0 * SINC_HALF_MAX_ARG / scale_xi
     if model == "gaussian":
         return 2.0 * GAUSSIAN_HALF_MAX_ARG / scale_xi
@@ -221,133 +229,91 @@ def sweep_detuning(
     return sweeps
 
 
-def _profile_starts(model: str, detunings: np.ndarray, magnitudes: np.ndarray, weights: np.ndarray) -> list[list[float]]:
-    """[amplitude, scale, step]: the lowest point of the profile cost about each of its two lowest wells, and the grid's step.
+def _profile(model: str, detunings: np.ndarray, values: np.ndarray, weights: np.ndarray, scales: np.ndarray) -> tuple:
+    """(phi, phi', A) at each of ``scales``: the profile cost, its slope and the amplitude.
 
-    At each scale s the amplitude is the weighted least-squares one, (m w^2
-    y) / (m w^2 m) for the model m at unit amplitude, clipped to the fit's
-    box (variable projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413,
-    1973). A well is a scale that costs less than the one below it and no
-    more than the one above, or an end against its one neighbour, on 200
-    log-spaced scales from MIN_SCALE to 1e3. About each of the two lowest,
-    +-10 % is read in steps of pi / (16 sum|u_k|), a sixteenth of the mean
-    spacing of the |sinc| kinks, at most 2049 scales, 2**16 values a block.
-    While the lowest well's window has its best on its first or last scale,
-    the window is centred on the best and read again, until the best is
-    past MIN_SCALE or 1e3, or turns back. The second well is left out when
-    its window's best is on an edge: the profile falls away from it there,
-    and following that slope made a 201-point fit 14 times slower.
+    At each scale s the amplitude A is the weighted least-squares one,
+    (m w^2 y) / (m w^2 m) for the model m at unit amplitude, clipped to the
+    fit's box, so that the cost phi is up to the scale alone (variable
+    projection: Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973). Its
+    slope phi'(s) = -2A (w^2 (y - A m)) dm/ds holds at a clipped A too. The
+    scales are read 2**16 model values a block.
     """
-    w2y, w2 = weights**2 * magnitudes, weights**2
+    w2 = weights**2
+    rows = max(2**16 // detunings.size, 1)
+    parts = []
+    for first in range(0, scales.size, rows):
+        jacobian = _model_jacobian(model, detunings, 1.0, scales[first : first + rows, np.newaxis])
+        m, dm = jacobian[..., 0], jacobian[..., 1]
+        amplitudes = (m @ (w2 * values)) / np.maximum(np.square(m) @ w2, np.finfo(float).tiny)
+        amplitudes = np.minimum(np.maximum(amplitudes, 1e-12), MAX_AMPLITUDE)
+        residuals = values - amplitudes[:, np.newaxis] * m
+        parts.append((np.square(residuals) @ w2, -2.0 * amplitudes * ((residuals * dm) @ w2), amplitudes))
+    return tuple(map(np.concatenate, zip(*parts)))
 
-    def costs(scales: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # The clipped amplitude and the cost less sum(w^2 y^2) at each scale.
-        blocks = np.array_split(scales[:, np.newaxis], -(-scales.size * detunings.size // 2**16))
-        models = (model_prediction(model, detunings, 1.0, block) for block in blocks)
-        mwy, mwm = map(np.concatenate, zip(*((m @ w2y, np.square(m) @ w2) for m in models)))
-        amplitudes = np.clip(mwy / np.maximum(mwm, np.finfo(float).tiny), 1e-12, MAX_AMPLITUDE)
-        return amplitudes, amplitudes * (amplitudes * mwm - 2.0 * mwy)
 
-    def refine(centre: float, walk: bool) -> list[float] | None:
-        previous = centre
-        while True:
-            half = min(math.ceil(0.1 * centre * 16.0 * np.abs(detunings).sum() / math.pi), 1024)
-            scales = np.linspace(0.9 * centre, 1.1 * centre, 2 * half + 1)
-            amplitudes, cost = costs(scales)
-            k = np.argmin(cost)
-            best = scales[k]
-            if scales[0] < best < scales[-1] or not MIN_SCALE < best < 1e3 or (best - centre) * (centre - previous) < 0.0:
-                return [amplitudes[k], best, 0.1 * centre / half]
-            if not walk:
-                return None
-            previous, centre = centre, best
+def _profile_starts(model: str, detunings: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Rows of [amplitude, scale] at each well of the profile cost on :data:`COARSE_SCALES`, by increasing scale.
 
-    coarse = MIN_SCALE * np.logspace(0.0, 5.0, 200)
-    cost = costs(coarse)[1]
+    A well is a scale that costs less than the one below it and no more
+    than the one above, or an end against its one neighbour.
+    """
+    cost, _, amplitudes = _profile(model, detunings, values, weights, COARSE_SCALES)
     padded = np.concatenate(([math.inf], cost, [math.inf]))
-    wells = np.flatnonzero((cost < padded[:-2]) & (cost <= padded[2:]))
-    # Of equal costs the stable sort keeps the lowest scale first, as argmin would.
-    first, *second = wells[np.argsort(cost[wells], kind="stable")[:2]]
-    starts = [refine(coarse[first], True)] + [refine(coarse[k], False) for k in second]
-    return [start for start in starts if start is not None]
+    wells = (cost < padded[:-2]) & (cost <= padded[2:])
+    return np.column_stack((amplitudes[wells], COARSE_SCALES[wells]))
 
 
 def fit_model(sweep: DetuningSweep) -> LinewidthFit:
-    """Weighted nonlinear least-squares fit of |rho| versus detuning.
+    """Weighted nonlinear least-squares fit of rho versus detuning, sign included.
 
     The model m follows the sweep's window shape (:data:`MODEL_FOR_SHAPE`).
-    Minimizes sum(((|rho_k| - m(df_k)) / se_k)^2) with inverse-variance
+    Minimizes sum(((rho_k - m(df_k)) / se_k)^2) with inverse-variance
     weights when per-point errors are available (unweighted otherwise).
-    Follows the magnitude of the correlation since the analysis always
-    targets the maximum positive correlation.
 
     The fit runs in the normalized detuning u = df / max|df| with scale
     s = xi max|df|, so that its arithmetic does not depend on the span's
     magnitude, and reports xi = s / max|df|. It minimizes the profile cost
-    phi(s), the cost at the clipped least-squares amplitude A(s), over
-    s >= MIN_SCALE. From the lowest point of phi on a grid of scales about
-    each of its two lowest wells (:func:`_profile_starts`), it halves a
-    bracket one grid step either side of it, with its lower end raised to
-    MIN_SCALE, on the sign of the slope phi'(s) = -2A (w^2 (y - A m)) dm/ds,
-    which holds at a clipped A too, until the bracket is narrower than
-    FIT_SCALE_TOLERANCE of its upper end. Where halving has moved both
-    ends, the fit ends on the zero of phi' interpolated linearly between
-    them, otherwise on the lower end; or on the grid's best, where that
-    costs less: a |sinc| kink in the bracket can lead the halving away from
-    it. Of the two wells' ends it keeps the lower, the lowest well's unless
-    the other is lower by more than 1e-12 of it: the grid alone can rank two
-    wells the wrong way, and evenly spaced detunings that skip 0 give each
-    |sinc| well an alias of equal cost. ``converged`` is false when s ends
-    on MIN_SCALE: no width resolved. ``n_iterations`` counts the kept end's
-    halvings, not the grid.
+    phi(s) (:func:`_profile`) over s >= MIN_SCALE. About each well of phi on
+    the coarse grid (:func:`_profile_starts`) it halves a bracket one coarse
+    step either side, with its lower end raised to MIN_SCALE, on the sign of
+    the slope phi', all wells at once, until every bracket is narrower than
+    FIT_SCALE_TOLERANCE of its upper end. Where halving has moved both ends
+    of a bracket, its search ends on the zero of phi' interpolated linearly
+    between them, otherwise on its lower end. The fit keeps the lowest end,
+    the lowest scale's of equal ones. ``converged`` is false when s ends on
+    MIN_SCALE: no width resolved. ``n_iterations`` counts the halvings.
     """
     model = MODEL_FOR_SHAPE[sweep.window.shape]
     reach = float(np.max(np.abs(sweep.detunings)))
     detunings = sweep.detunings / reach
-    magnitudes = np.abs(sweep.rho_values)
-    if not np.all(np.isfinite(magnitudes)):
+    values = sweep.rho_values
+    if not np.all(np.isfinite(values)):
         raise ValueError("rho values must be finite to fit a linewidth model")
-    if float(np.ptp(magnitudes)) < 1e-12:
+    if float(np.ptp(values)) < 1e-12:
         raise ValueError("flat sweep: cannot fit a linewidth model to constant data")
 
     errors = sweep.rho_errors
-    weights = 1.0 / errors if np.all(np.isfinite(errors) & (errors > 0.0)) else np.ones_like(magnitudes)
-    w2y, w2 = weights**2 * magnitudes, weights**2
+    weights = 1.0 / errors if np.all(np.isfinite(errors) & (errors > 0.0)) else np.ones_like(values)
 
-    def profile(scale: float) -> tuple[float, float, float]:
-        # (phi, phi', A) at s: _model_jacobian's columns at unit amplitude are m and dm/ds.
-        m, dm = _model_jacobian(model, detunings, 1.0, scale).T
-        amplitude = min(max(m @ w2y / max(m @ (w2 * m), np.finfo(float).tiny), 1e-12), MAX_AMPLITUDE)
-        residuals = magnitudes - amplitude * m
-        return float(w2 @ residuals**2), -2.0 * amplitude * float((w2 * residuals) @ dm), amplitude
-
-    def search(best: float, step: float) -> tuple[float, float, float, int]:
-        # (phi, A, s, halvings) of the bisection from a grid's best.
-        best = max(best, MIN_SCALE)
-        low, high = max(best - step, MIN_SCALE), best + step
-        slopes = [math.nan, math.nan]  # phi' at low and high, once a halving has moved them
-        n_halvings = 0
-        while high - low > FIT_SCALE_TOLERANCE * high:
-            middle = 0.5 * (low + high)
-            slope = profile(middle)[1]
-            if slope > 0.0:
-                high, slopes[1] = middle, slope
-            else:
-                low, slopes[0] = middle, slope
-            n_halvings += 1
-        if slopes[0] < 0.0 < slopes[1]:  # the zero of phi' between them, by linear interpolation
-            low -= slopes[0] * (high - low) / (slopes[1] - slopes[0])
-        # A |sinc| kink in the bracket can lead the halving away from the grid's best.
-        (cost, _, amplitude), scale = min(((profile(s), s) for s in (low, best)), key=lambda pair: pair[0][0])
-        return cost, amplitude, scale, n_halvings
-
-    fit, *rival = (search(*start[1:]) for start in _profile_starts(model, detunings, magnitudes, weights))
-    # The aliased |sinc| wells of an evenly spaced grid cost the same but for rounding.
-    if rival and rival[0][0] < fit[0] * (1.0 - 1e-12):
-        fit = rival[0]
-    _, amplitude, scale, n_halvings = fit
+    wells = _profile_starts(model, detunings, values, weights)[:, 1]
+    low, high = np.maximum(wells / _COARSE_STEP, MIN_SCALE), wells * _COARSE_STEP
+    slopes = np.full((2, wells.size), math.nan)  # phi' at low and high, once a halving has moved them
+    n_halvings = 0
+    while np.any(high - low > FIT_SCALE_TOLERANCE * high):
+        middle = 0.5 * (low + high)
+        slope = _profile(model, detunings, values, weights, middle)[1]
+        rising = slope > 0.0
+        high, low = np.where(rising, middle, high), np.where(rising, low, middle)
+        slopes = np.where(rising, [slopes[0], slope], [slope, slopes[1]])
+        n_halvings += 1
+    inside = (slopes[0] < 0.0) & (slopes[1] > 0.0)  # the zero of phi' between them, by linear interpolation
+    low[inside] -= (slopes[0] * (high - low) / (slopes[1] - slopes[0]))[inside]
+    cost, _, amplitudes = _profile(model, detunings, values, weights, low)
+    kept = int(np.argmin(cost))
+    amplitude, scale = amplitudes[kept], low[kept]
     converged = bool(scale > MIN_SCALE)
-    residual_rms = float(np.sqrt(np.mean((magnitudes - model_prediction(model, detunings, amplitude, scale)) ** 2)))
+    residual_rms = float(np.sqrt(np.mean((values - model_prediction(model, detunings, amplitude, scale)) ** 2)))
     amplitude, scale = float(amplitude), float(scale) / reach
     snr = amplitude / residual_rms if residual_rms > 0.0 else math.inf
     return LinewidthFit(
@@ -369,7 +335,7 @@ def _sidelobe(sweep: DetuningSweep, fit: LinewidthFit) -> tuple[float, float, in
     zero); gaussian fits look beyond GAUSSIAN_TAIL_START times the FWHM.
     Returns NaNs when the sweep never reaches the tail region.
     """
-    if fit.model == "abs_sinc":
+    if fit.model == "sinc":
         start = math.pi / fit.scale_xi
     else:
         start = GAUSSIAN_TAIL_START * fit.fwhm

@@ -367,7 +367,7 @@ def test_criterion_9_fit_gradients_match_finite_differences(rect_cases):
     failures = []
     detunings = sweep.detunings
     for model, amplitude, scale in (
-        ("abs_sinc", fit.amplitude, fit.scale_xi),
+        ("sinc", fit.amplitude, fit.scale_xi),
         ("gaussian", 0.9, 5.0e-6),
     ):
         jacobian = _model_jacobian(model, detunings, amplitude, scale)

@@ -1,6 +1,7 @@
 """Tests for trace synthesis, windowing and IQ demodulation."""
 
 import contextlib
+import gc
 import math
 import os
 import signal
@@ -631,6 +632,15 @@ class TestWorkers:
             workers.run(calling_chunks, (abs,), 6, results.__setitem__, chunk_size=1)
         assert len(workers._started) == 2
         assert {k: value for k, (_, value) in results.items()} == {k: k for k in range(6)}
+
+    def test_split_task_freezes_the_heap_before_the_fork(self, workers, monkeypatch):
+        monkeypatch.setattr(acquisition, "_process_count", lambda n_items: 3)
+        gc.unfreeze()
+        results = {}
+        with deadline(60):
+            workers.run(calling_chunks, (abs,), 6, results.__setitem__, chunk_size=1)
+        assert len(workers._started) == 2
+        assert gc.get_freeze_count() > 0
 
     def test_no_windows_acquire_nothing(self, workers):
         assert run_experiment(0.0, make_band(), make_acquisition(), windows=[]) == []

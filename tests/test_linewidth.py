@@ -41,33 +41,44 @@ def synthetic_sweep(model, detunings, amplitude, scale, window=None, errors=None
     if errors is None:
         errors = np.zeros_like(values)
     if window is None:
-        window = WindowSpec("rectangular" if model == "abs_sinc" else "gaussian", TAU)
+        window = WindowSpec("rectangular" if model == "sinc" else "gaussian", TAU)
     return DetuningSweep(np.asarray(detunings, float), values, errors, window)
 
 
-def abs_sinc_cost_and_dense_minimum(sweep, fit):
+def sinc_cost_and_dense_minimum(sweep, fit):
     """The fit's cost, and the lowest profile cost on 200,000 xi: at each the best clipped amplitude, in closed form."""
     values = sweep.rho_values
     errors = sweep.rho_errors
     weights = 1.0 / errors if np.all(errors > 0.0) else np.ones_like(values)
-    fitted = model_prediction("abs_sinc", sweep.detunings, fit.amplitude, fit.scale_xi)
+    fitted = model_prediction("sinc", sweep.detunings, fit.amplitude, fit.scale_xi)
     profile = math.inf
     for xi in np.array_split(np.geomspace(1e-7, 1e-3, 200_000), 40):
-        m = model_prediction("abs_sinc", sweep.detunings, 1.0, xi[:, np.newaxis]) * weights
+        m = model_prediction("sinc", sweep.detunings, 1.0, xi[:, np.newaxis]) * weights
         a = np.clip(m @ (values * weights) / np.sum(m * m, axis=1), 1e-12, MAX_AMPLITUDE)
         profile = min(profile, np.min(np.sum((values * weights - a[:, np.newaxis] * m) ** 2, axis=1)))
     return np.sum(((values - fitted) * weights) ** 2), profile
 
 
-def noisy_sweep(seed, model, amplitude, scale, weighted, noise=0.02):
-    """25 points over 1.5 MHz, as the benchmark sweeps, with noise at its rho errors."""
+def noisy_sweep(seed, model, amplitude, scale, weighted, noise=0.02, n_points=25):
+    """``n_points`` over 1.5 MHz, 25 as the benchmark sweeps, with noise at its rho errors."""
     rng = np.random.default_rng(seed)
-    detunings = np.linspace(-7.5e5, 7.5e5, 25)
+    detunings = np.linspace(-7.5e5, 7.5e5, n_points)
     errors = noise * rng.uniform(0.7, 1.3, detunings.size)
     clean = model_prediction(model, detunings, amplitude, scale)
-    values = np.abs(clean + errors * rng.standard_normal(detunings.size))
-    window = WindowSpec("rectangular" if model == "abs_sinc" else "gaussian", TAU)
+    values = clean + errors * rng.standard_normal(detunings.size)
+    window = WindowSpec("rectangular" if model == "sinc" else "gaussian", TAU)
     return DetuningSweep(detunings, values, errors if weighted else np.zeros_like(errors), window)
+
+
+def random_sweep(seed):
+    """A sinc sweep of the random-sweep make-up: 5-59 points over 1.5 MHz, noise 0.01-0.3, amplitude 1.08, unweighted."""
+    rng = np.random.default_rng(seed)
+    n, noise = rng.integers(5, 60), rng.uniform(0.01, 0.3)
+    rng.random(3)  # the generator's picks of model, amplitude and weighting
+    detunings = np.linspace(-7.5e5, 7.5e5, n)
+    errors = noise * rng.uniform(0.7, 1.3, n)
+    values = model_prediction("sinc", detunings, 1.08, 1.9e-5) + errors * rng.standard_normal(n)
+    return DetuningSweep(detunings, values, np.zeros(n), WindowSpec("rectangular", TAU))
 
 
 class TestDetuningSweepType:
@@ -96,7 +107,7 @@ class TestDetuningSweepType:
 class TestFitModel:
     def test_recovers_exact_sinc_kernel(self):
         detunings = np.linspace(-1e6, 1e6, 51)
-        sweep = synthetic_sweep("abs_sinc", detunings, 0.93, XI_RECT)
+        sweep = synthetic_sweep("sinc", detunings, 0.93, XI_RECT)
         fit = fit_model(sweep)
         assert fit.converged
         assert fit.amplitude == pytest.approx(0.93, rel=1e-6)
@@ -110,7 +121,7 @@ class TestFitModel:
         assert fit.amplitude == pytest.approx(0.88, rel=1e-6)
         assert fit.scale_xi == pytest.approx(5.2e-6, rel=1e-6)
 
-    @pytest.mark.parametrize("model,scale", [("abs_sinc", XI_RECT), ("gaussian", 5.2e-6)])
+    @pytest.mark.parametrize("model,scale", [("sinc", XI_RECT), ("gaussian", 5.2e-6)])
     def test_half_max_identity(self, model, scale):
         fwhm = fwhm_from_scale(model, scale)
         value = model_prediction(model, [fwhm / 2.0], 1.0, scale)[0]
@@ -118,17 +129,17 @@ class TestFitModel:
 
     def test_scale_covariance(self):
         detunings = np.linspace(-1e6, 1e6, 51)
-        sweep = synthetic_sweep("abs_sinc", detunings, 0.9, XI_RECT)
+        sweep = synthetic_sweep("sinc", detunings, 0.9, XI_RECT)
         fit = fit_model(sweep)
         factor = 4.0
-        scaled = synthetic_sweep("abs_sinc", detunings * factor, 0.9, XI_RECT / factor)
+        scaled = synthetic_sweep("sinc", detunings * factor, 0.9, XI_RECT / factor)
         fit_scaled = fit_model(scaled)
         assert fit_scaled.scale_xi == pytest.approx(fit.scale_xi / factor, rel=1e-9)
         assert fit_scaled.fwhm == pytest.approx(fit.fwhm * factor, rel=1e-9)
 
     def test_jacobian_matches_central_differences(self):
         detunings = np.linspace(-1e6, 1e6, 31)
-        for model, scale in (("abs_sinc", 1.7e-5), ("gaussian", 5.0e-6)):
+        for model, scale in (("sinc", 1.7e-5), ("gaussian", 5.0e-6)):
             amplitude = 0.9
             jacobian = _model_jacobian(model, detunings, amplitude, scale)
             for column, (h_a, h_s) in enumerate(((amplitude * 1e-6, 0.0), (0.0, scale * 1e-6))):
@@ -148,7 +159,7 @@ class TestFitModel:
 
     def test_non_finite_data_raises(self):
         detunings = np.linspace(-1e6, 1e6, 11)
-        values = model_prediction("abs_sinc", detunings, 0.9, XI_RECT)
+        values = model_prediction("sinc", detunings, 0.9, XI_RECT)
         values[3] = np.nan
         sweep = DetuningSweep(detunings, values, np.zeros(11), WindowSpec("rectangular", TAU))
         with pytest.raises(ValueError, match="finite"):
@@ -163,7 +174,7 @@ class TestFitModel:
         # Corrupt one point and give it a huge error bar: the weighted fit
         # should ignore it while an unweighted fit is dragged away.
         detunings = np.linspace(-1e6, 1e6, 51)
-        values = model_prediction("abs_sinc", detunings, 0.9, XI_RECT)
+        values = model_prediction("sinc", detunings, 0.9, XI_RECT)
         values[25] = 0.2  # center point clobbered
         errors = np.full(values.size, 1e-4)
         errors[25] = 10.0
@@ -178,9 +189,9 @@ class TestFitModel:
     @pytest.mark.parametrize(
         "model,amplitude,scale",
         [
-            ("abs_sinc", 0.93, 1.9e-5),
+            ("sinc", 0.93, 1.9e-5),
             ("gaussian", 0.93, 5.2e-6),
-            ("abs_sinc", 1.08, 1.9e-5),
+            ("sinc", 1.08, 1.9e-5),
             ("gaussian", 1.08, 5.2e-6),
         ],
     )
@@ -214,7 +225,7 @@ class TestFitModel:
                 gtol=1e-15,
                 x_scale="jac",
             )
-            for amplitude0, scale0, _ in starts
+            for amplitude0, scale0 in starts
         ]
         reference = min(references, key=lambda result: result.cost)
         assert fit.converged
@@ -226,44 +237,69 @@ class TestFitModel:
         assert cost <= np.sum(reference.fun**2) * (1.0 + 1e-12)
 
     @pytest.mark.parametrize(
-        "seed,amplitude,weighted,noise,lowest",
+        "sweep,lowest",
         [
-            (1, 0.93, False, 0.02, 0.0083343393),
-            (1, 1.08, True, 0.02, 21.883315287),
-            (1, 1.08, False, 0.02, 0.0091044979),
-            (44, 1.08, False, 0.02, 0.013461891),
-            (29, 0.93, True, 0.1, 24.321054003),
-            (32, 1.08, True, 0.1, 28.462552821),
-            (44, 0.93, False, 0.1, 0.17391906136),
+            pytest.param(noisy_sweep(1, "sinc", 0.93, 1.9e-5, False), 0.0078697083797, id="1-0.93-unweighted"),
+            pytest.param(noisy_sweep(1, "sinc", 1.08, 1.9e-5, True), 19.630198555, id="1-1.08-weighted"),
+            pytest.param(noisy_sweep(1, "sinc", 1.08, 1.9e-5, False), 0.0083182543670, id="1-1.08-unweighted"),
+            pytest.param(noisy_sweep(44, "sinc", 1.08, 1.9e-5, False), 0.011665476529, id="44-1.08-unweighted"),
+            pytest.param(noisy_sweep(29, "sinc", 0.93, 1.9e-5, True, 0.1), 36.154486209, id="29-0.93-weighted-noise0.1"),
+            pytest.param(noisy_sweep(32, "sinc", 1.08, 1.9e-5, True, 0.1), 31.102798816, id="32-1.08-weighted-noise0.1"),
+            pytest.param(noisy_sweep(44, "sinc", 0.93, 1.9e-5, False, 0.1), 0.15725702157, id="44-0.93-unweighted-noise0.1"),
+            pytest.param(random_sweep(11757), 0.86401676054, id="random-11757"),
         ],
     )
-    def test_reaches_the_lowest_profile_cost(self, seed, amplitude, weighted, noise, lowest):
-        # Sweeps with a side basin of the |sinc| cost next to the lowest one
-        # (seed 1), or a kink of it in the bracket about the grid's best where
-        # the profile slope is negative at both ends (seed 44 at 0.02). At
-        # five times the noise, the lowest profile cost lies about the second
-        # lowest well of the coarse grid (seeds 29, 32 and 44 at 0.1).
-        sweep = noisy_sweep(seed, "abs_sinc", amplitude, 1.9e-5, weighted, noise)
+    def test_reaches_the_lowest_profile_cost(self, sweep, lowest):
+        # Sweeps that ended above the lowest profile cost while the fit took
+        # |rho|, on the kinks and aliased wells of |sinc|: a side basin next
+        # to the lowest one (seed 1), a kink in the bracket about the grid's
+        # best (seed 44 at 0.02), the lowest cost about the coarse grid's
+        # second lowest well (seeds 29, 32 and 44 at 0.1) and a minimum past
+        # the edge of a refined window (random sweep 11757).
         fit = fit_model(sweep)
-        cost, profile = abs_sinc_cost_and_dense_minimum(sweep, fit)
+        cost, profile = sinc_cost_and_dense_minimum(sweep, fit)
         assert profile == pytest.approx(lowest, rel=1e-8)
         assert fit.converged
         assert cost <= profile * (1.0 + 1e-9)
 
-    def test_reaches_a_minimum_past_the_edge_of_the_fine_window(self):
-        # The fine grid's best is its last scale, 1.1 x the coarse best; the
-        # profile's minimum lies at about 1.1021 x, beyond the window.
-        rng = np.random.default_rng(11757)
-        n, noise = rng.integers(5, 60), rng.uniform(0.01, 0.3)
-        rng.random(3)  # picked abs_sinc, amplitude 1.08, unweighted
-        detunings = np.linspace(-7.5e5, 7.5e5, n)
-        errors = noise * rng.uniform(0.7, 1.3, n)
-        values = np.abs(model_prediction("abs_sinc", detunings, 1.08, 1.9e-5) + errors * rng.standard_normal(n))
-        sweep = DetuningSweep(detunings, values, np.zeros(n), WindowSpec("rectangular", TAU))
-        fit = fit_model(sweep)
-        cost, profile = abs_sinc_cost_and_dense_minimum(sweep, fit)
-        assert fit.converged
-        assert cost <= profile * (1.0 + 1e-9)
+    def test_gaussian_width_is_unbiased_at_the_benchmark_noise(self):
+        # 300 sweeps on the benchmark's grid, 25 points over +-750 kHz, with
+        # a flat noise of 0.05: a fit of |rho| rectified the noise into the
+        # width, +1.2 % here, at 5.5 SE.
+        truth = 2.41275  # FWHM tau of the window's own kernel
+        detunings = np.linspace(-7.5e5, 7.5e5, 25)
+        clean = model_prediction("gaussian", detunings, 0.943, 2.0 * GAUSSIAN_HALF_MAX_ARG * TAU / truth)
+        errors = np.full(detunings.size, 0.05)
+        rng = np.random.default_rng(0)
+        widths = np.array([
+            fit_model(DetuningSweep(detunings, clean + errors * rng.standard_normal(25), errors, WindowSpec("gaussian", TAU))).fwhm * TAU
+            for _ in range(300)
+        ])
+        assert abs(widths.mean() - truth) <= 3.0 * widths.std(ddof=1) / math.sqrt(widths.size)
+
+    def test_start_cost_does_not_grow_with_the_points(self, monkeypatch):
+        # Count the trial scales at which the fit evaluates its model, on the
+        # coarse grid and in the halvings about its wells, for sweeps of 25
+        # and 2001 points. A refined grid about a well grew with the points.
+        from twpacorr import linewidth
+
+        counted = []
+
+        def counting(evaluate):
+            def wrapper(model, detunings, amplitude, scale_xi):
+                counted.append(np.size(scale_xi))
+                return evaluate(model, detunings, amplitude, scale_xi)
+
+            return wrapper
+
+        for name in ("model_prediction", "_model_jacobian"):
+            monkeypatch.setattr(linewidth, name, counting(getattr(linewidth, name)))
+        counts = {}
+        for n in (25, 2001):
+            counted.clear()
+            fit_model(noisy_sweep(n, "sinc", 0.93, 1.9e-5, True, n_points=n))
+            counts[n] = sum(counted)
+        assert counts[2001] <= counts[25]
 
     def test_scale_on_its_lower_bound_is_not_converged(self):
         # A dip at zero detuning is best fitted by a flat model: no width resolved.
@@ -277,7 +313,7 @@ class TestFitModel:
 class TestCompareWindows:
     def test_sinc_sidelobe_level_on_synthetic_data(self):
         detunings = np.linspace(-1.2e6, 1.2e6, 201)
-        sweep = synthetic_sweep("abs_sinc", detunings, 0.9, XI_RECT)
+        sweep = synthetic_sweep("sinc", detunings, 0.9, XI_RECT)
         fit = fit_model(sweep)
         row = compare_windows(fit, sweep)
         assert row.sidelobe == pytest.approx(0.9 * SINC_FIRST_LOBE_LEVEL, rel=0.01)
@@ -294,7 +330,7 @@ class TestCompareWindows:
     def test_default_model_mapping(self):
         # The window shape picks the model, whatever the data look like.
         detunings = np.linspace(-1e6, 1e6, 21)
-        for shape, model in (("rectangular", "abs_sinc"), ("gaussian", "gaussian")):
+        for shape, model in (("rectangular", "sinc"), ("gaussian", "gaussian")):
             sweep = synthetic_sweep("gaussian", detunings, 0.9, 5.2e-6, window=WindowSpec(shape, TAU))
             assert fit_model(sweep).model == model
 

@@ -138,7 +138,7 @@ def test_fitting_loads_no_scipy():
         "import twpacorr.cli\n"
         "from twpacorr import DetuningSweep, WindowSpec, fit_model, model_prediction\n"
         "detunings = np.linspace(-1e6, 1e6, 21)\n"
-        "values = model_prediction('abs_sinc', detunings, 0.93, 1.9e-5)\n"
+        "values = model_prediction('sinc', detunings, 0.93, 1.9e-5)\n"
         "fit = fit_model(DetuningSweep(detunings, values, np.zeros(21), WindowSpec('rectangular', 6e-6)))\n"
         "assert fit.converged\n"
         "print(*sorted(name for name in sys.modules if name == 'scipy' or name.startswith('scipy.')))\n"
