@@ -66,7 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import TwpaParams, tmsvs_covariance
+from .gaussian import MAX_CHAIN_GAIN, MIN_CHAIN_GAIN, TwpaParams, tmsvs_covariance
 
 #: Floor constant of the gaussian acquisition envelope. Forcing
 #: E(0) = E(tau) = 0 and E(tau/2) = 1 on
@@ -95,6 +95,10 @@ MAX_SEED = 2**128
 #: Most shots one experiment may acquire: its quadratures alone take
 #: 64 bytes per shot, 6.4 GB at this bound.
 MAX_SHOTS = 10**8
+
+#: Most added noise quanta q: with a chain gain g up to MAX_CHAIN_GAIN, g q / 4
+#: and the moment sums of MAX_SHOTS shots stay finite.
+MAX_ADDED_NOISE_QUANTA = 1e100
 
 #: Most comb bins one band may hold; each bin costs two rows of
 #: SAMPLES_PER_WINDOW complex phases in every synthesis kernel.
@@ -220,11 +224,13 @@ class AcquisitionConfig:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("chain_gain_signal", "chain_gain_idler"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0.0 <= self.added_noise_quanta < math.inf:
+            if not MIN_CHAIN_GAIN <= getattr(self, name) <= MAX_CHAIN_GAIN:
+                raise ValueError(
+                    f"{name} must be in [{MIN_CHAIN_GAIN:g}, {MAX_CHAIN_GAIN:g}], got {getattr(self, name)}"
+                )
+        if not 0.0 <= self.added_noise_quanta <= MAX_ADDED_NOISE_QUANTA:
             raise ValueError(
-                f"added_noise_quanta must be finite and >= 0, got {self.added_noise_quanta}"
+                f"added_noise_quanta must be in [0, {MAX_ADDED_NOISE_QUANTA:g}], got {self.added_noise_quanta}"
             )
 
     @property
@@ -329,8 +335,10 @@ class _SynthesisKernel:
         # norm/sqrt(power) calibrates the windowed-mean demodulation so that
         # pump-off input lands exactly at vacuum variance 1/4 per quadrature.
         self.amplitude_scale = math.sqrt(band.bin_spacing) * self.norm / math.sqrt(power)
-        self.cholesky_on = np.linalg.cholesky(tmsvs_covariance(band.per_bin_params))
-        self.cholesky_off = 0.5 * np.eye(4)
+        self.cholesky = {
+            "pump_on": np.linalg.cholesky(tmsvs_covariance(band.per_bin_params)),
+            "pump_off": 0.5 * np.eye(4),
+        }
 
     def traces(self, draws: np.ndarray, stage: str) -> tuple[np.ndarray, np.ndarray]:
         """Complex (signal, idler) traces of a (..., n_bins, 4) stack of bin draws.
@@ -338,8 +346,7 @@ class _SynthesisKernel:
         The stage's Cholesky factor mixes each bin pair's four draws into its
         quadratures; the traces have shape (..., SAMPLES_PER_WINDOW).
         """
-        factor = self.cholesky_on if stage == "pump_on" else self.cholesky_off
-        quads = draws @ factor.T
+        quads = draws @ self.cholesky[stage].T
         amp_signal = (quads[..., 0] + 1j * quads[..., 1]) * self.amplitude_scale
         amp_idler = (quads[..., 2] + 1j * quads[..., 3]) * self.amplitude_scale
         return amp_signal @ self.phases_signal, amp_idler @ self.phases_idler
@@ -354,7 +361,6 @@ class _SynthesisKernel:
         ``chain_gain * added_noise_quanta / 4`` per quadrature. The shape is
         (4 n_bins, 4), or (4 n_bins + 4, 4) with noise.
         """
-        factor = self.cholesky_on if stage == "pump_on" else self.cholesky_off
         bins = np.zeros((self.n_bins, 4, 4))
         channels = (
             (self.phases_signal, config.lo_phase_signal, config.chain_gain_signal),
@@ -367,7 +373,7 @@ class _SynthesisKernel:
             gain = self.amplitude_scale * math.sqrt(chain_gain)
             bins[:, columns, columns] = _complex_rows(gain * (phases @ weights))
         # Bin rows act on the draws before the Cholesky mix: W_b = L^T M_b.
-        rows = (factor.T @ bins).reshape(-1, 4)
+        rows = (self.cholesky[stage].T @ bins).reshape(-1, 4)
         if config.added_noise_quanta == 0.0:
             return rows
         gains = np.repeat([config.chain_gain_signal, config.chain_gain_idler], 2)

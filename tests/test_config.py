@@ -82,9 +82,12 @@ BAD_VALUES = [
     ("chain_idler-bool", {"acquisition.chain_gain_idler": False}, "acquisition.chain_gain_idler"),
     ("chain_idler-inf", {"acquisition.chain_gain_idler": INF}, "acquisition.chain_gain_idler"),
     ("chain_idler-negative", {"acquisition.chain_gain_idler": -1.0}, "acquisition.chain_gain_idler"),
+    ("chain_signal-1e155", {"acquisition.chain_gain_signal": 1e155}, "acquisition.chain_gain_signal"),
+    ("chain_signal-1e-300", {"acquisition.chain_gain_signal": 1e-300}, "acquisition.chain_gain_signal"),
     ("noise-text", {"acquisition.added_noise_quanta": "some"}, "acquisition.added_noise_quanta"),
     ("noise-nan", {"acquisition.added_noise_quanta": NAN}, "acquisition.added_noise_quanta"),
     ("noise-negative", {"acquisition.added_noise_quanta": -1.0}, "acquisition.added_noise_quanta"),
+    ("noise-1e299", {"acquisition.added_noise_quanta": 1e299}, "acquisition.added_noise_quanta"),
     ("phase_points-fraction", {"phase_sweep.points": 12.5}, "phase_sweep.points"),
     ("phase_points-nan", {"phase_sweep.points": NAN}, "phase_sweep.points"),
     ("phase_points-zero", {"phase_sweep.points": 0}, "phase_sweep.points"),

@@ -71,7 +71,9 @@ class TestInferTmsvs:
         inferred = infer_tmsvs(est, est, 250.0, 9.0)
         assert np.array_equal(inferred, 0.25 * np.eye(4))
 
-    @pytest.mark.parametrize("gains", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf)])
+    @pytest.mark.parametrize(
+        "gains", [(0.0, 1.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.inf), (1e155, 1.0), (1.0, 1e-300)]
+    )
     def test_rejects_non_positive_or_non_finite_gains(self, gains):
         est = estimate_covariance(np.zeros((10, 4)))
         with pytest.raises(ValueError, match="chain gains"):

@@ -165,10 +165,18 @@ class TestFitModel:
         with pytest.raises(ValueError, match="finite"):
             fit_model(sweep)
 
-    def test_unknown_model_rejected(self):
-        detunings = np.linspace(-1e6, 1e6, 11)
+    @pytest.mark.parametrize(
+        "evaluate, arguments",
+        [
+            (model_prediction, (np.linspace(-1e6, 1e6, 11), 0.9, XI_RECT)),
+            (_model_jacobian, (np.linspace(-1e6, 1e6, 11), 0.9, XI_RECT)),
+            (fwhm_from_scale, (XI_RECT,)),
+        ],
+        ids=["model_prediction", "_model_jacobian", "fwhm_from_scale"],
+    )
+    def test_unknown_model_rejected(self, evaluate, arguments):
         with pytest.raises(ValueError, match="lorentzian"):
-            model_prediction("lorentzian", detunings, 0.9, XI_RECT)
+            evaluate("lorentzian", *arguments)
 
     def test_weighted_fit_uses_errors(self):
         # Corrupt one point and give it a huge error bar: the weighted fit
